@@ -37,8 +37,8 @@ while not is_synchronized(net_a, net_b):
     ev_b = evaluate(net_b, inputs)
     if ev_a.tau == ev_b.tau:
         agreements += 1
-        net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-        net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+        net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+        net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
     rounds += 1
     if rounds % 50 == 0 or is_synchronized(net_a, net_b):
         rhos = [order_params(net_a, net_b, u).rho for u in range(params.k)]
@@ -53,8 +53,8 @@ for _ in range(200):
     inputs, rng = draw_inputs(rng, params.k, params.n)
     ev_a = evaluate(net_a, inputs)
     ev_b = evaluate(net_b, inputs)
-    net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-    net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+    net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+    net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
 assert is_synchronized(net_a, net_b)
 print("  200 further shared updates kept the weight banks identical")
 

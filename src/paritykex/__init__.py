@@ -8,6 +8,7 @@ the stationary weight laws and the passive-eavesdropper comparison.
 """
 
 from .analysis import (
+    StepKind,
     SweepResult,
     SyncTrialStats,
     chi_square,
@@ -20,15 +21,17 @@ from .analysis import (
     run_sync_trials,
     sigma_agreement_prob,
     stationary_distribution,
+    step_kinds,
     write_sweep_csv,
 )
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
 from .exchange import (
+    Endpoint,
     ExchangeOutcome,
     derive_seed,
     run_exchange,
-    run_udp_receiver,
-    run_udp_sender,
+    run_over_link,
+    run_udp,
 )
 from .frames import (
     AckSyn,
@@ -49,7 +52,6 @@ from .keycodec import (
     decode_weight,
     encode_weight,
     extract_key,
-    hidden_output_key,
     otp_transform,
     serialize_weights,
 )
@@ -57,7 +59,6 @@ from .network import (
     Evaluation,
     LearningRule,
     OrderParams,
-    StepKind,
     TpmNetwork,
     TpmParams,
     apply_learning,
@@ -78,11 +79,10 @@ from .protocol import (
     Start,
     TimerFired,
     integrity_check,
-    make_sync_probe,
     receiver_advance,
     sender_advance,
     state_digest,
-    sync_test,
+    sync_probe,
 )
 from .rng import RngState, draw_inputs, next_word, seed_from_bytes
 

@@ -41,6 +41,9 @@ from .rng import draw_inputs, seed_from_bytes
 
 TrialMode = Literal["direct", "protocol"]
 
+# Per-unit classification of a paired update step.
+StepKind = Literal["attractive", "repulsive", "no_move", "idle"]
+
 DEFAULT_ITERATION_CAP = 10**6
 
 CSV_COLUMNS = (
@@ -158,12 +161,34 @@ def joint_distribution(
         raise ValueError("unit index out of range")
     l = net_a.params.l
     n = net_a.params.n
-    wa = net_a.active_weights[unit]
-    wb = net_b.active_weights[unit]
+    wa = net_a.weights[unit]
+    wb = net_b.weights[unit]
     matrix = np.zeros((2 * l + 1, 2 * l + 1), dtype=float)
     for a, b in zip(wa, wb):
         matrix[a + l, b + l] += 1.0
     return matrix / n
+
+
+def step_kinds(eval_self: Evaluation, eval_other: Evaluation) -> tuple[StepKind, ...]:
+    """Classify each hidden unit of one paired learning step, seen from self.
+
+    Every unit is "idle" when the outputs differ.  Otherwise a unit whose
+    sign differs from the peer's is "repulsive" (only one side moves), one
+    whose sign equals the common output on both sides is "attractive", and
+    one whose sign differs from it on both sides is "no_move".
+    """
+    tau = eval_self.tau
+    if tau != eval_other.tau:
+        return ("idle",) * len(eval_self.sigmas)
+    kinds: list[StepKind] = []
+    for mine, theirs in zip(eval_self.sigmas, eval_other.sigmas):
+        if mine != theirs:
+            kinds.append("repulsive")
+        elif mine == tau:
+            kinds.append("attractive")
+        else:
+            kinds.append("no_move")
+    return tuple(kinds)
 
 
 def keyspace_size(k: int, n: int, l: int) -> int:
@@ -216,8 +241,8 @@ def run_single_trial(
         ev_a = evaluate(net_a, inputs)
         ev_b = evaluate(net_b, inputs)
         if ev_a.tau == ev_b.tau:
-            net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
-            net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
+            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
+            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
         iterations += 1
         if record_rho:
             trajectory.append(_mean_rho(net_a, net_b))
@@ -358,15 +383,13 @@ def run_attack_trials(
             ev_b = evaluate(net_b, inputs)
             if ev_a.tau == ev_b.tau:
                 ev_e = evaluate(net_e, inputs)
-                net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
-                net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
+                net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
+                net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
                 # the eavesdropper adopts the announced output as its own
                 listener_view = Evaluation(
                     fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau
                 )
-                net_e, _ = apply_learning(
-                    net_e, inputs, listener_view, ev_b.tau, rule
-                )
+                net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, rule)
             iterations += 1
             if ab_time is None and is_synchronized(net_a, net_b):
                 ab_time = iterations

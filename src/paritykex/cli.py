@@ -13,7 +13,7 @@ import sys
 
 from .analysis import run_attack_trials, run_sync_trials, write_sweep_csv
 from .channel import ChannelConfig, UdpTransport
-from .exchange import derive_seed, run_exchange, run_udp_receiver, run_udp_sender
+from .exchange import derive_seed, run_exchange, run_udp
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
 from .network import LEARNING_RULES, TpmParams
 from .protocol import ProtocolConfig
@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("exchange", help="run one full key exchange")
     add_network_args(ex)
-    ex.add_argument("--layers", type=int, default=1)
-    ex.add_argument("--active-layer", type=int, default=0)
     ex.add_argument("--timeout", type=int, default=16, help="retransmission timeout in ticks")
     ex.add_argument("--max-attempts", type=int, default=12)
     ex.add_argument("--drop", type=float, default=0.0, help="channel drop probability")
@@ -112,10 +110,8 @@ def _run_exchange(args: argparse.Namespace) -> int:
     if generated:
         print(f"master seed: {seed.hex()}")
     try:
-        params = TpmParams(k=args.k, n=args.n, l=args.l,
-                           layers=args.layers, active_layer=args.active_layer)
         cfg = ProtocolConfig(
-            params=params,
+            params=TpmParams(k=args.k, n=args.n, l=args.l),
             ssc=derive_seed(seed, "ssc"),
             rsc=derive_seed(seed, "rsc"),
             rule=args.rule,
@@ -138,13 +134,14 @@ def _run_exchange(args: argparse.Namespace) -> int:
         try:
             if args.listen:
                 with UdpTransport(args.listen) as transport:
-                    state, key, fail = run_udp_receiver(
-                        cfg, derive_seed(seed, "receiver"), transport, args.tick_ms
+                    state, key, fail = run_udp(
+                        "receiver", cfg, derive_seed(seed, "receiver"), transport, args.tick_ms
                     )
             else:
                 with UdpTransport(("0.0.0.0", 0), remote=args.connect) as transport:
-                    state, key, fail = run_udp_sender(
-                        corrupted(cfg), derive_seed(seed, "sender"), transport, args.tick_ms
+                    state, key, fail = run_udp(
+                        "sender", corrupted(cfg), derive_seed(seed, "sender"), transport,
+                        args.tick_ms,
                     )
         except OSError as exc:
             print(f"error: transport: {exc}", file=sys.stderr)
@@ -183,28 +180,21 @@ def _run_exchange(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
+def _run_points(args: argparse.Namespace, error: str | None, points, default_out: str) -> int:
+    """Shared body of sweep and attack: echo a drawn seed, reject a usage
+    ``error``, print one line per ``(result, line)`` from ``points(seed)``
+    and write the results to CSV."""
     seed, generated = _seed_bytes(args.seed)
     if generated:
         print(f"master seed: {seed.hex()}")
-    if args.start < 1 or args.stop < args.start or args.step < 1:
-        print("error: bad sweep range", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     results = []
-    for value in range(args.start, args.stop + 1, args.step):
-        k, n, l = args.k, args.n, args.l
-        if args.vary == "l":
-            l = value
-        else:
-            n = value
-        results.append(
-            run_sync_trials(k, n, l, args.rule, args.trials, args.mode, args.cap,
-                            derive_seed(seed, f"sweep-{args.vary}-{value}"))
-        )
-        r = results[-1]
-        print(f"{args.vary}={value}: mean {r.mean_iter:.1f} median {r.median_iter:.1f} "
-              f"synced {r.synced_fraction:.3f}")
-    out = args.out or _out_path("sweep.csv")
+    for result, line in points(seed):
+        results.append(result)
+        print(line)
+    out = args.out or _out_path(default_out)
     try:
         write_sweep_csv(results, out)
     except OSError as exc:
@@ -212,34 +202,36 @@ def _run_sweep(args: argparse.Namespace) -> int:
         return 1
     print(f"wrote {out}")
     return 0
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    def points(seed: bytes):
+        for value in range(args.start, args.stop + 1, args.step):
+            n, l = (args.n, value) if args.vary == "l" else (value, args.l)
+            r = run_sync_trials(args.k, n, l, args.rule, args.trials, args.mode, args.cap,
+                                derive_seed(seed, f"sweep-{args.vary}-{value}"))
+            yield r, (f"{args.vary}={value}: mean {r.mean_iter:.1f} "
+                      f"median {r.median_iter:.1f} synced {r.synced_fraction:.3f}")
+
+    bad = args.start < 1 or args.stop < args.start or args.step < 1
+    return _run_points(args, "bad sweep range" if bad else None, points, "sweep.csv")
 
 
 def _run_attack(args: argparse.Namespace) -> int:
-    seed, generated = _seed_bytes(args.seed)
-    if generated:
-        print(f"master seed: {seed.hex()}")
     try:
         l_values = [int(v) for v in (args.l_values or str(args.l)).split(",")]
+        error = None
     except ValueError:
-        print("error: --l-values must be comma-separated integers", file=sys.stderr)
-        return 2
-    results = []
-    for l in l_values:
-        results.append(
-            run_attack_trials(args.k, args.n, l, args.rule, args.trials, args.cap,
-                              derive_seed(seed, f"attack-{l}"))
-        )
-        r = results[-1]
-        print(f"l={l}: attacker success {r.attacker_success_rate:.4f} "
-              f"AB mean {r.mean_iter:.1f} listener mean {r.mean_attacker_iter:.1f}")
-    out = args.out or _out_path("attack.csv")
-    try:
-        write_sweep_csv(results, out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {out}")
-    return 0
+        l_values, error = [], "--l-values must be comma-separated integers"
+
+    def points(seed: bytes):
+        for l in l_values:
+            r = run_attack_trials(args.k, args.n, l, args.rule, args.trials, args.cap,
+                                  derive_seed(seed, f"attack-{l}"))
+            yield r, (f"l={l}: attacker success {r.attacker_success_rate:.4f} "
+                      f"AB mean {r.mean_iter:.1f} listener mean {r.mean_attacker_iter:.1f}")
+
+    return _run_points(args, error, points, "attack.csv")
 
 
 GENERATOR_VECTOR_SEEDS = (

@@ -1,10 +1,12 @@
-"""Hosts that drive the endpoint state machines over a transport.
+"""One endpoint host for both roles, and the loops that drive it.
 
-``run_exchange`` wires a sender and a receiver across a SimulatedLink in a
-deterministic tick loop; it is the engine behind the protocol-mode trial
-runner, the acceptance tests and the CLI's simulated mode.  The UDP runners
-do the same over real datagrams, one process (or thread) per endpoint,
-mapping one virtual tick to one millisecond.
+An ``Endpoint`` runs the state machine of either role: it sends frames
+through a ``send`` callable and keeps the retransmission deadline in ticks.
+``run_over_link`` moves two endpoints across a SimulatedLink in a
+deterministic tick loop; ``run_exchange`` builds them from a master seed and
+is the engine behind the protocol-mode trial runner, the acceptance tests and
+the CLI's simulated mode.  ``run_udp`` drives one endpoint over real
+datagrams, one process (or thread) per side, with ticks of ``tick_ms``.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Literal, Optional
 
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
 from .frames import FrameError, decode_frame, encode_frame
 from .keycodec import SessionKey
 from .network import init_network
 from .protocol import (
+    Action,
     DeliverKey,
     Event,
     Fail,
@@ -33,9 +37,9 @@ from .protocol import (
     receiver_advance,
     sender_advance,
 )
-from .rng import RngState, seed_from_bytes
+from .rng import seed_from_bytes
 
-EndpointState = Union[SenderState, ReceiverState]
+Role = Literal["sender", "receiver"]
 
 
 def derive_seed(master_seed: bytes, label: str) -> bytes:
@@ -43,14 +47,64 @@ def derive_seed(master_seed: bytes, label: str) -> bytes:
     return hashlib.sha256(master_seed + b"/" + label.encode()).digest()[:16]
 
 
-def make_sender(cfg: ProtocolConfig, seed: bytes) -> tuple[SenderState, RngState]:
-    net, rng = init_network(cfg.params, seed_from_bytes(seed))
-    return SenderState(net=net), rng
+class Endpoint:
+    """One side of an exchange: state machine, generator, timer and result.
 
+    ``seed`` draws the network, then drives the generator the machine uses.
+    ``send(datagram, now)`` carries every encoded frame away; ``now`` is the
+    current tick, which a link uses and a socket ignores.  ``run_over_link``
+    sets ``send`` itself, so endpoints bound for a link are built without it.
+    """
 
-def make_receiver(cfg: ProtocolConfig, seed: bytes) -> tuple[ReceiverState, RngState]:
-    net, rng = init_network(cfg.params, seed_from_bytes(seed))
-    return ReceiverState(net=net), rng
+    def __init__(self, role: Role, cfg: ProtocolConfig, seed: bytes,
+                 send: Optional[Callable[[bytes, float], None]] = None):
+        net, self.rng = init_network(cfg.params, seed_from_bytes(seed))
+        if role == "sender":
+            self.state = SenderState(net=net)
+            self.advance = sender_advance
+        else:
+            self.state = ReceiverState(net=net)
+            self.advance = receiver_advance
+        self.cfg = cfg
+        self.send = send
+        self.deadline: Optional[float] = None
+        self.key: Optional[SessionKey] = None
+        self.fail_reason: Optional[str] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.state.phase in ("established", "failed")
+
+    def feed(self, event: Event, now: float) -> tuple[Action, ...]:
+        """Advance the machine by one event and carry out its actions."""
+        self.state, actions, self.rng = self.advance(self.state, event, self.cfg, self.rng)
+        for action in actions:
+            if isinstance(action, SendFrame):
+                self.send(encode_frame(action.frame), now)
+            elif isinstance(action, SetTimer):
+                self.deadline = now + action.ticks
+            elif isinstance(action, DeliverKey):
+                self.key = action.session
+            elif isinstance(action, Fail):
+                self.fail_reason = action.reason
+        if self.settled:
+            self.deadline = None
+        return actions
+
+    def receive(self, datagram: bytes, now: float) -> bool:
+        """Feed one datagram; False when it does not decode and is dropped."""
+        try:
+            frame = decode_frame(datagram)
+        except FrameError:
+            return False
+        self.feed(FrameArrived(frame), now)
+        return True
+
+    def expire(self, now: float) -> None:
+        """Fire the retransmission timer if its deadline has passed."""
+        if self.deadline is not None and now >= self.deadline:
+            self.deadline = None
+            self.feed(TimerFired(), now)
 
 
 @dataclass
@@ -70,89 +124,43 @@ class ExchangeOutcome:
     receiver: ReceiverState
 
 
-class _Host:
-    """Bookkeeping for one endpoint inside the tick loop."""
-
-    def __init__(self, name, state, advance, cfg, rng):
-        self.name = name
-        self.state = state
-        self.advance = advance
-        self.cfg = cfg
-        self.rng = rng
-        self.deadline: Optional[int] = None
-        self.key: Optional[SessionKey] = None
-        self.fail_reason: Optional[str] = None
-
-    def feed(self, event: Event, link: SimulatedLink, now: int) -> None:
-        self.state, actions, self.rng = self.advance(self.state, event, self.cfg, self.rng)
-        for action in actions:
-            if isinstance(action, SendFrame):
-                link.send(self.name, encode_frame(action.frame), now)
-            elif isinstance(action, SetTimer):
-                self.deadline = now + action.ticks
-            elif isinstance(action, DeliverKey):
-                self.key = action.session
-            elif isinstance(action, Fail):
-                self.fail_reason = action.reason
-        if self.state.phase in ("established", "failed"):
-            self.deadline = None
-
-
-def run_exchange(
-    cfg: ProtocolConfig,
-    master_seed: bytes,
-    channel_config: ChannelConfig = ChannelConfig(),
-    iteration_cap: int = 20_000,
-    receiver_cfg: Optional[ProtocolConfig] = None,
+def run_over_link(
+    sender: Endpoint,
+    receiver: Endpoint,
+    link: SimulatedLink,
+    iteration_cap: int,
 ) -> ExchangeOutcome:
-    """Drive one full key exchange over a simulated link.
+    """Tick loop: deliver due datagrams, fire due timers, advance the clock.
 
-    ``receiver_cfg`` lets tests hand the two sides diverging configs (for
-    example a mutated secret code); by default both share ``cfg``.  The
-    run stops when both sides settle, either side fails, or the sender has
-    opened more than ``iteration_cap`` rounds.
+    The sender talks on the link as "a" and the receiver as "b"; this binds
+    their ``send``.  The run stops when both sides settle, either side fails,
+    or the sender has opened more than ``iteration_cap`` rounds.
     """
-    link = SimulatedLink(channel_config)
-    sstate, srng = make_sender(cfg, derive_seed(master_seed, "sender"))
-    rstate, rrng = make_receiver(
-        receiver_cfg or cfg, derive_seed(master_seed, "receiver")
-    )
-    sender = _Host("a", sstate, sender_advance, cfg, srng)
-    receiver = _Host("b", rstate, receiver_advance, receiver_cfg or cfg, rrng)
+    cfg = sender.cfg
+    sender.send = partial(link.send, "a")
+    receiver.send = partial(link.send, "b")
+    hosts = (("a", sender), ("b", receiver))
     decode_failures = 0
-
     now = 0
-    sender.feed(Start(), link, now)
+    sender.feed(Start(), now)
     # generous horizon: every round costs at most a timeout plus slack
     tick_limit = (iteration_cap + cfg.max_attempts + 4) * (cfg.timeout_ticks + 4)
     while now < tick_limit:
-        for host in (sender, receiver):
-            for datagram in link.poll(host.name, now):
-                try:
-                    frame = decode_frame(datagram)
-                except FrameError:
+        for name, host in hosts:
+            for datagram in link.poll(name, now):
+                if not host.receive(datagram, now):
                     decode_failures += 1
-                    continue
-                host.feed(FrameArrived(frame), link, now)
-        for host in (sender, receiver):
-            if host.deadline is not None and now >= host.deadline:
-                host.deadline = None
-                host.feed(TimerFired(), link, now)
-        done = sender.state.phase in ("established", "failed") and receiver.state.phase in (
-            "established",
-            "failed",
-        )
-        if done or sender.state.phase == "failed" or receiver.state.phase == "failed":
+        for _, host in hosts:
+            host.expire(now)
+        phases = (sender.state.phase, receiver.state.phase)
+        if "failed" in phases or phases == ("established", "established"):
             break
         if sender.state.rounds > iteration_cap:
             break
         now += 1
 
-    established = (
-        sender.state.phase == "established" and receiver.state.phase == "established"
-    )
     return ExchangeOutcome(
-        established=established,
+        established=sender.state.phase == receiver.state.phase == "established",
         fail_reason=sender.fail_reason or receiver.fail_reason,
         sender_key=sender.key,
         receiver_key=receiver.key,
@@ -166,82 +174,56 @@ def run_exchange(
     )
 
 
+def run_exchange(
+    cfg: ProtocolConfig,
+    master_seed: bytes,
+    channel_config: ChannelConfig = ChannelConfig(),
+    iteration_cap: int = 20_000,
+    receiver_cfg: Optional[ProtocolConfig] = None,
+) -> ExchangeOutcome:
+    """Drive one full key exchange over a simulated link.
+
+    ``receiver_cfg`` lets tests hand the two sides diverging configs (for
+    example a mutated secret code); by default both share ``cfg``.  See
+    ``run_over_link`` for when the run stops.
+    """
+    sender = Endpoint("sender", cfg, derive_seed(master_seed, "sender"))
+    receiver = Endpoint("receiver", receiver_cfg or cfg, derive_seed(master_seed, "receiver"))
+    return run_over_link(sender, receiver, SimulatedLink(channel_config), iteration_cap)
+
+
 # --- real-datagram runners ------------------------------------------------
 
 
-def _run_udp(
-    state: EndpointState,
-    advance,
+def run_udp(
+    role: Role,
     cfg: ProtocolConfig,
-    rng: RngState,
+    seed: bytes,
     transport: UdpTransport,
     tick_ms: float = 1.0,
     overall_timeout: float = 120.0,
-    start: bool = False,
 ):
-    """Drive one endpoint over UDP; one tick is ``tick_ms`` milliseconds."""
-    key: Optional[SessionKey] = None
-    fail: Optional[str] = None
-    deadline: Optional[float] = None
+    """Run one endpoint over UDP until it settles; a tick is ``tick_ms`` ms.
+
+    Returns the final state, the delivered key and the failure reason.
+    """
+    host = Endpoint(role, cfg, seed, lambda datagram, now: transport.send(datagram))
     t0 = time.monotonic()
 
-    def handle(event: Event) -> None:
-        nonlocal state, rng, key, fail, deadline
-        state, actions, rng = advance(state, event, cfg, rng)
-        for action in actions:
-            if isinstance(action, SendFrame):
-                transport.send(encode_frame(action.frame))
-            elif isinstance(action, SetTimer):
-                deadline = time.monotonic() + action.ticks * tick_ms / 1000.0
-            elif isinstance(action, DeliverKey):
-                key = action.session
-            elif isinstance(action, Fail):
-                fail = action.reason
+    def now() -> float:
+        return (time.monotonic() - t0) * 1000.0 / tick_ms
 
-    if start:
-        handle(Start())
-    while state.phase not in ("established", "failed"):
+    if role == "sender":
+        host.feed(Start(), now())
+    while not host.settled:
         if time.monotonic() - t0 > overall_timeout:
-            fail = fail or "overall timeout"
+            host.fail_reason = host.fail_reason or "overall timeout"
             break
         wait = 0.05
-        if deadline is not None:
-            wait = max(0.0, min(wait, deadline - time.monotonic()))
+        if host.deadline is not None:
+            wait = max(0.0, min(wait, (host.deadline - now()) * tick_ms / 1000.0))
         datagram = transport.receive(timeout=max(wait, 1e-4))
         if datagram is not None:
-            try:
-                handle(FrameArrived(decode_frame(datagram)))
-            except FrameError:
-                continue
-        if deadline is not None and time.monotonic() >= deadline:
-            deadline = None
-            handle(TimerFired())
-    return state, key, fail
-
-
-def run_udp_sender(
-    cfg: ProtocolConfig,
-    seed: bytes,
-    transport: UdpTransport,
-    tick_ms: float = 1.0,
-    overall_timeout: float = 120.0,
-):
-    """Run the initiating endpoint over UDP until it settles."""
-    state, rng = make_sender(cfg, seed)
-    return _run_udp(
-        state, sender_advance, cfg, rng, transport, tick_ms, overall_timeout, start=True
-    )
-
-
-def run_udp_receiver(
-    cfg: ProtocolConfig,
-    seed: bytes,
-    transport: UdpTransport,
-    tick_ms: float = 1.0,
-    overall_timeout: float = 120.0,
-):
-    """Run the responding endpoint over UDP until it settles."""
-    state, rng = make_receiver(cfg, seed)
-    return _run_udp(
-        state, receiver_advance, cfg, rng, transport, tick_ms, overall_timeout
-    )
+            host.receive(datagram, now())
+        host.expire(now())
+    return host.state, host.key, host.fail_reason

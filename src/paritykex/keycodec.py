@@ -2,7 +2,7 @@
 
 Each weight becomes one byte: the MSB carries the sign (1 = negative) and
 the low seven bits the magnitude, so depths up to 127 round-trip exactly.
-The serialized active bank is the key material; a session key is one
+The serialized bank is the key material; a session key is one
 128-bit slice of it, selected by a group index.  The byte 0x80 ("minus
 zero") is never produced but decodes to 0 so decoding is total.
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Evaluation, TpmNetwork
+from .network import TpmNetwork
 
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
@@ -57,8 +57,8 @@ def decode_weight(b: int) -> int:
 
 
 def serialize_weights(net: TpmNetwork) -> bytes:
-    """Serialize the active bank row-major, one byte per weight."""
-    w = net.active_weights
+    """Serialize the bank row-major, one byte per weight."""
+    w = net.weights
     encoded = np.where(w < 0, 0x80 | (-w), w).astype(np.uint8)
     return encoded.tobytes()
 
@@ -75,11 +75,6 @@ def extract_key(material: bytes, iv: int) -> SessionKey:
             f"group index {iv} out of range for {len(material) * 8}-bit material"
         )
     return SessionKey(key=material[KEY_BYTES * iv : KEY_BYTES * (iv + 1)], iv=iv)
-
-
-def hidden_output_key(evaluation: Evaluation) -> str:
-    """Bit block of the hidden-unit signs, '1' where sigma is +1."""
-    return "".join("1" if s == 1 else "0" for s in evaluation.sigmas)
 
 
 def otp_transform(key: bytes, block: bytes) -> bytes:

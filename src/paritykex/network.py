@@ -1,8 +1,7 @@
 """Bounded-integer parity machine: evaluation, mutual-learning rules, metrics.
 
-The network has ``layers`` banks of k hidden units with n inputs each; only
-the active bank ever evaluates or learns, the others are carried as inert
-state.  Weights are integers clamped to [-l, +l].
+The network is one bank of k hidden units with n inputs each.  Weights are
+integers clamped to [-l, +l].
 
 Every operation here is a pure function: networks are immutable values and
 updates return fresh instances, so trials can run concurrently without
@@ -22,9 +21,6 @@ from .rng import RngState, next_word
 LearningRule = Literal["hebbian", "anti_hebbian", "random_walk"]
 LEARNING_RULES: tuple[LearningRule, ...] = ("hebbian", "anti_hebbian", "random_walk")
 
-# Per-unit classification of a paired update step.
-StepKind = Literal["attractive", "repulsive", "no_move", "idle"]
-
 # Weight magnitudes must fit the 7-bit field of the byte codec.
 MAX_DEPTH = 127
 
@@ -33,38 +29,33 @@ MAX_DEPTH = 127
 class TpmParams:
     """Public architecture parameters.
 
-    k: hidden units per layer; n: inputs per hidden unit; l: synaptic
-    depth (weights live in [-l, +l]); layers/active_layer select the one
-    bank that participates in a session.
+    k: hidden units; n: inputs per hidden unit; l: synaptic depth
+    (weights live in [-l, +l]).
     """
 
     k: int
     n: int
     l: int
-    layers: int = 1
-    active_layer: int = 0
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1 or self.layers < 1:
-            raise ValueError("k, n and layers must be at least 1")
+        if self.k < 1 or self.n < 1:
+            raise ValueError("k and n must be at least 1")
         if self.l < 0:
             raise ValueError("synaptic depth l must be non-negative")
         if self.l > MAX_DEPTH:
             raise ValueError(f"synaptic depth l must be <= {MAX_DEPTH}")
-        if not 0 <= self.active_layer < self.layers:
-            raise ValueError("active_layer must lie in [0, layers)")
 
 
 @dataclass(frozen=True, eq=False)
 class TpmNetwork:
-    """Immutable weight state: integer matrix of shape (layers, k, n)."""
+    """Immutable weight state: integer matrix of shape (k, n)."""
 
     params: TpmParams
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         p = self.params
-        if self.weights.shape != (p.layers, p.k, p.n):
+        if self.weights.shape != (p.k, p.n):
             raise ValueError("weight matrix shape does not match params")
         if np.any(np.abs(self.weights) > p.l):
             raise ValueError("weights exceed the synaptic depth bound")
@@ -72,8 +63,8 @@ class TpmNetwork:
 
     @property
     def active_weights(self) -> np.ndarray:
-        """The (k, n) weight bank used for evaluation and learning."""
-        return self.weights[self.params.active_layer]
+        """The (k, n) weight bank; the same array as ``weights``."""
+        return self.weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +93,16 @@ class OrderParams:
 def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState]:
     """Draw every weight uniformly from the 2l+1 integers in [-l, +l].
 
-    One generator word is consumed per weight (layer-major, row-major
-    order), so identical (params, rng) always yield identical networks.
+    One generator word is consumed per weight (row-major order), so
+    identical (params, rng) always yield identical networks.
     """
     p = params
     span = 2 * p.l + 1
-    flat = np.empty(p.layers * p.k * p.n, dtype=np.int32)
+    flat = np.empty(p.k * p.n, dtype=np.int32)
     for i in range(flat.size):
         word, rng = next_word(rng)
         flat[i] = word % span - p.l
-    weights = flat.reshape(p.layers, p.k, p.n)
-    return TpmNetwork(params, weights), rng
+    return TpmNetwork(params, flat.reshape(p.k, p.n)), rng
 
 
 def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
@@ -127,14 +117,14 @@ def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
-    """Forward pass over the active bank.
+    """Forward pass.
 
     fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas are the signs
     with the zero field mapped to -1 so the output stays binary; tau is
     the product of the signs.
     """
     x = _check_inputs(net.params, inputs)
-    sums = (net.active_weights.astype(np.int64) * x).sum(axis=1)
+    sums = (net.weights.astype(np.int64) * x).sum(axis=1)
     fields = sums / math.sqrt(net.params.n)
     sigmas = np.where(sums > 0, 1, -1).astype(np.int32)
     tau = int(np.prod(sigmas))
@@ -147,27 +137,21 @@ def apply_learning(
     eval_self: Evaluation,
     tau_other: int,
     rule: LearningRule,
-    sigma_other: Optional[np.ndarray] = None,
-) -> tuple[TpmNetwork, tuple[StepKind, ...]]:
+) -> TpmNetwork:
     """One mutual-learning step against a peer's announced output.
 
-    If the announced outputs differ nothing moves and every unit is
-    "idle".  Otherwise only units whose sign matches the common output
-    update: hebbian adds tau*x, anti_hebbian subtracts tau*x, random_walk
-    adds x; the result is clamped back into [-l, +l].
-
-    The attractive/repulsive/no_move classification needs the peer's unit
-    signs, which only a simulation host can supply; without ``sigma_other``
-    every non-idle unit is reported as "no_move".
+    If the announced outputs differ nothing moves.  Otherwise only units
+    whose sign matches the common output update: hebbian adds tau*x,
+    anti_hebbian subtracts tau*x, random_walk adds x; the result is clamped
+    back into [-l, +l].
     """
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
     x = _check_inputs(net.params, inputs)
-    k = net.params.k
     tau_self = eval_self.tau
 
     if tau_self != tau_other:
-        return net, ("idle",) * k
+        return net
 
     mask = (eval_self.sigmas == tau_self).astype(np.int32)
     if rule == "hebbian":
@@ -177,22 +161,9 @@ def apply_learning(
     else:
         delta = x
     updated = np.clip(
-        net.active_weights + delta * mask[:, None], -net.params.l, net.params.l
+        net.weights + delta * mask[:, None], -net.params.l, net.params.l
     ).astype(np.int32)
-    weights = net.weights.copy()
-    weights[net.params.active_layer] = updated
-
-    kinds: list[StepKind] = []
-    for i in range(k):
-        if sigma_other is None:
-            kinds.append("no_move")
-        elif eval_self.sigmas[i] != sigma_other[i]:
-            kinds.append("repulsive")
-        elif eval_self.sigmas[i] == tau_self:
-            kinds.append("attractive")
-        else:
-            kinds.append("no_move")
-    return TpmNetwork(net.params, weights), tuple(kinds)
+    return TpmNetwork(net.params, updated)
 
 
 def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams:
@@ -206,8 +177,8 @@ def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams
     if not 0 <= unit < net_a.params.k:
         raise ValueError("unit index out of range")
     n = net_a.params.n
-    wa = net_a.active_weights[unit].astype(np.int64)
-    wb = net_b.active_weights[unit].astype(np.int64)
+    wa = net_a.weights[unit].astype(np.int64)
+    wb = net_b.weights[unit].astype(np.int64)
     q_a = float(np.dot(wa, wa)) / n
     q_b = float(np.dot(wb, wb)) / n
     r = float(np.dot(wa, wb)) / n
@@ -219,7 +190,7 @@ def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams
 
 
 def is_synchronized(net_a: TpmNetwork, net_b: TpmNetwork) -> bool:
-    """True iff the active weight banks are element-wise equal."""
+    """True iff the weight banks are element-wise equal."""
     if net_a.params != net_b.params:
         raise ValueError("networks must share identical params")
-    return bool(np.array_equal(net_a.active_weights, net_b.active_weights))
+    return bool(np.array_equal(net_a.weights, net_b.weights))

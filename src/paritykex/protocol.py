@@ -9,9 +9,9 @@ replayed frames change nothing.
 Flow per synchronization round: the sender draws a fresh input seed,
 evaluates, and sends SYN{seed, tau, E(probe)} where the probe is the public
 constant encrypted under the first 128 bits of its serialized weights.  The
-receiver checks frame integrity (strictly increasing ids), then tries to
-decrypt the probe with its own first 128 weight bits.  A match means the
-visible weights agree: the receiver picks a key group, answers FIN_SYN and
+receiver checks frame integrity (strictly increasing ids), then builds the
+same probe from its own first 128 weight bits and compares.  A match means
+the visible weights agree: the receiver picks a key group, answers FIN_SYN and
 waits for certification.  Otherwise it derives the same inputs from the
 seed, compares outputs, learns on agreement (ACK_SYN) or not (NAK_SYN).
 
@@ -64,6 +64,9 @@ DEFAULT_SYNC_PROBE = b"SYNC-TEST-VECTOR"
 
 SeedMode = Literal["in-frame", "pre-shared"]
 
+# FIN_SYN carries the key group index in one byte.
+MAX_KEY_GROUPS = 256
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -93,8 +96,15 @@ class ProtocolConfig:
             raise ValueError("max_attempts must be at least 1")
         if self.resync_rounds < 0:
             raise ValueError("resync_rounds must be non-negative")
+        if self.params.l < 1:
+            raise ValueError("synaptic depth l must be at least 1 for a key exchange")
         if self.params.k * self.params.n < KEY_BYTES:
             raise ValueError("k*n must be at least 16 to carve a 128-bit key")
+        if self.params.k * self.params.n > KEY_BYTES * MAX_KEY_GROUPS:
+            raise ValueError(
+                f"k*n must be at most {KEY_BYTES * MAX_KEY_GROUPS}: "
+                "the FIN_SYN key group index is one byte"
+            )
         if self.seed_mode not in ("in-frame", "pre-shared"):
             raise ValueError(f"unknown seed mode: {self.seed_mode!r}")
         if self.seed_mode == "pre-shared":
@@ -193,19 +203,14 @@ def integrity_check(frame: Frame, last_seen_id: int) -> bool:
     return frame.frame_id > last_seen_id
 
 
-def sync_test(net: TpmNetwork, ek_st: bytes, st: bytes) -> bool:
-    """Decrypt the probe with the first 128 serialized weight bits."""
-    material = serialize_weights(net)
-    if len(material) < KEY_BYTES:
-        raise ValueError("serialized weights are shorter than 128 bits")
-    return otp_transform(material[:KEY_BYTES], ek_st) == st
+def sync_probe(material: bytes, st: bytes) -> bytes:
+    """Encrypt the probe constant under the first 128 serialized weight bits.
 
-
-def make_sync_probe(net: TpmNetwork, st: bytes) -> bytes:
-    """Encrypt the probe under the first 128 serialized weight bits."""
-    material = serialize_weights(net)
-    if len(material) < KEY_BYTES:
-        raise ValueError("serialized weights are shorter than 128 bits")
+    The sender puts this block in its SYN; the receiver computes it from
+    its own weights and compares, which is the same test as decrypting the
+    received block because the transform is self-inverse.  Material shorter
+    than 128 bits raises ValueError.
+    """
     return otp_transform(material[:KEY_BYTES], st)
 
 
@@ -283,10 +288,8 @@ def _sender_new_round(
         cfg, seed, frame_id, state.input_stream, state.stream_round
     )
     evaluation = evaluate(state.net, inputs)
-    frame = Frame(
-        frame_id,
-        Syn(seed=seed, tau=evaluation.tau, ek_st=make_sync_probe(state.net, cfg.st)),
-    )
+    probe = sync_probe(serialize_weights(state.net), cfg.st)
+    frame = Frame(frame_id, Syn(seed=seed, tau=evaluation.tau, ek_st=probe))
     state = replace(
         state,
         phase="synchronizing",
@@ -356,7 +359,7 @@ def sender_advance(
             return state, (), rng
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
-            net, _ = apply_learning(
+            net = apply_learning(
                 state.net,
                 state.pending.inputs,
                 state.pending.evaluation,
@@ -370,11 +373,11 @@ def sender_advance(
         if isinstance(payload, NakSyn):
             return _sender_new_round(replace(state, attempts=0), cfg, rng)
         if isinstance(payload, FinSyn):
-            groups = key_group_count(serialize_weights(state.net))
-            if not 0 <= payload.iv < groups:
+            material = serialize_weights(state.net)
+            if not 0 <= payload.iv < key_group_count(material):
                 logger.debug("sender: FIN_SYN with bad group %d ignored", payload.iv)
                 return state, (), rng
-            session = extract_key(serialize_weights(state.net), payload.iv)
+            session = extract_key(material, payload.iv)
             state, actions = _sender_send_auth(
                 replace(state, session=session, attempts=0), cfg
             )
@@ -418,7 +421,7 @@ def _receiver_learning_reply(
     evaluation = evaluate(state.net, inputs)
     state = replace(state, input_stream=stream, stream_round=stream_round)
     if evaluation.tau == syn.tau:
-        net, _ = apply_learning(state.net, inputs, evaluation, syn.tau, cfg.rule)
+        net = apply_learning(state.net, inputs, evaluation, syn.tau, cfg.rule)
         state = replace(state, net=net, iterations=state.iterations + 1)
         reply: Frame = Frame(frame.frame_id, AckSyn(tau=evaluation.tau))
     else:
@@ -448,7 +451,8 @@ def receiver_advance(
         state = replace(state, last_seen_id=frame.frame_id)
         if state.phase == "idle":
             state = replace(state, phase="synchronizing")
-        synced = sync_test(state.net, payload.ek_st, cfg.st)
+        material = serialize_weights(state.net)
+        synced = sync_probe(material, cfg.st) == payload.ek_st
 
         if synced and state.session is not None:
             # FIN_SYN or AUTH got lost; repeat the standing offer
@@ -457,7 +461,6 @@ def receiver_advance(
             # the probe stopped matching: the earlier offer was premature
             state = replace(state, session=None, phase="synchronizing")
         if synced and state.fin_holdoff == 0:
-            material = serialize_weights(state.net)
             word, rng = next_word(rng)
             iv = word % key_group_count(material)
             session = extract_key(material, iv)

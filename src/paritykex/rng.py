@@ -99,10 +99,3 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     matrix = (bits[:total].astype(np.int32) * 2 - 1).reshape(k, n)
     return matrix, state
 
-
-def skip_draws(state: RngState, k: int, n: int, rounds: int) -> RngState:
-    """Advance the state past ``rounds`` worth of draw_inputs calls."""
-    nwords = -(-(k * n) // 64) * rounds
-    for _ in range(nwords):
-        _, state = next_word(state)
-    return state

@@ -1,21 +1,9 @@
 """Shared helpers for protocol-level tests: config factory and a recording host."""
 
 from paritykex.channel import ChannelConfig, SimulatedLink
-from paritykex.exchange import derive_seed, make_receiver, make_sender
-from paritykex.frames import decode_frame, encode_frame
+from paritykex.exchange import Endpoint, derive_seed, run_over_link
 from paritykex.network import TpmParams
-from paritykex.protocol import (
-    DeliverKey,
-    Fail,
-    FrameArrived,
-    ProtocolConfig,
-    SendFrame,
-    SetTimer,
-    Start,
-    TimerFired,
-    receiver_advance,
-    sender_advance,
-)
+from paritykex.protocol import FrameArrived, ProtocolConfig, SendFrame
 
 
 def config(l=2, n=32, **kw):
@@ -31,59 +19,44 @@ def config(l=2, n=32, **kw):
     return ProtocolConfig(**defaults)
 
 
-def drive(cfg, master_seed, channel=ChannelConfig(), cap=8000, receiver_cfg=None,
-          on_delivery=None):
-    """Tick-loop host that mirrors the library driver but records the wire.
+def fresh(role, cfg, seed):
+    """The initial state and generator of an endpoint, for single-step tests."""
+    endpoint = Endpoint(role, cfg, seed)
+    return endpoint.state, endpoint.rng
 
-    ``on_delivery(name, frame, hosts, feed, now)`` runs before each decoded
-    frame is fed, so tests can snapshot states or replay frames.  Host slots:
-    [state, advance, cfg, rng, deadline, key, fail_reason].
-    """
-    link = SimulatedLink(channel)
-    sstate, srng = make_sender(cfg, derive_seed(master_seed, "sender"))
-    rstate, rrng = make_receiver(receiver_cfg or cfg, derive_seed(master_seed, "receiver"))
-    hosts = {
-        "a": [sstate, sender_advance, cfg, srng, None, None, None],
-        "b": [rstate, receiver_advance, receiver_cfg or cfg, rrng, None, None, None],
-    }
-    wire = []
 
-    def feed(name, event, now):
-        slot = hosts[name]
-        state, actions, rng = slot[1](slot[0], event, slot[2], slot[3])
-        slot[0], slot[3] = state, rng
-        for action in actions:
-            if isinstance(action, SendFrame):
-                wire.append((name, action.frame))
-                link.send(name, encode_frame(action.frame), now)
-            elif isinstance(action, SetTimer):
-                slot[4] = now + action.ticks
-            elif isinstance(action, DeliverKey):
-                slot[5] = action.session
-            elif isinstance(action, Fail):
-                slot[6] = action.reason
-        if slot[0].phase in ("established", "failed"):
-            slot[4] = None
+class RecordingEndpoint(Endpoint):
+    """Endpoint that logs every frame it sends on ``wire`` as (name, frame),
+    "a" for the sender and "b" for the receiver, and shows each arriving frame
+    to ``on_delivery(endpoint, frame)`` first, so tests can snapshot its state
+    (and, through ``peer``, the other side's) or replay the frame against it."""
+
+    def __init__(self, role, cfg, seed, wire, on_delivery=None):
+        super().__init__(role, cfg, seed)
+        self.name = "a" if role == "sender" else "b"
+        self.wire = wire
+        self.on_delivery = on_delivery
+        self.peer = None
+
+    def feed(self, event, now):
+        if self.on_delivery is not None and isinstance(event, FrameArrived):
+            self.on_delivery(self, event.frame)
+        actions = super().feed(event, now)
+        self.wire.extend((self.name, a.frame) for a in actions if isinstance(a, SendFrame))
         return actions
 
-    feed("a", Start(), 0)
-    now = 0
-    while now < cap * (cfg.timeout_ticks + 4):
-        for name in ("a", "b"):
-            for datagram in link.poll(name, now):
-                frame = decode_frame(datagram)
-                if on_delivery is not None:
-                    on_delivery(name, frame, hosts, feed, now)
-                feed(name, FrameArrived(frame), now)
-        for name in ("a", "b"):
-            slot = hosts[name]
-            if slot[4] is not None and now >= slot[4]:
-                slot[4] = None
-                feed(name, TimerFired(), now)
-        phases = {hosts["a"][0].phase, hosts["b"][0].phase}
-        if phases <= {"established", "failed"} or "failed" in phases:
-            break
-        if hosts["a"][0].rounds > cap:
-            break
-        now += 1
-    return hosts, wire
+
+def drive(cfg, master_seed, channel=ChannelConfig(), cap=8000, receiver_cfg=None,
+          on_delivery=None):
+    """Run one exchange like ``run_exchange`` but record the wire.
+
+    Returns the outcome and the list of (name, frame) sent, "a" being the
+    sender and "b" the receiver.
+    """
+    wire = []
+    sender = RecordingEndpoint("sender", cfg, derive_seed(master_seed, "sender"),
+                               wire, on_delivery)
+    receiver = RecordingEndpoint("receiver", receiver_cfg or cfg,
+                                 derive_seed(master_seed, "receiver"), wire, on_delivery)
+    sender.peer, receiver.peer = receiver, sender
+    return run_over_link(sender, receiver, SimulatedLink(channel), cap), wire

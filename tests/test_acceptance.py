@@ -298,9 +298,10 @@ def test_criterion_8_robust_establishment_under_impairments():
     # replay immunity: re-delivering any accepted frame is inert
     replays = {"checked": 0}
 
-    def replay(name, frame, hosts, feed, now):
-        slot = hosts[name]
-        state, advance, endpoint_cfg, rng = slot[0], slot[1], slot[2], slot[3]
+    def replay(endpoint, frame):
+        state, advance, endpoint_cfg, rng = (
+            endpoint.state, endpoint.advance, endpoint.cfg, endpoint.rng
+        )
         new_state, actions, new_rng = advance(state, px.FrameArrived(frame), endpoint_cfg, rng)
         if actions:
             redone, actions2, rng2 = advance(
@@ -311,8 +312,8 @@ def test_criterion_8_robust_establishment_under_impairments():
             assert rng2 == new_rng
             replays["checked"] += 1
 
-    hosts, _ = drive(config(l=2, n=16), b"replay-acceptance", on_delivery=replay)
-    assert hosts["a"][0].phase == "established"
+    outcome, _ = drive(config(l=2, n=16), b"replay-acceptance", on_delivery=replay)
+    assert outcome.sender.phase == "established"
     elapsed = time.time() - t0
     ok = established >= 0.95 * runs
     report(

@@ -17,6 +17,7 @@ from paritykex.analysis import (
     run_sync_trials,
     sigma_agreement_prob,
     stationary_distribution,
+    step_kinds,
     write_sweep_csv,
 )
 from paritykex.exchange import derive_seed, run_exchange
@@ -165,6 +166,45 @@ def test_joint_distribution_moments_match_order_params():
         assert r == pytest.approx(op.r, abs=1e-12)
 
 
+# --- step classification -----------------------------------------------------------
+
+
+def test_step_kinds_against_peer():
+    params = TpmParams(k=3, n=16, l=3)
+    rng = seed_from_bytes(b"step-kind-seed00")
+    seen = set()
+    for _ in range(300):
+        net_a, rng = init_network(params, rng)
+        net_b, rng = init_network(params, rng)
+        inputs, rng = draw_inputs(rng, 3, 16)
+        ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
+        kinds = step_kinds(ev_a, ev_b)
+        if ev_a.tau != ev_b.tau:
+            assert kinds == ("idle",) * 3
+        else:
+            for i, kind in enumerate(kinds):
+                if ev_a.sigmas[i] != ev_b.sigmas[i]:
+                    assert kind == "repulsive"
+                elif ev_a.sigmas[i] == ev_a.tau:
+                    assert kind == "attractive"
+                else:
+                    assert kind == "no_move"
+        seen.update(kinds)
+    assert {"idle", "attractive", "repulsive", "no_move"} <= seen
+
+
+def test_step_kinds_hand_computed():
+    def ev(sigmas):
+        return Evaluation(fields=np.zeros(len(sigmas)), sigmas=np.array(sigmas),
+                          tau=int(np.prod(sigmas)))
+
+    mine = ev([1, 1, -1, -1])
+    assert step_kinds(mine, ev([1, -1, 1, -1])) == (
+        "attractive", "repulsive", "repulsive", "no_move"
+    )
+    assert step_kinds(mine, ev([1, 1, 1, -1])) == ("idle",) * 4
+
+
 # --- key space and chi-square -------------------------------------------------------
 
 
@@ -271,9 +311,9 @@ def test_listener_with_identical_start_tracks_forever():
         if ev_a.tau == ev_b.tau:
             ev_e = evaluate(net_e, inputs)
             listener_view = Evaluation(fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau)
-            net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-            net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
-            net_e, _ = apply_learning(net_e, inputs, listener_view, ev_b.tau, "random_walk")
+            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+            net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, "random_walk")
         assert is_synchronized(net_e, net_a)
 
 

@@ -79,6 +79,7 @@ def test_usage_error_on_bad_seed(capsys):
 def test_usage_error_on_bad_params(capsys):
     code = main(["exchange", "--k", "0", "--seed", SEED])
     assert code == 2
+    assert main(["exchange", "--l", "0", "--seed", SEED]) == 2
 
 
 def test_udp_mode_requires_explicit_seed(capsys):

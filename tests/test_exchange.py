@@ -6,8 +6,7 @@ from paritykex.channel import ChannelConfig, UdpTransport
 from paritykex.exchange import (
     derive_seed,
     run_exchange,
-    run_udp_receiver,
-    run_udp_sender,
+    run_udp,
 )
 from paritykex.network import TpmParams
 from paritykex.protocol import ProtocolConfig
@@ -122,13 +121,13 @@ def test_udp_endpoints_agree_over_loopback():
     results = {}
 
     def run_receiver():
-        results["receiver"] = run_udp_receiver(
-            cfg, b"udp-recv-seed-0!", receiver_transport, tick_ms=1.0, overall_timeout=60
+        results["receiver"] = run_udp(
+            "receiver", cfg, b"udp-recv-seed-0!", receiver_transport, overall_timeout=60
         )
 
     def run_sender():
-        results["sender"] = run_udp_sender(
-            cfg, b"udp-send-seed-0!", sender_transport, tick_ms=1.0, overall_timeout=60
+        results["sender"] = run_udp(
+            "sender", cfg, b"udp-send-seed-0!", sender_transport, overall_timeout=60
         )
 
     threads = [threading.Thread(target=run_receiver), threading.Thread(target=run_sender)]

@@ -18,12 +18,10 @@ from paritykex.network import (
 from paritykex.rng import draw_inputs, seed_from_bytes
 
 
-def make_net(weights, l, layers=1, active=0):
+def make_net(weights, l):
     w = np.asarray(weights, dtype=np.int32)
-    if w.ndim == 2:
-        w = w[None, :, :]
-    k, n = w.shape[1], w.shape[2]
-    return TpmNetwork(TpmParams(k=k, n=n, l=l, layers=layers, active_layer=active), w)
+    k, n = w.shape
+    return TpmNetwork(TpmParams(k=k, n=n, l=l), w)
 
 
 # --- params and init -------------------------------------------------------
@@ -37,15 +35,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         TpmParams(k=1, n=1, l=128)
     with pytest.raises(ValueError):
-        TpmParams(k=1, n=1, l=1, layers=2, active_layer=2)
-    with pytest.raises(ValueError):
         TpmParams(k=1, n=1, l=-1)
 
 
 def test_init_depth_zero_gives_zero_weight():
     net, _ = init_network(TpmParams(k=1, n=1, l=0), seed_from_bytes(b"any-seed-at-all!"))
-    assert net.weights.shape == (1, 1, 1)
-    assert net.weights[0, 0, 0] == 0
+    assert net.weights.shape == (1, 1)
+    assert net.weights[0, 0] == 0
 
 
 def test_init_deterministic():
@@ -82,16 +78,6 @@ def test_init_uniform_histogram():
     chi = float(((counts - expected) ** 2 / expected).sum())
     p = stats.chi2.sf(chi, df=254)
     assert p > 0.01, f"chi2={chi:.1f} p={p:.4f}"
-
-
-def test_inactive_layers_initialized_and_persistent():
-    params = TpmParams(k=2, n=3, l=2, layers=3, active_layer=1)
-    net, rng = init_network(params, seed_from_bytes(b"layers-test-seed"))
-    inputs, rng = draw_inputs(rng, 2, 3)
-    ev = evaluate(net, inputs)
-    updated, _ = apply_learning(net, inputs, ev, ev.tau, "random_walk")
-    assert np.array_equal(updated.weights[0], net.weights[0])
-    assert np.array_equal(updated.weights[2], net.weights[2])
 
 
 # --- evaluate ---------------------------------------------------------------
@@ -157,9 +143,8 @@ def test_disagreement_is_idle():
     net = make_net([[1, 1]], l=2)
     x = np.array([[1, 1]])
     ev = evaluate(net, x)
-    updated, kinds = apply_learning(net, x, ev, -ev.tau, "hebbian")
+    updated = apply_learning(net, x, ev, -ev.tau, "hebbian")
     assert np.array_equal(updated.weights, net.weights)
-    assert kinds == ("idle",)
 
 
 def test_random_walk_clamps_at_bound():
@@ -167,7 +152,7 @@ def test_random_walk_clamps_at_bound():
     x = np.array([[1]])
     ev = evaluate(net, x)
     assert ev.sigmas[0] == 1 and ev.tau == 1
-    updated, _ = apply_learning(net, x, ev, 1, "random_walk")
+    updated = apply_learning(net, x, ev, 1, "random_walk")
     assert updated.active_weights[0, 0] == 1
 
 
@@ -176,7 +161,7 @@ def test_hebbian_hand_computed():
     x = np.array([[1, -1]])
     ev = evaluate(net, x)
     assert ev.sigmas[0] == -1 and ev.tau == -1
-    updated, _ = apply_learning(net, x, ev, -1, "hebbian")
+    updated = apply_learning(net, x, ev, -1, "hebbian")
     assert list(updated.active_weights[0]) == [-1, 1]
 
 
@@ -184,7 +169,7 @@ def test_anti_hebbian_direction():
     net = make_net([[0, 0]], l=3)
     x = np.array([[1, -1]])
     ev = evaluate(net, x)
-    updated, _ = apply_learning(net, x, ev, -1, "anti_hebbian")
+    updated = apply_learning(net, x, ev, -1, "anti_hebbian")
     assert list(updated.active_weights[0]) == [1, -1]
 
 
@@ -197,7 +182,7 @@ def test_update_gate_only_matching_units():
         net, rng = init_network(params, rng)
         inputs, rng = draw_inputs(rng, 3, 16)
         ev = evaluate(net, inputs)
-        updated, _ = apply_learning(net, inputs, ev, ev.tau, "random_walk")
+        updated = apply_learning(net, inputs, ev, ev.tau, "random_walk")
         for i in range(3):
             row_moved = not np.array_equal(
                 updated.active_weights[i], net.active_weights[i]
@@ -216,7 +201,7 @@ def test_clamp_invariant_over_many_steps():
     for _ in range(500):
         inputs, rng = draw_inputs(rng, 3, 8)
         ev = evaluate(net, inputs)
-        net, _ = apply_learning(net, inputs, ev, ev.tau, "hebbian")
+        net = apply_learning(net, inputs, ev, ev.tau, "hebbian")
         assert np.all(np.abs(net.weights) <= 2)
 
 
@@ -231,43 +216,9 @@ def test_synchronized_state_is_absorbing():
             inputs, rng = draw_inputs(rng, 3, 16)
             ev_a, ev_b = evaluate(a, inputs), evaluate(b, inputs)
             assert ev_a.tau == ev_b.tau
-            a, _ = apply_learning(a, inputs, ev_a, ev_b.tau, rule)
-            b, _ = apply_learning(b, inputs, ev_b, ev_a.tau, rule)
+            a = apply_learning(a, inputs, ev_a, ev_b.tau, rule)
+            b = apply_learning(b, inputs, ev_b, ev_a.tau, rule)
             assert is_synchronized(a, b)
-
-
-def test_step_kinds_against_peer():
-    params = TpmParams(k=3, n=16, l=3)
-    rng = seed_from_bytes(b"step-kind-seed00")
-    seen = set()
-    for _ in range(300):
-        net_a, rng = init_network(params, rng)
-        net_b, rng = init_network(params, rng)
-        inputs, rng = draw_inputs(rng, 3, 16)
-        ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
-        _, kinds = apply_learning(
-            net_a, inputs, ev_a, ev_b.tau, "random_walk", sigma_other=ev_b.sigmas
-        )
-        if ev_a.tau != ev_b.tau:
-            assert kinds == ("idle",) * 3
-        else:
-            for i, kind in enumerate(kinds):
-                if ev_a.sigmas[i] != ev_b.sigmas[i]:
-                    assert kind == "repulsive"
-                elif ev_a.sigmas[i] == ev_a.tau:
-                    assert kind == "attractive"
-                else:
-                    assert kind == "no_move"
-        seen.update(kinds)
-    assert {"idle", "attractive", "repulsive", "no_move"} <= seen
-
-
-def test_step_kinds_without_peer_are_no_move():
-    net = make_net([[1, 1]], l=2)
-    x = np.array([[1, 1]])
-    ev = evaluate(net, x)
-    _, kinds = apply_learning(net, x, ev, ev.tau, "random_walk")
-    assert kinds == ("no_move",)
 
 
 def test_unknown_rule_rejected():
@@ -289,8 +240,8 @@ def test_random_walk_marginal_stays_uniform():
         inputs, rng = draw_inputs(rng, 3, 16)
         ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
         if ev_a.tau == ev_b.tau:
-            net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-            net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
         if step >= 500 and step % 20 == 0:
             counts += np.bincount(net_a.active_weights.ravel() + 2, minlength=5)
     freq = counts / counts.sum()
@@ -305,7 +256,7 @@ def test_hebbian_overweights_boundaries():
     for step in range(4000):
         inputs, rng = draw_inputs(rng, 1, 8)
         ev = evaluate(net, inputs)
-        net, _ = apply_learning(net, inputs, ev, ev.tau, "hebbian")
+        net = apply_learning(net, inputs, ev, ev.tau, "hebbian")
         if step >= 500:
             counts += np.bincount(net.active_weights.ravel() + 1, minlength=3)
     freq = counts / counts.sum()
@@ -377,8 +328,8 @@ def test_full_run_reaches_and_keeps_synchronization():
         inputs, rng = draw_inputs(rng, 3, 16)
         ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
         if ev_a.tau == ev_b.tau:
-            net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-            net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
     assert is_synchronized(net_a, net_b)
     for unit in range(3):
         rho = order_params(net_a, net_b, unit).rho
@@ -386,6 +337,6 @@ def test_full_run_reaches_and_keeps_synchronization():
     for _ in range(100):
         inputs, rng = draw_inputs(rng, 3, 16)
         ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
-        net_a, _ = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
-        net_b, _ = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
+        net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
+        net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
         assert is_synchronized(net_a, net_b)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from support import config, drive
+from support import config, drive, fresh
 
 from paritykex.channel import ChannelConfig
-from paritykex.exchange import make_receiver, make_sender, run_exchange
+from paritykex.exchange import run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from paritykex.keycodec import extract_key, otp_transform, serialize_weights
 from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
@@ -19,11 +19,10 @@ from paritykex.protocol import (
     Start,
     TimerFired,
     integrity_check,
-    make_sync_probe,
     receiver_advance,
     sender_advance,
     state_digest,
-    sync_test,
+    sync_probe,
 )
 from paritykex.rng import draw_inputs, seed_from_bytes
 
@@ -38,22 +37,27 @@ def test_integrity_check_monotone():
     assert not integrity_check(Frame(3, AckSyn(tau=1)), 5)
 
 
+def probe_of(net, st=b"SYNC-TEST-VECTOR"):
+    return sync_probe(serialize_weights(net), st)
+
+
 def test_sync_test_roundtrip():
     params = TpmParams(k=3, n=32, l=3)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-0"))
     st = b"SYNC-TEST-VECTOR"
-    probe = make_sync_probe(net, st)
-    assert sync_test(net, probe, st)
+    probe = probe_of(net, st)
+    assert probe == probe_of(TpmNetwork(params, net.weights.copy()), st)
+    # the probe hides the constant under the weights and reveals it again
+    assert otp_transform(serialize_weights(net)[:16], probe) == st
 
 
 def test_sync_test_sensitive_to_first_weights():
     params = TpmParams(k=3, n=32, l=3)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-1"))
     weights = net.weights.copy()
-    weights[0, 0, 0] = -weights[0, 0, 0] if weights[0, 0, 0] != 0 else 1
+    weights[0, 0] = -weights[0, 0] if weights[0, 0] != 0 else 1
     other = TpmNetwork(params, weights)
-    st = b"SYNC-TEST-VECTOR"
-    assert not sync_test(other, make_sync_probe(net, st), st)
+    assert probe_of(other) != probe_of(net)
 
 
 def test_sync_test_blind_to_later_weights():
@@ -61,23 +65,22 @@ def test_sync_test_blind_to_later_weights():
     # agree only on the later weights must fail
     params = TpmParams(k=3, n=32, l=3)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-2"))
-    st = b"SYNC-TEST-VECTOR"
     agree_later = net.weights.copy()
-    agree_later[0, 0, :16] = np.clip(agree_later[0, 0, :16] + 1, -3, 3)
+    agree_later[0, :16] = np.clip(agree_later[0, :16] + 1, -3, 3)
     if np.array_equal(agree_later, net.weights):
-        agree_later[0, 0, 0] = -3
-    assert not sync_test(TpmNetwork(params, agree_later), make_sync_probe(net, st), st)
+        agree_later[0, 0] = -3
+    assert probe_of(TpmNetwork(params, agree_later)) != probe_of(net)
 
     agree_first = net.weights.copy()
-    agree_first[0, 2, :] = np.clip(agree_first[0, 2, :] + 1, -3, 3)
-    assert sync_test(TpmNetwork(params, agree_first), make_sync_probe(net, st), st)
+    agree_first[2, :] = np.clip(agree_first[2, :] + 1, -3, 3)
+    assert probe_of(TpmNetwork(params, agree_first)) == probe_of(net)
 
 
 def test_sync_test_needs_enough_weights():
     params = TpmParams(k=1, n=4, l=1)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-3"))
     with pytest.raises(ValueError):
-        sync_test(net, bytes(16), bytes(16))
+        probe_of(net, bytes(16))
 
 
 # --- config validation --------------------------------------------------------
@@ -98,16 +101,31 @@ def test_config_validation():
                        seed_mode="pre-shared")
 
 
+def test_config_rejects_depth_zero():
+    # every weight would be 0, so the exchange "establishes" an all-zero key
+    with pytest.raises(ValueError, match="depth"):
+        config(l=0)
+
+
+def test_config_rejects_more_key_groups_than_a_byte_indexes():
+    # 4096 weights make 256 key groups, the most a one-byte FIN_SYN iv names;
+    # at k=1, n=8192 the receiver picked an iv above 255 and the run crashed
+    codes = dict(ssc=b"sender-secret-0!", rsc=b"receiv-secret-0!")
+    ProtocolConfig(params=TpmParams(k=1, n=4096, l=1), **codes)
+    for n in (4097, 8192):
+        with pytest.raises(ValueError, match="one byte"):
+            ProtocolConfig(params=TpmParams(k=1, n=n, l=1), **codes)
+
+
 # --- end-to-end over a lossless link ------------------------------------------
 
 
 def test_lossless_exchange_full_trace():
     cfg = config(l=2)
-    hosts, wire = drive(cfg, b"trace-seed-0000!")
-    sender, receiver = hosts["a"][0], hosts["b"][0]
-    assert sender.phase == "established"
-    assert receiver.phase == "established"
-    assert hosts["a"][5] is not None and hosts["a"][5] == hosts["b"][5]
+    outcome, wire = drive(cfg, b"trace-seed-0000!")
+    assert outcome.sender.phase == "established"
+    assert outcome.receiver.phase == "established"
+    assert outcome.sender_key is not None and outcome.sender_key == outcome.receiver_key
 
     sender_ids = [f.frame_id for side, f in wire if side == "a"]
     assert sender_ids == sorted(sender_ids)
@@ -138,19 +156,20 @@ def test_exchange_outcome_keys_match():
 def test_phases_stay_within_the_documented_set():
     seen = set()
 
-    def watch(name, frame, hosts, feed, now):
-        seen.add(hosts["a"][0].phase)
-        seen.add(hosts["b"][0].phase)
+    def watch(endpoint, frame):
+        seen.update((endpoint.state.phase, endpoint.peer.state.phase))
 
-    drive(config(l=2), b"phase-watch-seed", on_delivery=watch)
+    outcome, _ = drive(config(l=2), b"phase-watch-seed", on_delivery=watch)
+    seen.update((outcome.sender.phase, outcome.receiver.phase))
     assert seen <= {"idle", "synchronizing", "certifying", "established"}
+    assert {"synchronizing", "certifying", "established"} <= seen
 
 
 # --- targeted transitions ------------------------------------------------------
 
 
 def build_sender(cfg, seed=b"sender-unit-test"):
-    state, rng = make_sender(cfg, seed)
+    state, rng = fresh("sender", cfg, seed)
     state, actions, rng = sender_advance(state, Start(), cfg, rng)
     frame = next(a.frame for a in actions if isinstance(a, SendFrame))
     return state, rng, frame
@@ -256,8 +275,8 @@ def test_sender_auth_reply_verification():
 
 def receiver_with_syn(cfg, seed=b"receiver-unittes"):
     """A receiver plus a SYN crafted from a fresh sender round."""
-    rstate, rrng = make_receiver(cfg, seed)
-    sstate, srng = make_sender(cfg, b"peer-sender-seed")
+    rstate, rrng = fresh("receiver", cfg, seed)
+    sstate, srng = fresh("sender", cfg, b"peer-sender-seed")
     sstate, actions, srng = sender_advance(sstate, Start(), cfg, srng)
     syn = next(a.frame for a in actions if isinstance(a, SendFrame))
     return rstate, rrng, sstate, syn
@@ -305,7 +324,7 @@ def test_receiver_replay_rejected():
 def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = make_sync_probe(rstate.net, cfg.st)
+    probe = sync_probe(serialize_weights(rstate.net), cfg.st)
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     assert state2.phase == "certifying"
@@ -326,7 +345,7 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 def test_receiver_auth_verification_and_rejection():
     cfg = config(max_attempts=3)
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = make_sync_probe(rstate.net, cfg.st)
+    probe = sync_probe(serialize_weights(rstate.net), cfg.st)
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state, actions, rng = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     session = state.session
@@ -425,9 +444,10 @@ def test_pre_shared_mode_and_stream_indexing():
 def test_replay_every_delivered_frame_changes_nothing():
     cfg = config(l=1, n=16)
 
-    def replay(name, frame, hosts, feed, now):
-        slot = hosts[name]
-        state, advance, endpoint_cfg, rng = slot[0], slot[1], slot[2], slot[3]
+    def replay(endpoint, frame):
+        state, advance, endpoint_cfg, rng = (
+            endpoint.state, endpoint.advance, endpoint.cfg, endpoint.rng
+        )
         # process, then re-deliver against the new state
         new_state, actions, new_rng = advance(state, FrameArrived(frame), endpoint_cfg, rng)
         replayed, actions2, rng2 = advance(new_state, FrameArrived(frame), endpoint_cfg, new_rng)
@@ -436,5 +456,5 @@ def test_replay_every_delivered_frame_changes_nothing():
             assert actions2 == ()
             assert rng2 == new_rng
 
-    hosts, _ = drive(cfg, b"replay-check-00!", on_delivery=replay)
-    assert hosts["a"][0].phase == "established"
+    outcome, _ = drive(cfg, b"replay-check-00!", on_delivery=replay)
+    assert outcome.sender.phase == "established"

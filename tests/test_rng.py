@@ -12,7 +12,6 @@ from paritykex.rng import (
     next_word,
     next_words,
     seed_from_bytes,
-    skip_draws,
 )
 
 M = (1 << 64) - 1
@@ -167,15 +166,6 @@ def test_next_bytes_layout():
     word, _ = next_word(state)
     data, _ = next_bytes(state, 8)
     assert data == word.to_bytes(8, "big")
-
-
-def test_skip_draws_matches_sequential():
-    state = seed_from_bytes(b"skip-vs-sequence")
-    skipped = skip_draws(state, 3, 32, 5)
-    seq = state
-    for _ in range(5):
-        _, seq = draw_inputs(seq, 3, 32)
-    assert skipped == seq
 
 
 def test_words_fit_64_bits():
