@@ -10,8 +10,14 @@ law without the factor overstates the drift; the Monte-Carlo checks in the
 test suite pin the normalization down.)
 
 The trial runners own everything stochastic: each trial derives its own
-seed from the master seed, so sweeps are bit-reproducible and trivially
-parallelizable.
+seed from the master seed, so sweeps are bit-reproducible.  The bare
+(direct-mode) trials of one call, and the listener trials, run in lockstep:
+the networks of all T trials are held as (T, k, n) arrays with one lane
+per trial and a lane-wise generator, every lane takes its step at once, and
+a trial leaves the batch when it ends.  Each lane draws exactly what a
+scalar trial from the same seed draws, so the counts are those of
+``run_single_trial`` and of the scalar ``evaluate``/``apply_learning`` loop,
+trial for trial.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 from .exchange import derive_seed, run_exchange
 from .network import (
+    LEARNING_RULES,
     Evaluation,
     LearningRule,
     TpmNetwork,
@@ -33,11 +40,12 @@ from .network import (
     apply_learning,
     evaluate,
     init_network,
+    init_network_lanes,
     is_synchronized,
     order_params,
 )
 from .protocol import ProtocolConfig
-from .rng import draw_inputs, seed_from_bytes
+from .rng import draw_inputs, draw_inputs_lanes, seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
 
@@ -255,6 +263,73 @@ def run_single_trial(
     )
 
 
+def _lockstep_trials(
+    params: TpmParams,
+    rule: LearningRule,
+    seeds: Sequence[bytes],
+    iteration_cap: int,
+    listener: bool = False,
+) -> list[list[Optional[int]]]:
+    """Run one bare mutual-learning trial per seed, all in lockstep.
+
+    Lane t draws networks A and B (and, with ``listener``, E) and then each
+    step's inputs from the generator seeded with ``seeds[t]``, as a scalar
+    trial does.  When A and B announce the same output, every bank moves
+    its units whose sign equals A's output, by the rule; the passive
+    listener E thus adopts A's output as its own.
+
+    Returns, per trial, the step count at which A first matched B and, with
+    a listener, a second list with the one at which E first matched A; None
+    where that did not happen within ``iteration_cap`` steps.  Without a
+    listener a trial ends when A matches B, checked before every step, so
+    banks that start equal take 0 steps.  With one it ends when both
+    matches have happened, checked after every step.
+    """
+    p = params
+    state = seed_lanes(seeds)
+    banks = []
+    for _ in range(3 if listener else 2):
+        weights, state = init_network_lanes(p, state)
+        banks.append(weights)
+    pairs = ((0, 1), (2, 0)) if listener else ((0, 1),)  # (A, B) and (E, A)
+    times = np.full((len(pairs), len(seeds)), -1)
+    lanes = np.arange(len(seeds))  # trial index of each lane still in the batch
+    iterations = 0
+    while lanes.size:
+        if iterations or not listener:
+            for row, (i, j) in zip(times, pairs):
+                matched = (banks[i] == banks[j]).all(axis=(1, 2))
+                row[lanes[matched & (row[lanes] < 0)]] = iterations
+            keep = (times[:, lanes] < 0).any(axis=0)
+            if not keep.all():
+                banks = [w[keep] for w in banks]
+                state = state[:, keep]
+                lanes = lanes[keep]
+        if iterations >= iteration_cap or not lanes.size:
+            break
+        x, state = draw_inputs_lanes(state, p.k, p.n)
+        sigmas = [np.where((w * x).sum(axis=2) > 0, 1, -1) for w in banks]
+        tau = sigmas[0].prod(axis=1)[:, None]
+        agree = tau == sigmas[1].prod(axis=1)[:, None]
+        if rule == "random_walk":
+            step = x
+        else:
+            step = (tau if rule == "hebbian" else -tau)[:, :, None] * x
+        banks = [
+            np.clip(w + step * ((sigma == tau) & agree)[:, :, None], -p.l, p.l)
+            for w, sigma in zip(banks, sigmas)
+        ]
+        iterations += 1
+    return [[t if t >= 0 else None for t in row] for row in times.tolist()]
+
+
+def _check_trial_args(rule: LearningRule, trials: int) -> None:
+    if rule not in LEARNING_RULES:
+        raise ValueError(f"unknown learning rule: {rule!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
 def _aggregate(
     k: int,
     n: int,
@@ -315,22 +390,21 @@ def run_sync_trials(
     endpoints over a lossless simulated link and also reports the bytes on
     the wire.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trial_args(rule, trials)
+    if mode not in ("direct", "protocol"):
+        raise ValueError(f"unknown mode: {mode!r}")
     params = TpmParams(k=k, n=n, l=l)
+    if mode == "direct":
+        seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
+        (times,) = _lockstep_trials(params, rule, seeds, iteration_cap)
+        # an unsynchronized trial ran every step the cap allowed
+        ran = max(iteration_cap, 0)
+        return _aggregate(
+            k, n, l, rule, [ran if t is None else t for t in times], [t is not None for t in times]
+        )
     iteration_counts: list[int] = []
     synced_flags: list[bool] = []
     bytes_counts: list[int] = []
-    if mode == "direct":
-        for index in range(trials):
-            stats = run_single_trial(
-                params, rule, derive_seed(master_seed, f"trial-{index}"), iteration_cap
-            )
-            iteration_counts.append(stats.iterations)
-            synced_flags.append(stats.synced)
-        return _aggregate(k, n, l, rule, iteration_counts, synced_flags)
-    if mode != "protocol":
-        raise ValueError(f"unknown mode: {mode!r}")
     cfg = _protocol_config(params, rule, master_seed)
     for index in range(trials):
         outcome = run_exchange(
@@ -360,56 +434,25 @@ def run_attack_trials(
     the same rule.  A trial is an attacker success when E matches A no
     later than A and B match each other; the exchange keeps running (the
     synchronized partners keep agreeing) until E catches up or the cap
-    ends the trial.
+    ends the trial.  E is the optional third bank of the lockstep engine
+    that also runs the direct-mode trials, so all trials of a call run
+    together and each leaves the batch when both matches have happened.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trial_args(rule, trials)
     params = TpmParams(k=k, n=n, l=l)
-    ab_iters: list[int] = []
-    e_iters: list[int] = []
-    successes: list[bool] = []
-    synced_flags: list[bool] = []
-    for index in range(trials):
-        rng = seed_from_bytes(derive_seed(master_seed, f"attack-{index}"))
-        net_a, rng = init_network(params, rng)
-        net_b, rng = init_network(params, rng)
-        net_e, rng = init_network(params, rng)
-        ab_time: Optional[int] = None
-        e_time: Optional[int] = None
-        iterations = 0
-        while iterations < iteration_cap and (ab_time is None or e_time is None):
-            inputs, rng = draw_inputs(rng, k, n)
-            ev_a = evaluate(net_a, inputs)
-            ev_b = evaluate(net_b, inputs)
-            if ev_a.tau == ev_b.tau:
-                ev_e = evaluate(net_e, inputs)
-                net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
-                net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
-                # the eavesdropper adopts the announced output as its own
-                listener_view = Evaluation(
-                    fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau
-                )
-                net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, rule)
-            iterations += 1
-            if ab_time is None and is_synchronized(net_a, net_b):
-                ab_time = iterations
-            if e_time is None and is_synchronized(net_e, net_a):
-                e_time = iterations
-        ab_iters.append(ab_time if ab_time is not None else iteration_cap)
-        e_iters.append(e_time if e_time is not None else iteration_cap)
-        synced_flags.append(ab_time is not None)
-        successes.append(
-            e_time is not None and ab_time is not None and e_time <= ab_time
-        )
+    seeds = [derive_seed(master_seed, f"attack-{index}") for index in range(trials)]
+    ab_times, e_times = _lockstep_trials(params, rule, seeds, iteration_cap, listener=True)
     return _aggregate(
         k,
         n,
         l,
         rule,
-        ab_iters,
-        synced_flags,
-        attacker_successes=successes,
-        attacker_iters=e_iters,
+        [iteration_cap if t is None else t for t in ab_times],
+        [t is not None for t in ab_times],
+        attacker_successes=[
+            ab is not None and e is not None and e <= ab for ab, e in zip(ab_times, e_times)
+        ],
+        attacker_iters=[iteration_cap if t is None else t for t in e_times],
     )
 
 

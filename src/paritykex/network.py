@@ -16,7 +16,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .rng import RngState, next_word
+from .rng import RngState, next_word, next_words_lanes
 
 LearningRule = Literal["hebbian", "anti_hebbian", "random_walk"]
 LEARNING_RULES: tuple[LearningRule, ...] = ("hebbian", "anti_hebbian", "random_walk")
@@ -103,6 +103,17 @@ def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState
         word, rng = next_word(rng)
         flat[i] = word % span - p.l
     return TpmNetwork(params, flat.reshape(p.k, p.n)), rng
+
+
+def init_network_lanes(params: TpmParams, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lane-wise ``init_network``: a (T, k, n) weight array from a (2, T) state.
+
+    Lane t holds the weights ``init_network`` draws from lane t's state.
+    """
+    p = params
+    words, state = next_words_lanes(state, p.k * p.n)
+    flat = (words % np.uint64(2 * p.l + 1)).astype(np.int32) - p.l
+    return flat.reshape(-1, p.k, p.n), state
 
 
 def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from paritykex import analysis
 from paritykex.analysis import (
     CSV_COLUMNS,
+    _lockstep_trials,
     chi_square,
     expected_q,
     initial_norm,
@@ -260,6 +262,118 @@ def test_sync_trials_validate():
         run_sync_trials(3, 16, 2, "random_walk", 0)
     with pytest.raises(ValueError):
         run_sync_trials(3, 16, 2, "random_walk", 1, "telepathy")
+
+
+@pytest.fixture
+def no_trial_work(monkeypatch):
+    """Make starting any trial fail, so a runner must check its arguments first."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(analysis, "seed_lanes", no_work)
+    monkeypatch.setattr(analysis, "run_exchange", no_work)
+
+
+def test_sync_trials_reject_bad_arguments_before_any_work(no_trial_work):
+    for mode in ("direct", "protocol"):
+        # a cap of 0 runs no learning step, so only the entry check can catch the rule
+        with pytest.raises(ValueError, match="rule"):
+            run_sync_trials(3, 16, 2, "bogus", 2, mode, 0, b"validate-sync-00")
+        with pytest.raises(ValueError, match="trials"):
+            run_sync_trials(3, 16, 2, "random_walk", 0, mode, 10, b"validate-sync-00")
+
+
+def test_attack_trials_reject_bad_arguments_before_any_work(no_trial_work):
+    with pytest.raises(ValueError, match="rule"):
+        run_attack_trials(3, 16, 2, "bogus", 2, 100, b"validate-attack0")
+    with pytest.raises(ValueError, match="trials"):
+        run_attack_trials(3, 16, 2, "random_walk", 0, 100, b"validate-attack0")
+
+
+# --- lockstep engine against the scalar oracle --------------------------------------
+
+
+def listener_oracle(params, rule, seed, cap):
+    """One listener trial, step by step with the scalar network functions.
+
+    Returns the step at which A first matched B and the one at which E first
+    matched A (None when not within ``cap``), both checked after every step.
+    """
+    rng = seed_from_bytes(seed)
+    net_a, rng = init_network(params, rng)
+    net_b, rng = init_network(params, rng)
+    net_e, rng = init_network(params, rng)
+    ab_time = e_time = None
+    iterations = 0
+    while iterations < cap and (ab_time is None or e_time is None):
+        inputs, rng = draw_inputs(rng, params.k, params.n)
+        ev_a = evaluate(net_a, inputs)
+        ev_b = evaluate(net_b, inputs)
+        if ev_a.tau == ev_b.tau:
+            ev_e = evaluate(net_e, inputs)
+            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
+            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
+            # the eavesdropper adopts the announced output as its own
+            listener_view = Evaluation(fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau)
+            net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, rule)
+        iterations += 1
+        if ab_time is None and is_synchronized(net_a, net_b):
+            ab_time = iterations
+        if e_time is None and is_synchronized(net_e, net_a):
+            e_time = iterations
+    return ab_time, e_time
+
+
+# (params, trials, cap): trials of very different lengths, some cut at the cap,
+# banks that start equal (l=0, every weight 0) and a batch of one trial
+ENGINE_CASES = [
+    (TpmParams(3, 16, 2), 12, 150),
+    (TpmParams(2, 8, 1), 10, 10**4),
+    (TpmParams(3, 16, 0), 3, 50),
+    (TpmParams(3, 16, 2), 1, 10**4),
+]
+
+
+@pytest.mark.parametrize("rule", ["random_walk", "hebbian", "anti_hebbian"])
+@pytest.mark.parametrize("params,trials,cap", ENGINE_CASES)
+def test_lockstep_sync_trials_match_run_single_trial(rule, params, trials, cap):
+    seeds = [derive_seed(b"engine-oracle-00", f"trial-{i}") for i in range(trials)]
+    (times,) = _lockstep_trials(params, rule, seeds, cap)
+    for seed, time in zip(seeds, times):
+        stats = run_single_trial(params, rule, seed, cap)
+        assert (cap if time is None else time, time is not None) == (stats.iterations, stats.synced)
+    if params.l == 0:
+        assert times == [0] * trials
+
+
+def test_lockstep_sync_cases_cover_the_cap():
+    seeds = [derive_seed(b"engine-oracle-00", f"trial-{i}") for i in range(12)]
+    (times,) = _lockstep_trials(TpmParams(3, 16, 2), "random_walk", seeds, 150)
+    assert None in times and any(t is not None for t in times)
+
+
+@pytest.mark.parametrize("rule", ["random_walk", "hebbian", "anti_hebbian"])
+@pytest.mark.parametrize("params,trials,cap", ENGINE_CASES)
+def test_lockstep_listener_matches_the_scalar_loop(rule, params, trials, cap):
+    seeds = [derive_seed(b"engine-oracle-00", f"attack-{i}") for i in range(trials)]
+    ab_times, e_times = _lockstep_trials(params, rule, seeds, cap, listener=True)
+    expected = [listener_oracle(params, rule, seed, cap) for seed in seeds]
+    assert list(zip(ab_times, e_times)) == expected
+    result = run_attack_trials(params.k, params.n, params.l, rule, trials, cap, b"engine-oracle-00")
+    wins = [ab is not None and e is not None and e <= ab for ab, e in expected]
+    assert result.attacker_success_rate == sum(wins) / trials
+    if params.l == 0:  # every bank is all-zero; matches are looked for after the first step
+        assert expected == [(1, 1)] * trials
+
+
+def test_lockstep_listener_cases_cover_wins_ties_losses_and_the_cap():
+    seeds = [derive_seed(b"engine-oracle-00", f"attack-{i}") for i in range(12)]
+    outcomes = [listener_oracle(TpmParams(3, 16, 2), "random_walk", seed, 150) for seed in seeds]
+    assert (None, None) in outcomes
+    assert any(ab is not None and e is None for ab, e in outcomes)
+    outcomes = [listener_oracle(TpmParams(2, 8, 1), "hebbian", seed, 10**4) for seed in seeds[:10]]
+    assert {(e > ab) - (e < ab) for ab, e in outcomes} == {-1, 0, 1}
 
 
 def test_protocol_mode_reports_bytes():

@@ -12,10 +12,11 @@ from paritykex.network import (
     apply_learning,
     evaluate,
     init_network,
+    init_network_lanes,
     is_synchronized,
     order_params,
 )
-from paritykex.rng import draw_inputs, seed_from_bytes
+from paritykex.rng import draw_inputs, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -58,6 +59,21 @@ def test_init_returns_advanced_state():
     net2, rng2 = init_network(params, rng1)
     assert rng1 != rng0 and rng2 != rng1
     assert not np.array_equal(net1.weights, net2.weights)
+
+
+@pytest.mark.parametrize("k,n,l", [(3, 32, 3), (2, 5, 0), (1, 7, 127), (4, 16, 1)])
+def test_init_lanes_match_init_network(k, n, l):
+    params = TpmParams(k=k, n=n, l=l)
+    seeds = [bytes(16), b"\xff" * 16] + [np.random.default_rng(i).bytes(16) for i in range(20)]
+    state = seed_lanes(seeds)
+    scalars = [seed_from_bytes(seed) for seed in seeds]
+    for _ in range(2):  # consecutive networks, as a trial draws them
+        banks, state = init_network_lanes(params, state)
+        assert banks.shape == (len(seeds), k, n)
+        for lane, rng in enumerate(scalars):
+            net, scalars[lane] = init_network(params, rng)
+            assert np.array_equal(banks[lane], net.weights)
+    assert [(int(a), int(b)) for a, b in state.T] == [(st.s0, st.s1) for st in scalars]
 
 
 def test_init_weights_within_bound():

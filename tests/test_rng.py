@@ -1,5 +1,7 @@
 """Generator conformance: frozen vectors, layout, bit order, distribution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from paritykex.rng import (
     ZERO_SEED_STATE,
     RngState,
     draw_inputs,
+    draw_inputs_lanes,
     next_bytes,
     next_word,
+    next_word_lanes,
     next_words,
     seed_from_bytes,
+    seed_lanes,
 )
 
 M = (1 << 64) - 1
@@ -173,3 +178,65 @@ def test_words_fit_64_bits():
     for _ in range(1000):
         word, state = next_word(state)
         assert 0 <= word <= MASK64
+
+
+# --- lane-wise generator --------------------------------------------------------
+
+# the all-zero seed (remapped), all-ones words, and seeds drawn at random,
+# about half of whose state words have the high bit set
+LANE_SEEDS = [bytes(16), b"\xff" * 16, bytes.fromhex("80" + "00" * 7 + "80" + "00" * 6 + "01")] + [
+    np.random.default_rng(i).bytes(16) for i in range(40)
+]
+
+
+def test_seed_lanes_layout_and_zero_remap():
+    state = seed_lanes(LANE_SEEDS)
+    assert state.dtype == np.uint64 and state.shape == (2, len(LANE_SEEDS))
+    for lane, seed in enumerate(LANE_SEEDS):
+        scalar = seed_from_bytes(seed)
+        assert (int(state[0, lane]), int(state[1, lane])) == (scalar.s0, scalar.s1)
+    assert (int(state[0, 0]), int(state[1, 0])) == ZERO_SEED_STATE
+
+
+def test_word_lanes_match_next_word():
+    state = seed_lanes(LANE_SEEDS)
+    scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
+    wrapped = high_bit = 0
+    for _ in range(64):
+        high_bit += sum(st.s0 >> 63 for st in scalars)
+        words, state = next_word_lanes(state)
+        for lane, st in enumerate(scalars):
+            word, scalars[lane] = next_word(st)
+            wrapped += word < st.s1  # the 64-bit sum s1 + t overflowed
+            assert int(words[lane]) == word
+            assert (int(state[0, lane]), int(state[1, lane])) == (scalars[lane].s0, scalars[lane].s1)
+    assert wrapped > 100 and high_bit > 100
+
+
+@pytest.mark.parametrize("k,n", [(3, 32), (1, 1), (3, 50), (2, 64), (5, 27)])
+def test_input_lanes_match_draw_inputs(k, n):
+    state = seed_lanes(LANE_SEEDS)
+    scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
+    for _ in range(5):
+        inputs, state = draw_inputs_lanes(state, k, n)
+        assert inputs.shape == (len(LANE_SEEDS), k, n)
+        for lane, st in enumerate(scalars):
+            expected, scalars[lane] = draw_inputs(st, k, n)
+            assert np.array_equal(inputs[lane], expected)
+    assert [(int(a), int(b)) for a, b in state.T] == [(st.s0, st.s1) for st in scalars]
+
+
+def test_single_lane_stays_an_array_and_wraps_silently():
+    seed = b"\xff" * 16
+    scalar = seed_from_bytes(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy scalars would warn on the 64-bit wrap
+        state = seed_lanes([seed])
+        for _ in range(200):
+            words, state = next_word_lanes(state)
+            word, scalar = next_word(scalar)
+            assert isinstance(words, np.ndarray) and words.shape == (1,)
+            assert int(words[0]) == word
+        inputs, state = draw_inputs_lanes(state, 3, 32)
+    expected, _ = draw_inputs(scalar, 3, 32)
+    assert np.array_equal(inputs[0], expected)
