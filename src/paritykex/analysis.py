@@ -39,9 +39,11 @@ from .network import (
     TpmParams,
     apply_learning,
     evaluate,
+    forward,
     init_network,
     init_network_lanes,
     is_synchronized,
+    learn,
     order_params,
 )
 from .protocol import ProtocolConfig
@@ -274,9 +276,10 @@ def _lockstep_trials(
 
     Lane t draws networks A and B (and, with ``listener``, E) and then each
     step's inputs from the generator seeded with ``seeds[t]``, as a scalar
-    trial does.  When A and B announce the same output, every bank moves
-    its units whose sign equals A's output, by the rule; the passive
-    listener E thus adopts A's output as its own.
+    trial does.  Every step is the ``forward``/``learn`` kernel of the
+    scalar ``evaluate``/``apply_learning`` over all lanes at once: when A and
+    B announce the same output, every bank learns toward A's output, so the
+    passive listener E adopts it as its own.
 
     Returns, per trial, the step count at which A first matched B and, with
     a listener, a second list with the one at which E first matched A; None
@@ -308,26 +311,21 @@ def _lockstep_trials(
         if iterations >= iteration_cap or not lanes.size:
             break
         x, state = draw_inputs_lanes(state, p.k, p.n)
-        sigmas = [np.where((w * x).sum(axis=2) > 0, 1, -1) for w in banks]
-        tau = sigmas[0].prod(axis=1)[:, None]
-        agree = tau == sigmas[1].prod(axis=1)[:, None]
-        if rule == "random_walk":
-            step = x
-        else:
-            step = (tau if rule == "hebbian" else -tau)[:, :, None] * x
-        banks = [
-            np.clip(w + step * ((sigma == tau) & agree)[:, :, None], -p.l, p.l)
-            for w, sigma in zip(banks, sigmas)
-        ]
+        passes = [forward(w, x) for w in banks]
+        tau = passes[0][2]
+        agree = tau == passes[1][2]
+        banks = [learn(w, x, s, tau, agree, rule, p.l) for w, (_, s, _) in zip(banks, passes)]
         iterations += 1
     return [[t if t >= 0 else None for t in row] for row in times.tolist()]
 
 
-def _check_trial_args(rule: LearningRule, trials: int) -> None:
+def _check_trial_args(rule: LearningRule, trials: int, iteration_cap: int) -> None:
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if iteration_cap < 0:
+        raise ValueError("iteration_cap must be non-negative")
 
 
 def _aggregate(
@@ -390,7 +388,7 @@ def run_sync_trials(
     endpoints over a lossless simulated link and also reports the bytes on
     the wire.
     """
-    _check_trial_args(rule, trials)
+    _check_trial_args(rule, trials, iteration_cap)
     if mode not in ("direct", "protocol"):
         raise ValueError(f"unknown mode: {mode!r}")
     params = TpmParams(k=k, n=n, l=l)
@@ -398,10 +396,8 @@ def run_sync_trials(
         seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
         (times,) = _lockstep_trials(params, rule, seeds, iteration_cap)
         # an unsynchronized trial ran every step the cap allowed
-        ran = max(iteration_cap, 0)
-        return _aggregate(
-            k, n, l, rule, [ran if t is None else t for t in times], [t is not None for t in times]
-        )
+        counts = [iteration_cap if t is None else t for t in times]
+        return _aggregate(k, n, l, rule, counts, [t is not None for t in times])
     iteration_counts: list[int] = []
     synced_flags: list[bool] = []
     bytes_counts: list[int] = []
@@ -438,7 +434,7 @@ def run_attack_trials(
     that also runs the direct-mode trials, so all trials of a call run
     together and each leaves the batch when both matches have happened.
     """
-    _check_trial_args(rule, trials)
+    _check_trial_args(rule, trials, iteration_cap)
     params = TpmParams(k=k, n=n, l=l)
     seeds = [derive_seed(master_seed, f"attack-{index}") for index in range(trials)]
     ab_times, e_times = _lockstep_trials(params, rule, seeds, iteration_cap, listener=True)

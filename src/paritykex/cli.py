@@ -276,6 +276,9 @@ def _run_vectors(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand != "vectors" and args.cap < 0:
+        print("error: --cap must be non-negative", file=sys.stderr)
+        return 2
     if args.subcommand == "exchange":
         return _run_exchange(args)
     if args.subcommand == "sweep":

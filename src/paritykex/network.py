@@ -127,19 +127,47 @@ def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
     return inputs.astype(np.int64, copy=False)
 
 
+def forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward pass of a stack of banks: weights and inputs of shape (..., k, n).
+
+    Returns the integer sums over each unit's inputs, the unit signs (a zero
+    sum maps to -1 so the output stays binary) and tau, their product; the
+    sums and signs have shape (..., k) and tau has shape (...).
+    """
+    sums = (w * x).sum(axis=-1)
+    sigmas = np.where(sums > 0, 1, -1)
+    return sums, sigmas, sigmas.prod(axis=-1)
+
+
+def learn(
+    w: np.ndarray, x: np.ndarray, sigmas: np.ndarray, tau, moves, rule: LearningRule, l: int
+) -> np.ndarray:
+    """One learning step of a stack of banks toward the common output ``tau``.
+
+    Where ``moves`` holds, the units whose sign equals tau update: hebbian
+    adds tau*x, anti_hebbian subtracts tau*x, random_walk adds x; the result
+    is clamped back into [-l, +l].  ``tau`` and ``moves`` have the shape of
+    the stack, (...), and broadcast over its units.
+    """
+    tau = np.asarray(tau)[..., None]
+    moving = (sigmas == tau) & np.asarray(moves)[..., None]
+    if rule == "hebbian":
+        moving = moving * tau
+    elif rule == "anti_hebbian":
+        moving = moving * -tau
+    return np.minimum(np.maximum(w + x * moving[..., None], -l), l)
+
+
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
     """Forward pass.
 
-    fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas are the signs
-    with the zero field mapped to -1 so the output stays binary; tau is
-    the product of the signs.
+    fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas and tau are
+    those of ``forward``.
     """
-    x = _check_inputs(net.params, inputs)
-    sums = (net.weights.astype(np.int64) * x).sum(axis=1)
-    fields = sums / math.sqrt(net.params.n)
-    sigmas = np.where(sums > 0, 1, -1).astype(np.int32)
-    tau = int(np.prod(sigmas))
-    return Evaluation(fields=fields, sigmas=sigmas, tau=tau)
+    sums, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
+    return Evaluation(
+        fields=sums / math.sqrt(net.params.n), sigmas=sigmas.astype(np.int32), tau=int(tau)
+    )
 
 
 def apply_learning(
@@ -151,30 +179,16 @@ def apply_learning(
 ) -> TpmNetwork:
     """One mutual-learning step against a peer's announced output.
 
-    If the announced outputs differ nothing moves.  Otherwise only units
-    whose sign matches the common output update: hebbian adds tau*x,
-    anti_hebbian subtracts tau*x, random_walk adds x; the result is clamped
-    back into [-l, +l].
+    If the announced outputs differ nothing moves; otherwise ``learn``
+    updates the units whose sign matches the common output.
     """
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
     x = _check_inputs(net.params, inputs)
-    tau_self = eval_self.tau
-
-    if tau_self != tau_other:
+    if eval_self.tau != tau_other:
         return net
-
-    mask = (eval_self.sigmas == tau_self).astype(np.int32)
-    if rule == "hebbian":
-        delta = tau_self * x
-    elif rule == "anti_hebbian":
-        delta = -tau_self * x
-    else:
-        delta = x
-    updated = np.clip(
-        net.weights + delta * mask[:, None], -net.params.l, net.params.l
-    ).astype(np.int32)
-    return TpmNetwork(net.params, updated)
+    updated = learn(net.weights, x, eval_self.sigmas, eval_self.tau, True, rule, net.params.l)
+    return TpmNetwork(net.params, updated.astype(np.int32))
 
 
 def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams:

@@ -60,9 +60,11 @@ logger = logging.getLogger(__name__)
 Phase = Literal["idle", "synchronizing", "await_fin", "certifying", "established", "failed"]
 
 # Public constant whose encryption serves as the synchronization probe.
-DEFAULT_SYNC_PROBE = b"SYNC-TEST-VECTOR"
+SYNC_PROBE = b"SYNC-TEST-VECTOR"
 
-SeedMode = Literal["in-frame", "pre-shared"]
+# Learning rounds the receiver waits after its first rejected certification
+# before offering FIN_SYN again; the wait doubles with each further rejection.
+RESYNC_ROUNDS = 32
 
 # FIN_SYN carries the key group index in one byte.
 MAX_KEY_GROUPS = 256
@@ -76,26 +78,16 @@ class ProtocolConfig:
     ssc: bytes
     rsc: bytes
     rule: LearningRule = "random_walk"
-    st: bytes = DEFAULT_SYNC_PROBE
     timeout_ticks: int = 500
     max_attempts: int = 5
-    seed_mode: SeedMode = "in-frame"
-    shared_seed: Optional[bytes] = None
-    # learning rounds the receiver waits after a rejected certification
-    # before offering FIN_SYN again
-    resync_rounds: int = 32
 
     def __post_init__(self) -> None:
         if len(self.ssc) != KEY_BYTES or len(self.rsc) != KEY_BYTES:
             raise ValueError("secret codes must be 16 bytes")
-        if len(self.st) != KEY_BYTES:
-            raise ValueError("sync probe must be 16 bytes")
         if self.timeout_ticks < 1:
             raise ValueError("timeout_ticks must be at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.resync_rounds < 0:
-            raise ValueError("resync_rounds must be non-negative")
         if self.params.l < 1:
             raise ValueError("synaptic depth l must be at least 1 for a key exchange")
         if self.params.k * self.params.n < KEY_BYTES:
@@ -105,11 +97,6 @@ class ProtocolConfig:
                 f"k*n must be at most {KEY_BYTES * MAX_KEY_GROUPS}: "
                 "the FIN_SYN key group index is one byte"
             )
-        if self.seed_mode not in ("in-frame", "pre-shared"):
-            raise ValueError(f"unknown seed mode: {self.seed_mode!r}")
-        if self.seed_mode == "pre-shared":
-            if self.shared_seed is None or len(self.shared_seed) != 16:
-                raise ValueError("pre-shared mode needs a 16-byte shared_seed")
 
 
 # --- events and actions -------------------------------------------------
@@ -180,8 +167,6 @@ class SenderState:
     auth_id: Optional[int] = None
     rounds: int = 0
     iterations: int = 0
-    input_stream: Optional[RngState] = None
-    stream_round: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +179,6 @@ class ReceiverState:
     cert_failures: int = 0
     fin_holdoff: int = 0
     iterations: int = 0
-    input_stream: Optional[RngState] = None
-    stream_round: int = 0
 
 
 def integrity_check(frame: Frame, last_seen_id: int) -> bool:
@@ -220,11 +203,8 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     h.update(type(state).__name__.encode())
     h.update(state.phase.encode())
     h.update(state.net.weights.tobytes())
-    for number in (
-        state.iterations,
-        state.stream_round,
-        -1 if state.timer is None else state.timer,
-    ):
+    # the fixed zero word keeps the byte layout of earlier digests
+    for number in (state.iterations, 0, -1 if state.timer is None else state.timer):
         h.update(int(number).to_bytes(8, "big", signed=True))
     if state.session is not None:
         h.update(state.session.key + bytes([state.session.iv]))
@@ -246,31 +226,10 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
 # --- shared input derivation ---------------------------------------------
 
 
-def _round_inputs(
-    cfg: ProtocolConfig,
-    seed: bytes,
-    round_id: int,
-    stream: Optional[RngState],
-    stream_round: int,
-) -> tuple[np.ndarray, Optional[RngState], int]:
-    """Inputs for one round, plus the advanced pre-shared stream cache.
-
-    In-frame mode seeds a fresh generator from the transmitted seed.  In
-    pre-shared mode both sides index one shared stream by round id, so a
-    lost round never desynchronizes them.
-    """
-    p = cfg.params
-    if cfg.seed_mode == "in-frame":
-        inputs, _ = draw_inputs(seed_from_bytes(seed), p.k, p.n)
-        return inputs, stream, stream_round
-    if stream is None or stream_round > round_id:
-        stream = seed_from_bytes(cfg.shared_seed or b"")
-        stream_round = 0
-    while stream_round < round_id:
-        _, stream = draw_inputs(stream, p.k, p.n)
-        stream_round += 1
-    inputs, advanced = draw_inputs(stream, p.k, p.n)
-    return inputs, advanced, stream_round + 1
+def _round_inputs(cfg: ProtocolConfig, seed: bytes) -> np.ndarray:
+    """Inputs for one round, drawn from a generator seeded with the SYN seed."""
+    inputs, _ = draw_inputs(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
+    return inputs
 
 
 # --- sender --------------------------------------------------------------
@@ -280,15 +239,10 @@ def _sender_new_round(
     state: SenderState, cfg: ProtocolConfig, rng: RngState
 ) -> tuple[SenderState, tuple[Action, ...], RngState]:
     frame_id = state.next_id
-    if cfg.seed_mode == "in-frame":
-        seed, rng = next_bytes(rng, 16)
-    else:
-        seed = bytes(16)
-    inputs, stream, stream_round = _round_inputs(
-        cfg, seed, frame_id, state.input_stream, state.stream_round
-    )
+    seed, rng = next_bytes(rng, 16)
+    inputs = _round_inputs(cfg, seed)
     evaluation = evaluate(state.net, inputs)
-    probe = sync_probe(serialize_weights(state.net), cfg.st)
+    probe = sync_probe(serialize_weights(state.net), SYNC_PROBE)
     frame = Frame(frame_id, Syn(seed=seed, tau=evaluation.tau, ek_st=probe))
     state = replace(
         state,
@@ -299,8 +253,6 @@ def _sender_new_round(
         pending=PendingRound(frame_id, inputs, evaluation),
         auth_id=None,
         rounds=state.rounds + 1,
-        input_stream=stream,
-        stream_round=stream_round,
     )
     return state, (SendFrame(frame), SetTimer(cfg.timeout_ticks)), rng
 
@@ -415,11 +367,8 @@ def sender_advance(
 def _receiver_learning_reply(
     state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
 ) -> tuple[ReceiverState, tuple[Action, ...]]:
-    inputs, stream, stream_round = _round_inputs(
-        cfg, syn.seed, frame.frame_id, state.input_stream, state.stream_round
-    )
+    inputs = _round_inputs(cfg, syn.seed)
     evaluation = evaluate(state.net, inputs)
-    state = replace(state, input_stream=stream, stream_round=stream_round)
     if evaluation.tau == syn.tau:
         net = apply_learning(state.net, inputs, evaluation, syn.tau, cfg.rule)
         state = replace(state, net=net, iterations=state.iterations + 1)
@@ -452,7 +401,7 @@ def receiver_advance(
         if state.phase == "idle":
             state = replace(state, phase="synchronizing")
         material = serialize_weights(state.net)
-        synced = sync_probe(material, cfg.st) == payload.ek_st
+        synced = sync_probe(material, SYNC_PROBE) == payload.ek_st
 
         if synced and state.session is not None:
             # FIN_SYN or AUTH got lost; repeat the standing offer
@@ -489,7 +438,7 @@ def receiver_advance(
             state = replace(state, phase="failed", session=None, cert_failures=failures)
             return state, (Fail("peer certification failed"),), rng
         # quarantine doubles per rejection so retries track convergence
-        holdoff = cfg.resync_rounds << min(failures - 1, 4)
+        holdoff = RESYNC_ROUNDS << min(failures - 1, 4)
         state = replace(
             state,
             phase="synchronizing",

@@ -291,6 +291,15 @@ def test_attack_trials_reject_bad_arguments_before_any_work(no_trial_work):
         run_attack_trials(3, 16, 2, "random_walk", 0, 100, b"validate-attack0")
 
 
+def test_runners_reject_a_negative_cap_before_any_work(no_trial_work):
+    # a negative cap would run no step and still be reported as the mean time
+    for mode in ("direct", "protocol"):
+        with pytest.raises(ValueError, match="iteration_cap"):
+            run_sync_trials(3, 16, 1, "random_walk", 3, mode, -5, b"validate-sync-00")
+    with pytest.raises(ValueError, match="iteration_cap"):
+        run_attack_trials(3, 16, 1, "random_walk", 3, -5, b"validate-attack0")
+
+
 # --- lockstep engine against the scalar oracle --------------------------------------
 
 

@@ -82,6 +82,18 @@ def test_usage_error_on_bad_params(capsys):
     assert main(["exchange", "--l", "0", "--seed", SEED]) == 2
 
 
+def test_usage_error_on_negative_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for args in (["attack", "--n", "16", "--l", "1", "--trials", "3"],
+                 ["sweep", "--vary", "l", "--from", "1", "--to", "1", "--trials", "3"],
+                 ["exchange"]):
+        assert main(args + ["--cap", "-5", "--seed", SEED]) == 2
+        captured = capsys.readouterr()
+        assert "--cap" in captured.err
+        assert "mean" not in captured.out
+    assert list(tmp_path.iterdir()) == []  # no CSV written
+
+
 def test_udp_mode_requires_explicit_seed(capsys):
     code = main(["exchange", "--listen", "127.0.0.1:39999"])
     assert code == 2

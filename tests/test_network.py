@@ -11,9 +11,11 @@ from paritykex.network import (
     TpmParams,
     apply_learning,
     evaluate,
+    forward,
     init_network,
     init_network_lanes,
     is_synchronized,
+    learn,
     order_params,
 )
 from paritykex.rng import draw_inputs, seed_from_bytes, seed_lanes
@@ -243,6 +245,41 @@ def test_unknown_rule_rejected():
     ev = evaluate(net, x)
     with pytest.raises(ValueError):
         apply_learning(net, x, ev, ev.tau, "perceptron")
+
+
+# --- step kernel ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", ["hebbian", "anti_hebbian", "random_walk"])
+def test_kernel_matches_scalar_wrappers_lane_by_lane(rule):
+    params = TpmParams(k=3, n=8, l=2)
+    rng = seed_from_bytes(b"kernel-stack-00!")
+    w = np.empty((2, 3, 3, 8), dtype=np.int32)
+    x = np.empty_like(w)
+    for lane in np.ndindex(2, 3):
+        net, rng = init_network(params, rng)
+        w[lane] = net.weights
+        x[lane], rng = draw_inputs(rng, 3, 8)
+    # a unit whose inputs cancel its weights exactly: its sum is zero
+    w[1, 0, 0] = x[1, 0, 0] * np.array([1, -1] * 4)
+    moves = np.array([[True, False, True], [True, True, False]])
+
+    sums, sigmas, tau = forward(w, x)
+    learned = learn(w, x, sigmas, tau, moves, rule, params.l)
+    assert sums[1, 0, 0] == 0 and sigmas[1, 0, 0] == -1
+    assert set(tau.flat) == {-1, 1}
+
+    for lane in np.ndindex(2, 3):
+        net = TpmNetwork(params, w[lane].copy())
+        ev = evaluate(net, x[lane])
+        assert np.allclose(ev.fields, sums[lane] / math.sqrt(params.n), rtol=0, atol=1e-12)
+        assert np.array_equal(ev.sigmas, sigmas[lane])
+        assert ev.tau == tau[lane]
+        # the peer announces the same output exactly where the lane moves
+        tau_other = ev.tau if moves[lane] else -ev.tau
+        expected = apply_learning(net, x[lane], ev, tau_other, rule)
+        assert np.array_equal(learned[lane], expected.weights)
+        assert moves[lane] != np.array_equal(learned[lane], w[lane])
 
 
 def test_random_walk_marginal_stays_uniform():

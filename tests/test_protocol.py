@@ -5,12 +5,13 @@ import pytest
 
 from support import config, drive, fresh
 
-from paritykex.channel import ChannelConfig
 from paritykex.exchange import run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from paritykex.keycodec import extract_key, otp_transform, serialize_weights
 from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
 from paritykex.protocol import (
+    RESYNC_ROUNDS,
+    SYNC_PROBE,
     DeliverKey,
     Fail,
     FrameArrived,
@@ -96,9 +97,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(params=TpmParams(k=1, n=4, l=1), ssc=b"sender-secret-0!",
                        rsc=b"receiv-secret-0!")
-    with pytest.raises(ValueError):
-        ProtocolConfig(params=params, ssc=b"sender-secret-0!", rsc=b"receiv-secret-0!",
-                       seed_mode="pre-shared")
 
 
 def test_config_rejects_depth_zero():
@@ -324,7 +322,7 @@ def test_receiver_replay_rejected():
 def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net), cfg.st)
+    probe = sync_probe(serialize_weights(rstate.net), SYNC_PROBE)
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     assert state2.phase == "certifying"
@@ -345,7 +343,7 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 def test_receiver_auth_verification_and_rejection():
     cfg = config(max_attempts=3)
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net), cfg.st)
+    probe = sync_probe(serialize_weights(rstate.net), SYNC_PROBE)
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state, actions, rng = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     session = state.session
@@ -363,7 +361,7 @@ def test_receiver_auth_verification_and_rejection():
     assert rej.phase == "synchronizing"
     assert rej.session is None
     assert rej.cert_failures == 1
-    assert rej.fin_holdoff == cfg.resync_rounds
+    assert rej.fin_holdoff == RESYNC_ROUNDS
     reply = next(a.frame for a in actions if isinstance(a, SendFrame))
     assert isinstance(reply.payload, NakSyn)
 
@@ -419,26 +417,6 @@ def test_established_sender_ignores_everything():
         state2, actions, _ = sender_advance(state, event, cfg, seed_from_bytes(b"x" * 16))
         assert state_digest(state2) == digest
         assert actions == ()
-
-
-def test_pre_shared_mode_and_stream_indexing():
-    cfg = config(
-        l=2,
-        seed_mode="pre-shared",
-        shared_seed=b"shared-input-str",
-    )
-    outcome = run_exchange(cfg, master_seed=b"pre-shared-mode!", iteration_cap=8000)
-    assert outcome.established
-    assert outcome.sender_key == outcome.receiver_key
-    # SYN frames carry a zero seed in this mode
-    assert outcome.sender.stream_round > 0
-
-    lossy = ChannelConfig(drop_prob=0.15, rng_seed=3)
-    outcome = run_exchange(
-        cfg, master_seed=b"pre-shared-lossy", channel_config=lossy, iteration_cap=8000
-    )
-    assert outcome.established
-    assert outcome.sender_key == outcome.receiver_key
 
 
 def test_replay_every_delivered_frame_changes_nothing():
