@@ -56,11 +56,23 @@ def decode_weight(b: int) -> int:
     return magnitude
 
 
+# Entry b is the byte of the weight whose low two's-complement byte is b
+# (0x80, whose weight -128 no bank holds, is filled with the byte of -127).
+_WEIGHT_BYTES = np.array(
+    [encode_weight(b if b < 0x80 else max(b - 0x100, -127)) for b in range(256)], dtype=np.uint8
+)
+
+
 def serialize_weights(net: TpmNetwork) -> bytes:
-    """Serialize the bank row-major, one byte per weight."""
-    w = net.weights
-    encoded = np.where(w < 0, 0x80 | (-w), w).astype(np.uint8)
-    return encoded.tobytes()
+    """Serialize the bank row-major, one byte per weight.
+
+    The bytes are kept on the network, which is immutable, so a bank that
+    a round leaves unchanged is serialized once.
+    """
+    material = net.__dict__.get("_material")
+    if material is None:
+        material = net.__dict__["_material"] = _WEIGHT_BYTES[net.weights.astype(np.uint8)].tobytes()
+    return material
 
 
 def key_group_count(material: bytes) -> int:
@@ -81,4 +93,5 @@ def otp_transform(key: bytes, block: bytes) -> bytes:
     """XOR ``block`` with ``key``; self-inverse, length-preserving."""
     if len(key) != len(block):
         raise ValueError("key and block lengths must match")
-    return bytes(a ^ b for a, b in zip(key, block))
+    mixed = int.from_bytes(key, "big") ^ int.from_bytes(block, "big")
+    return mixed.to_bytes(len(block), "big")

@@ -16,7 +16,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .rng import RngState, next_word, next_words_lanes
+from .rng import RngState, next_words, next_words_lanes
 
 LearningRule = Literal["hebbian", "anti_hebbian", "random_walk"]
 LEARNING_RULES: tuple[LearningRule, ...] = ("hebbian", "anti_hebbian", "random_walk")
@@ -54,12 +54,15 @@ class TpmNetwork:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        p = self.params
-        if self.weights.shape != (p.k, p.n):
+        p, w = self.params, self.weights
+        if w.dtype.kind not in "iu":
+            raise ValueError("weights must have an integer dtype")
+        if w.shape != (p.k, p.n):
             raise ValueError("weight matrix shape does not match params")
-        if np.any(np.abs(self.weights) > p.l):
+        # min/max, not abs: abs wraps the most negative value of a signed dtype
+        if not (w.min() >= -p.l and w.max() <= p.l):
             raise ValueError("weights exceed the synaptic depth bound")
-        self.weights.setflags(write=False)
+        w.setflags(write=False)
 
     @property
     def active_weights(self) -> np.ndarray:
@@ -74,6 +77,12 @@ class Evaluation:
     fields: np.ndarray
     sigmas: np.ndarray
     tau: int
+
+    @classmethod
+    def of(cls, w: np.ndarray, x: np.ndarray) -> "Evaluation":
+        """The forward pass of bank ``w`` on inputs ``x``, which are trusted to be +-1."""
+        sums, sigmas, tau = forward(w, x)
+        return cls(fields=sums / math.sqrt(w.shape[-1]), sigmas=sigmas.astype(np.int32), tau=int(tau))
 
 
 @dataclass(frozen=True)
@@ -98,10 +107,8 @@ def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState
     """
     p = params
     span = 2 * p.l + 1
-    flat = np.empty(p.k * p.n, dtype=np.int32)
-    for i in range(flat.size):
-        word, rng = next_word(rng)
-        flat[i] = word % span - p.l
+    words, rng = next_words(rng, p.k * p.n)
+    flat = np.array([word % span - p.l for word in words], dtype=np.int32)
     return TpmNetwork(params, flat.reshape(p.k, p.n)), rng
 
 
@@ -164,10 +171,7 @@ def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
     fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas and tau are
     those of ``forward``.
     """
-    sums, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
-    return Evaluation(
-        fields=sums / math.sqrt(net.params.n), sigmas=sigmas.astype(np.int32), tau=int(tau)
-    )
+    return Evaluation.of(net.weights, _check_inputs(net.params, inputs))
 
 
 def apply_learning(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -45,14 +45,7 @@ from .keycodec import (
     otp_transform,
     serialize_weights,
 )
-from .network import (
-    Evaluation,
-    LearningRule,
-    TpmNetwork,
-    TpmParams,
-    apply_learning,
-    evaluate,
-)
+from .network import LEARNING_RULES, Evaluation, LearningRule, TpmNetwork, TpmParams, learn
 from .rng import RngState, draw_inputs, next_bytes, next_word, seed_from_bytes
 
 logger = logging.getLogger(__name__)
@@ -84,6 +77,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if len(self.ssc) != KEY_BYTES or len(self.rsc) != KEY_BYTES:
             raise ValueError("secret codes must be 16 bytes")
+        if self.rule not in LEARNING_RULES:
+            raise ValueError(f"unknown learning rule: {self.rule!r}")
         if self.timeout_ticks < 1:
             raise ValueError("timeout_ticks must be at least 1")
         if self.max_attempts < 1:
@@ -181,6 +176,13 @@ class ReceiverState:
     iterations: int = 0
 
 
+def _evolve(state, **changes):
+    """``dataclasses.replace`` for the endpoint states, without re-running __init__."""
+    new = object.__new__(type(state))
+    new.__dict__.update(state.__dict__, **changes)
+    return new
+
+
 def integrity_check(frame: Frame, last_seen_id: int) -> bool:
     """Accept only strictly increasing ids: kills replays and reordering."""
     return frame.frame_id > last_seen_id
@@ -223,13 +225,21 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     return h.hexdigest()
 
 
-# --- shared input derivation ---------------------------------------------
+# --- the learning round, shared by both sides ----------------------------
 
 
 def _round_inputs(cfg: ProtocolConfig, seed: bytes) -> np.ndarray:
     """Inputs for one round, drawn from a generator seeded with the SYN seed."""
     inputs, _ = draw_inputs(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
+    if np.count_nonzero(np.abs(inputs) != 1):
+        raise ValueError("round inputs must be +-1 valued")
     return inputs
+
+
+def _learned(net: TpmNetwork, inputs: np.ndarray, ev: Evaluation, rule: LearningRule) -> TpmNetwork:
+    """The bank after a step on which both sides announced ``ev.tau``."""
+    w = learn(net.weights, inputs, ev.sigmas, ev.tau, True, rule, net.params.l)
+    return TpmNetwork(net.params, w.astype(np.int32, copy=False))
 
 
 # --- sender --------------------------------------------------------------
@@ -241,10 +251,10 @@ def _sender_new_round(
     frame_id = state.next_id
     seed, rng = next_bytes(rng, 16)
     inputs = _round_inputs(cfg, seed)
-    evaluation = evaluate(state.net, inputs)
+    evaluation = Evaluation.of(state.net.weights, inputs)
     probe = sync_probe(serialize_weights(state.net), SYNC_PROBE)
     frame = Frame(frame_id, Syn(seed=seed, tau=evaluation.tau, ek_st=probe))
-    state = replace(
+    state = _evolve(
         state,
         phase="synchronizing",
         next_id=frame_id + 1,
@@ -263,7 +273,7 @@ def _sender_send_auth(
     assert state.session is not None
     frame_id = state.next_id
     frame = Frame(frame_id, Auth(ek_code=otp_transform(state.session.key, cfg.ssc)))
-    state = replace(
+    state = _evolve(
         state,
         phase="certifying",
         next_id=frame_id + 1,
@@ -286,14 +296,14 @@ def sender_advance(
         if state.phase != "idle":
             logger.debug("sender: Start ignored in phase %s", state.phase)
             return state, (), rng
-        return _sender_new_round(replace(state, attempts=0), cfg, rng)
+        return _sender_new_round(_evolve(state, attempts=0), cfg, rng)
 
     if isinstance(event, TimerFired):
         if state.phase not in ("synchronizing", "certifying"):
             return state, (), rng
         if state.attempts >= cfg.max_attempts:
             return (
-                replace(state, phase="failed", timer=None),
+                _evolve(state, phase="failed", timer=None),
                 (Fail("attempts exceeded"),),
                 rng,
             )
@@ -311,19 +321,12 @@ def sender_advance(
             return state, (), rng
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
-            net = apply_learning(
-                state.net,
-                state.pending.inputs,
-                state.pending.evaluation,
-                state.pending.evaluation.tau,
-                cfg.rule,
-            )
-            state = replace(
-                state, net=net, attempts=0, iterations=state.iterations + 1
-            )
+            pending = state.pending
+            net = _learned(state.net, pending.inputs, pending.evaluation, cfg.rule)
+            state = _evolve(state, net=net, attempts=0, iterations=state.iterations + 1)
             return _sender_new_round(state, cfg, rng)
         if isinstance(payload, NakSyn):
-            return _sender_new_round(replace(state, attempts=0), cfg, rng)
+            return _sender_new_round(_evolve(state, attempts=0), cfg, rng)
         if isinstance(payload, FinSyn):
             material = serialize_weights(state.net)
             if not 0 <= payload.iv < key_group_count(material):
@@ -331,7 +334,7 @@ def sender_advance(
                 return state, (), rng
             session = extract_key(material, payload.iv)
             state, actions = _sender_send_auth(
-                replace(state, session=session, attempts=0), cfg
+                _evolve(state, session=session, attempts=0), cfg
             )
             return state, actions, rng
         logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
@@ -345,14 +348,14 @@ def sender_advance(
             assert state.session is not None
             if otp_transform(state.session.key, payload.ek_code) == cfg.rsc:
                 session = state.session
-                state = replace(state, phase="established", timer=None, attempts=0)
+                state = _evolve(state, phase="established", timer=None, attempts=0)
                 return state, (DeliverKey(session),), rng
-            state = replace(state, phase="failed", timer=None)
+            state = _evolve(state, phase="failed", timer=None)
             return state, (Fail("peer certification failed"),), rng
         if isinstance(payload, NakSyn):
             # receiver rejected our certification: the probe matched but the
             # chosen key group did not; resume synchronizing
-            state = replace(state, session=None, attempts=0)
+            state = _evolve(state, session=None, attempts=0)
             return _sender_new_round(state, cfg, rng)
         logger.debug("sender: %s ignored while certifying", type(payload).__name__)
         return state, (), rng
@@ -368,10 +371,10 @@ def _receiver_learning_reply(
     state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
 ) -> tuple[ReceiverState, tuple[Action, ...]]:
     inputs = _round_inputs(cfg, syn.seed)
-    evaluation = evaluate(state.net, inputs)
+    evaluation = Evaluation.of(state.net.weights, inputs)
     if evaluation.tau == syn.tau:
-        net = apply_learning(state.net, inputs, evaluation, syn.tau, cfg.rule)
-        state = replace(state, net=net, iterations=state.iterations + 1)
+        net = _learned(state.net, inputs, evaluation, cfg.rule)
+        state = _evolve(state, net=net, iterations=state.iterations + 1)
         reply: Frame = Frame(frame.frame_id, AckSyn(tau=evaluation.tau))
     else:
         reply = Frame(frame.frame_id, NakSyn(tau=evaluation.tau))
@@ -397,9 +400,8 @@ def receiver_advance(
         if state.phase == "established":
             logger.debug("receiver: SYN ignored after establishment")
             return state, (), rng
-        state = replace(state, last_seen_id=frame.frame_id)
-        if state.phase == "idle":
-            state = replace(state, phase="synchronizing")
+        phase = "synchronizing" if state.phase == "idle" else state.phase
+        state = _evolve(state, last_seen_id=frame.frame_id, phase=phase)
         material = serialize_weights(state.net)
         synced = sync_probe(material, SYNC_PROBE) == payload.ek_st
 
@@ -408,21 +410,21 @@ def receiver_advance(
             return state, (SendFrame(Frame(frame.frame_id, FinSyn(state.session.iv))),), rng
         if not synced and state.session is not None:
             # the probe stopped matching: the earlier offer was premature
-            state = replace(state, session=None, phase="synchronizing")
+            state = _evolve(state, session=None, phase="synchronizing")
         if synced and state.fin_holdoff == 0:
             word, rng = next_word(rng)
             iv = word % key_group_count(material)
             session = extract_key(material, iv)
-            state = replace(state, phase="certifying", session=session)
+            state = _evolve(state, phase="certifying", session=session)
             return state, (SendFrame(Frame(frame.frame_id, FinSyn(iv))),), rng
         if synced:
             # quarantined after a rejected certification: keep learning
-            state = replace(state, fin_holdoff=state.fin_holdoff - 1)
+            state = _evolve(state, fin_holdoff=state.fin_holdoff - 1)
         new_state, actions = _receiver_learning_reply(state, frame, payload, cfg)
         return new_state, actions, rng
 
     if isinstance(payload, Auth):
-        state = replace(state, last_seen_id=frame.frame_id)
+        state = _evolve(state, last_seen_id=frame.frame_id)
         if state.session is None:
             # no live key offer; tell the sender to resume synchronizing
             return state, (SendFrame(Frame(frame.frame_id, NakSyn(tau=1))),), rng
@@ -431,15 +433,15 @@ def receiver_advance(
             actions: tuple[Action, ...] = (SendFrame(reply),)
             if state.phase != "established":
                 actions = actions + (DeliverKey(state.session),)
-            state = replace(state, phase="established")
+            state = _evolve(state, phase="established")
             return state, actions, rng
         failures = state.cert_failures + 1
         if failures >= cfg.max_attempts:
-            state = replace(state, phase="failed", session=None, cert_failures=failures)
+            state = _evolve(state, phase="failed", session=None, cert_failures=failures)
             return state, (Fail("peer certification failed"),), rng
         # quarantine doubles per rejection so retries track convergence
         holdoff = RESYNC_ROUNDS << min(failures - 1, 4)
-        state = replace(
+        state = _evolve(
             state,
             phase="synchronizing",
             session=None,

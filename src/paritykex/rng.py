@@ -18,7 +18,6 @@ draws the scalar functions yield for its seed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,24 +60,28 @@ def seed_from_bytes(seed: bytes) -> RngState:
     return RngState(s0, s1)
 
 
+def _steps(s0: int, s1: int, count: int) -> tuple[list[int], int, int]:
+    """``count`` xorshift128+ steps on plain ints: (words, s0, s1)."""
+    words = []
+    for _ in range(count):
+        t = s0 ^ ((s0 << 23) & MASK64)
+        t ^= t >> 17
+        t ^= s1 ^ (s1 >> 26)
+        words.append((s1 + t) & MASK64)
+        s0, s1 = s1, t
+    return words, s0, s1
+
+
 def next_word(state: RngState) -> tuple[int, RngState]:
     """Advance one xorshift128+ step, returning (64-bit output, new state)."""
-    t = state.s0
-    t ^= (t << 23) & MASK64
-    t ^= t >> 17
-    t ^= state.s1
-    t ^= state.s1 >> 26
-    out = (state.s1 + t) & MASK64
-    return out, RngState(state.s1, t)
+    (word,), s0, s1 = _steps(state.s0, state.s1, 1)
+    return word, RngState(s0, s1)
 
 
 def next_words(state: RngState, count: int) -> tuple[list[int], RngState]:
     """Draw ``count`` consecutive words."""
-    words = []
-    for _ in range(count):
-        w, state = next_word(state)
-        words.append(w)
-    return words, state
+    words, s0, s1 = _steps(state.s0, state.s1, count)
+    return words, RngState(s0, s1)
 
 
 def next_bytes(state: RngState, count: int) -> tuple[bytes, RngState]:
@@ -89,8 +92,12 @@ def next_bytes(state: RngState, count: int) -> tuple[bytes, RngState]:
     return buf[:count], state
 
 
+# Row b holds the +-1 entries of byte b, LSB first: bit 1 -> +1, bit 0 -> -1.
+_BYTE_SIGNS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int32) * 2 - 1
+
+
 def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
-    """Draw a (k, n) matrix of +-1 entries.
+    """Draw a (k, n) int32 matrix of +-1 entries.
 
     Consumes ceil(k*n/64) words; unused high bits of the final word are
     discarded.  Bit order: LSB-first within each word, row-major fill.
@@ -99,11 +106,10 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
         raise ValueError("k and n must be at least 1")
     total = k * n
     nwords = -(-total // 64)
-    words, state = next_words(state, nwords)
-    raw = struct.pack("<%dQ" % nwords, *words)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    matrix = (bits[:total].astype(np.int32) * 2 - 1).reshape(k, n)
-    return matrix, state
+    words, s0, s1 = _steps(state.s0, state.s1, nwords)
+    stream = np.frombuffer(b"".join(w.to_bytes(8, "little") for w in words), dtype=np.uint8)
+    signs = _BYTE_SIGNS.take(stream, axis=0).reshape(-1)
+    return signs[:total].reshape(k, n), RngState(s0, s1)
 
 
 # --- lane-wise generator ------------------------------------------------------

@@ -7,6 +7,9 @@ sizes, the tick loop and the trial aggregates across refactors.
 """
 
 import hashlib
+from dataclasses import replace
+
+import pytest
 
 from paritykex import (
     ChannelConfig,
@@ -79,6 +82,33 @@ def test_impaired_exchange_golden():
     assert state_digest(outcome.receiver) == (
         "f052e4ecdea05890491efefb57530a8ea0a177f1b986a467a8c155f3b21c988a"
     )
+
+
+# The learning kernel returns int64 banks for these two rules; the digests
+# pin the int32 banks the endpoints keep.
+OTHER_RULES = {
+    "hebbian": (
+        b"golden-hebbian-3",
+        ("83028282810102028183018381830303", 2, 364, 226, 366, 19013, 0),
+        "c0c16b4fd8d5c0a2907bb4f631be317bf16896ece540fe8d05cee99c776c173a",
+        "02e555a86649b143c4f2584500b5ce17aa911e4c0beba2e1f1a1f5496ab15f0e",
+    ),
+    "anti_hebbian": (
+        b"golden-anti-heb3",
+        ("83010281020003010100818200018101", 5, 447, 316, 451, 23399, 0),
+        "822ae29e04889f43d41f38fc9938ea52f245033a495df14ad8bc720d0391caf1",
+        "6d9bed4d6ec43a9b5d02ec4274ccbf6ee194ce0c3f07832f4e9a5d8af46e4c8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(OTHER_RULES))
+def test_clean_exchange_golden_other_rules(rule):
+    master, expected, sender_digest, receiver_digest = OTHER_RULES[rule]
+    outcome = run_exchange(replace(config(3), rule=rule), master)
+    assert summary(outcome) == expected
+    assert state_digest(outcome.sender) == sender_digest
+    assert state_digest(outcome.receiver) == receiver_digest
 
 
 def test_trial_aggregates_and_csv_golden(tmp_path):

@@ -41,6 +41,22 @@ def test_params_validation():
         TpmParams(k=1, n=1, l=-1)
 
 
+def test_network_rejects_weights_beyond_the_bound_at_dtype_extremes():
+    # abs() maps a signed dtype's most negative value to itself, so an
+    # abs-based bound check let these banks through at l = 3
+    for dtype in (np.int32, np.int8):
+        w = np.zeros((3, 32), dtype=dtype)
+        w[1, 5] = np.iinfo(dtype).min
+        with pytest.raises(ValueError, match="bound"):
+            TpmNetwork(TpmParams(k=3, n=32, l=3), w)
+
+
+def test_network_rejects_non_integer_weights():
+    # a float bank passed the bound check and failed later, in serialize_weights
+    with pytest.raises(ValueError, match="integer"):
+        TpmNetwork(TpmParams(k=3, n=32, l=3), np.full((3, 32), 1.5))
+
+
 def test_init_depth_zero_gives_zero_weight():
     net, _ = init_network(TpmParams(k=1, n=1, l=0), seed_from_bytes(b"any-seed-at-all!"))
     assert net.weights.shape == (1, 1)

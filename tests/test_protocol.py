@@ -5,6 +5,7 @@ import pytest
 
 from support import config, drive, fresh
 
+from paritykex.channel import ChannelConfig
 from paritykex.exchange import run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from paritykex.keycodec import extract_key, otp_transform, serialize_weights
@@ -97,6 +98,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(params=TpmParams(k=1, n=4, l=1), ssc=b"sender-secret-0!",
                        rsc=b"receiv-secret-0!")
+
+
+def test_config_rejects_unknown_rule():
+    # accepted before; the exchange then raised at its first agreeing step
+    with pytest.raises(ValueError, match="rule"):
+        config(rule="bogus")
 
 
 def test_config_rejects_depth_zero():
@@ -436,3 +443,28 @@ def test_replay_every_delivered_frame_changes_nothing():
 
     outcome, _ = drive(cfg, b"replay-check-00!", on_delivery=replay)
     assert outcome.sender.phase == "established"
+
+
+@pytest.mark.parametrize("l, rule, channel", [
+    (2, "random_walk", ChannelConfig()),
+    (2, "hebbian", ChannelConfig()),
+    (1, "anti_hebbian", ChannelConfig(drop_prob=0.1, dup_prob=0.05, corrupt_prob=0.02,
+                                      reorder_prob=0.05, rng_seed=11)),
+])
+def test_transitions_are_pure_and_banks_stay_valid(l, rule, channel):
+    cfg = config(l=l, rule=rule)
+    delivered = []
+
+    def check(endpoint, frame):
+        state = endpoint.state
+        digest = state_digest(state)
+        new_state, _, _ = endpoint.advance(state, FrameArrived(frame), endpoint.cfg, endpoint.rng)
+        assert state_digest(state) == digest
+        for w in (state.net.weights, new_state.net.weights):
+            assert w.dtype == np.int32 and not w.flags.writeable and w.shape == (3, 32)
+            assert -l <= w.min() and w.max() <= l
+        delivered.append(frame)
+
+    outcome, _ = drive(cfg, b"purity-check-00!", channel, on_delivery=check)
+    assert outcome.established
+    assert len(delivered) >= outcome.iterations > 0
