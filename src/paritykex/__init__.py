@@ -8,20 +8,17 @@ the stationary weight laws and the passive-eavesdropper comparison.
 """
 
 from .analysis import (
-    StepKind,
     SweepResult,
     SyncTrialStats,
     chi_square,
     expected_q,
     initial_norm,
-    joint_distribution,
     keyspace_size,
     run_attack_trials,
     run_single_trial,
     run_sync_trials,
     sigma_agreement_prob,
     stationary_distribution,
-    step_kinds,
     write_sweep_csv,
 )
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -33,9 +33,7 @@ import numpy as np
 from .exchange import derive_seed, run_exchange
 from .network import (
     LEARNING_RULES,
-    Evaluation,
     LearningRule,
-    TpmNetwork,
     TpmParams,
     apply_learning,
     evaluate,
@@ -44,17 +42,14 @@ from .network import (
     init_network_lanes,
     is_synchronized,
     learn,
-    order_params,
 )
 from .protocol import ProtocolConfig
 from .rng import draw_inputs, draw_inputs_lanes, seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
 
-# Per-unit classification of a paired update step.
-StepKind = Literal["attractive", "repulsive", "no_move", "idle"]
-
 DEFAULT_ITERATION_CAP = 10**6
+Q_TOL, Q_MAX_ITER = 1e-10, 10_000  # convergence bounds of expected_q's fixed-point search
 
 CSV_COLUMNS = (
     "k",
@@ -75,9 +70,7 @@ class SyncTrialStats:
     """Per-trial record of one synchronization run."""
 
     iterations: int
-    bytes_exchanged: int
     synced: bool
-    rho_trajectory: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -140,65 +133,21 @@ def initial_norm(l: int) -> float:
     return math.sqrt(l * (l + 1) / 3.0)
 
 
-def expected_q(l: int, n: int, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def expected_q(l: int, n: int) -> float:
     """Self-consistent mean squared weight: the fixed point of
     q = sum_w w^2 P(w; q), found by damped iteration from l(l+1)/3."""
     if l < 1 or n < 1:
         raise ValueError("l and n must be at least 1")
     q = l * (l + 1) / 3.0
-    for _ in range(max_iter):
+    for _ in range(Q_MAX_ITER):
         dist = stationary_distribution(l, n, q)
         w = np.arange(-l, l + 1)
         target = float(np.dot(w * w, dist))
         new_q = 0.5 * q + 0.5 * target
-        if abs(new_q - q) < tol:
+        if abs(new_q - q) < Q_TOL:
             return new_q
         q = new_q
     raise RuntimeError("fixed-point iteration for q did not converge")
-
-
-def joint_distribution(
-    net_a: TpmNetwork, net_b: TpmNetwork, unit: int
-) -> np.ndarray:
-    """Empirical (2l+1)x(2l+1) law of weight pairs at one unit.
-
-    Entry [a+l, b+l] is the fraction of positions where A holds a and B
-    holds b; its moments reproduce order_params exactly.
-    """
-    if net_a.params != net_b.params:
-        raise ValueError("networks must share identical params")
-    if not 0 <= unit < net_a.params.k:
-        raise ValueError("unit index out of range")
-    l = net_a.params.l
-    n = net_a.params.n
-    wa = net_a.weights[unit]
-    wb = net_b.weights[unit]
-    matrix = np.zeros((2 * l + 1, 2 * l + 1), dtype=float)
-    for a, b in zip(wa, wb):
-        matrix[a + l, b + l] += 1.0
-    return matrix / n
-
-
-def step_kinds(eval_self: Evaluation, eval_other: Evaluation) -> tuple[StepKind, ...]:
-    """Classify each hidden unit of one paired learning step, seen from self.
-
-    Every unit is "idle" when the outputs differ.  Otherwise a unit whose
-    sign differs from the peer's is "repulsive" (only one side moves), one
-    whose sign equals the common output on both sides is "attractive", and
-    one whose sign differs from it on both sides is "no_move".
-    """
-    tau = eval_self.tau
-    if tau != eval_other.tau:
-        return ("idle",) * len(eval_self.sigmas)
-    kinds: list[StepKind] = []
-    for mine, theirs in zip(eval_self.sigmas, eval_other.sigmas):
-        if mine != theirs:
-            kinds.append("repulsive")
-        elif mine == tau:
-            kinds.append("attractive")
-        else:
-            kinds.append("no_move")
-    return tuple(kinds)
 
 
 def keyspace_size(k: int, n: int, l: int) -> int:
@@ -223,27 +172,16 @@ def chi_square(histogram: Sequence[int]) -> float:
 # --- trial runners ---------------------------------------------------------
 
 
-def _mean_rho(net_a: TpmNetwork, net_b: TpmNetwork) -> float:
-    rhos = []
-    for unit in range(net_a.params.k):
-        rho = order_params(net_a, net_b, unit).rho
-        if rho is not None:
-            rhos.append(rho)
-    return sum(rhos) / len(rhos) if rhos else 0.0
-
-
 def run_single_trial(
     params: TpmParams,
     rule: LearningRule,
     seed: bytes,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
-    record_rho: bool = False,
 ) -> SyncTrialStats:
-    """One bare mutual-learning run: two local networks, shared inputs."""
+    """One bare mutual-learning run: the scalar oracle of the lockstep engine."""
     rng = seed_from_bytes(seed)
     net_a, rng = init_network(params, rng)
     net_b, rng = init_network(params, rng)
-    trajectory: list[float] = []
     iterations = 0
     synced = is_synchronized(net_a, net_b)
     while not synced and iterations < iteration_cap:
@@ -254,15 +192,8 @@ def run_single_trial(
             net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
             net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
         iterations += 1
-        if record_rho:
-            trajectory.append(_mean_rho(net_a, net_b))
         synced = is_synchronized(net_a, net_b)
-    return SyncTrialStats(
-        iterations=iterations,
-        bytes_exchanged=0,
-        synced=synced,
-        rho_trajectory=trajectory,
-    )
+    return SyncTrialStats(iterations=iterations, synced=synced)
 
 
 def _lockstep_trials(
@@ -319,13 +250,21 @@ def _lockstep_trials(
     return [[t if t >= 0 else None for t in row] for row in times.tolist()]
 
 
-def _check_trial_args(rule: LearningRule, trials: int, iteration_cap: int) -> None:
+def check_point(k: int, n: int, l: int, rule: LearningRule, trials: int, iteration_cap: int,
+                mode: TrialMode = "direct") -> TpmParams:
+    """Reject a parameter point with ValueError before any trial runs."""
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if iteration_cap < 0:
         raise ValueError("iteration_cap must be non-negative")
+    if mode not in ("direct", "protocol"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    params = TpmParams(k=k, n=n, l=l)
+    if mode == "protocol":
+        _protocol_config(params, rule, bytes(16))
+    return params
 
 
 def _aggregate(
@@ -388,10 +327,7 @@ def run_sync_trials(
     endpoints over a lossless simulated link and also reports the bytes on
     the wire.
     """
-    _check_trial_args(rule, trials, iteration_cap)
-    if mode not in ("direct", "protocol"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    params = TpmParams(k=k, n=n, l=l)
+    params = check_point(k, n, l, rule, trials, iteration_cap, mode)
     if mode == "direct":
         seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
         (times,) = _lockstep_trials(params, rule, seeds, iteration_cap)
@@ -434,8 +370,7 @@ def run_attack_trials(
     that also runs the direct-mode trials, so all trials of a call run
     together and each leaves the batch when both matches have happened.
     """
-    _check_trial_args(rule, trials, iteration_cap)
-    params = TpmParams(k=k, n=n, l=l)
+    params = check_point(k, n, l, rule, trials, iteration_cap)
     seeds = [derive_seed(master_seed, f"attack-{index}") for index in range(trials)]
     ab_times, e_times = _lockstep_trials(params, rule, seeds, iteration_cap, listener=True)
     return _aggregate(

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .analysis import run_attack_trials, run_sync_trials, write_sweep_csv
+from .analysis import check_point, run_attack_trials, run_sync_trials, write_sweep_csv
 from .channel import ChannelConfig, UdpTransport
 from .exchange import derive_seed, run_exchange, run_udp
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
@@ -118,6 +118,14 @@ def _run_exchange(args: argparse.Namespace) -> int:
             timeout_ticks=args.timeout,
             max_attempts=args.max_attempts,
         )
+        channel = ChannelConfig(
+            drop_prob=args.drop,
+            dup_prob=args.dup,
+            corrupt_prob=args.corrupt,
+            reorder_prob=args.reorder,
+            latency_ticks=args.latency,
+            rng_seed=int.from_bytes(derive_seed(seed, "channel")[:8], "big"),
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,14 +161,6 @@ def _run_exchange(args: argparse.Namespace) -> int:
         print(f"iv: {key.iv}")
         return 0
 
-    channel = ChannelConfig(
-        drop_prob=args.drop,
-        dup_prob=args.dup,
-        corrupt_prob=args.corrupt,
-        reorder_prob=args.reorder,
-        latency_ticks=args.latency,
-        rng_seed=int.from_bytes(derive_seed(seed, "channel")[:8], "big"),
-    )
     outcome = run_exchange(
         corrupted(cfg),
         master_seed=seed,
@@ -180,18 +180,23 @@ def _run_exchange(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_points(args: argparse.Namespace, error: str | None, points, default_out: str) -> int:
-    """Shared body of sweep and attack: echo a drawn seed, reject a usage
-    ``error``, print one line per ``(result, line)`` from ``points(seed)``
-    and write the results to CSV."""
+def _run_points(args: argparse.Namespace, error: str | None, points, mode, run, default_out) -> int:
+    """Shared body of sweep and attack: reject a usage ``error`` or a bad point before any
+    runs, then print ``run(seed, *point)``'s line per ``(label, n, l)`` point and write CSV."""
     seed, generated = _seed_bytes(args.seed)
     if generated:
         print(f"master seed: {seed.hex()}")
+    try:
+        for _, n, l in points:
+            check_point(args.k, n, l, args.rule, args.trials, args.cap, mode)
+    except ValueError as exc:
+        error = str(exc)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
     results = []
-    for result, line in points(seed):
+    for point in points:
+        result, line = run(seed, *point)
         results.append(result)
         print(line)
     out = args.out or _out_path(default_out)
@@ -205,16 +210,16 @@ def _run_points(args: argparse.Namespace, error: str | None, points, default_out
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    def points(seed: bytes):
-        for value in range(args.start, args.stop + 1, args.step):
-            n, l = (args.n, value) if args.vary == "l" else (value, args.l)
-            r = run_sync_trials(args.k, n, l, args.rule, args.trials, args.mode, args.cap,
-                                derive_seed(seed, f"sweep-{args.vary}-{value}"))
-            yield r, (f"{args.vary}={value}: mean {r.mean_iter:.1f} "
-                      f"median {r.median_iter:.1f} synced {r.synced_fraction:.3f}")
+    def run(seed: bytes, value: int, n: int, l: int):
+        r = run_sync_trials(args.k, n, l, args.rule, args.trials, args.mode, args.cap,
+                            derive_seed(seed, f"sweep-{args.vary}-{value}"))
+        return r, (f"{args.vary}={value}: mean {r.mean_iter:.1f} "
+                   f"median {r.median_iter:.1f} synced {r.synced_fraction:.3f}")
 
     bad = args.start < 1 or args.stop < args.start or args.step < 1
-    return _run_points(args, "bad sweep range" if bad else None, points, "sweep.csv")
+    values = () if bad else range(args.start, args.stop + 1, args.step)
+    points = [(v, args.n, v) if args.vary == "l" else (v, v, args.l) for v in values]
+    return _run_points(args, "bad sweep range" if bad else None, points, args.mode, run, "sweep.csv")
 
 
 def _run_attack(args: argparse.Namespace) -> int:
@@ -224,14 +229,13 @@ def _run_attack(args: argparse.Namespace) -> int:
     except ValueError:
         l_values, error = [], "--l-values must be comma-separated integers"
 
-    def points(seed: bytes):
-        for l in l_values:
-            r = run_attack_trials(args.k, args.n, l, args.rule, args.trials, args.cap,
-                                  derive_seed(seed, f"attack-{l}"))
-            yield r, (f"l={l}: attacker success {r.attacker_success_rate:.4f} "
-                      f"AB mean {r.mean_iter:.1f} listener mean {r.mean_attacker_iter:.1f}")
+    def run(seed: bytes, label: int, n: int, l: int):
+        r = run_attack_trials(args.k, n, l, args.rule, args.trials, args.cap,
+                              derive_seed(seed, f"attack-{l}"))
+        return r, (f"l={l}: attacker success {r.attacker_success_rate:.4f} "
+                   f"AB mean {r.mean_iter:.1f} listener mean {r.mean_attacker_iter:.1f}")
 
-    return _run_points(args, error, points, "attack.csv")
+    return _run_points(args, error, [(l, args.n, l) for l in l_values], "direct", run, "attack.csv")
 
 
 GENERATOR_VECTOR_SEEDS = (

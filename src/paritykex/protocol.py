@@ -169,7 +169,6 @@ class ReceiverState:
     net: TpmNetwork
     phase: Phase = "idle"
     last_seen_id: int = -1
-    timer: Optional[int] = None
     session: Optional[SessionKey] = None
     cert_failures: int = 0
     fin_holdoff: int = 0
@@ -188,15 +187,15 @@ def integrity_check(frame: Frame, last_seen_id: int) -> bool:
     return frame.frame_id > last_seen_id
 
 
-def sync_probe(material: bytes, st: bytes) -> bytes:
-    """Encrypt the probe constant under the first 128 serialized weight bits.
+def sync_probe(material: bytes) -> bytes:
+    """Encrypt ``SYNC_PROBE`` under the first 128 serialized weight bits.
 
     The sender puts this block in its SYN; the receiver computes it from
     its own weights and compares, which is the same test as decrypting the
     received block because the transform is self-inverse.  Material shorter
     than 128 bits raises ValueError.
     """
-    return otp_transform(material[:KEY_BYTES], st)
+    return otp_transform(material[:KEY_BYTES], SYNC_PROBE)
 
 
 def state_digest(state: Union[SenderState, ReceiverState]) -> str:
@@ -205,8 +204,9 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     h.update(type(state).__name__.encode())
     h.update(state.phase.encode())
     h.update(state.net.weights.tobytes())
-    # the fixed zero word keeps the byte layout of earlier digests
-    for number in (state.iterations, 0, -1 if state.timer is None else state.timer):
+    # the fixed zero word and the receiver's -1 (it keeps no timer) keep earlier digests' bytes
+    timer = state.timer if isinstance(state, SenderState) else None
+    for number in (state.iterations, 0, -1 if timer is None else timer):
         h.update(int(number).to_bytes(8, "big", signed=True))
     if state.session is not None:
         h.update(state.session.key + bytes([state.session.iv]))
@@ -252,7 +252,7 @@ def _sender_new_round(
     seed, rng = next_bytes(rng, 16)
     inputs = _round_inputs(cfg, seed)
     evaluation = Evaluation.of(state.net.weights, inputs)
-    probe = sync_probe(serialize_weights(state.net), SYNC_PROBE)
+    probe = sync_probe(serialize_weights(state.net))
     frame = Frame(frame_id, Syn(seed=seed, tau=evaluation.tau, ek_st=probe))
     state = _evolve(
         state,
@@ -403,7 +403,7 @@ def receiver_advance(
         phase = "synchronizing" if state.phase == "idle" else state.phase
         state = _evolve(state, last_seen_id=frame.frame_id, phase=phase)
         material = serialize_weights(state.net)
-        synced = sync_probe(material, SYNC_PROBE) == payload.ek_st
+        synced = sync_probe(material) == payload.ek_st
 
         if synced and state.session is not None:
             # FIN_SYN or AUTH got lost; repeat the standing offer

@@ -12,14 +12,12 @@ from paritykex.analysis import (
     chi_square,
     expected_q,
     initial_norm,
-    joint_distribution,
     keyspace_size,
     run_attack_trials,
     run_single_trial,
     run_sync_trials,
     sigma_agreement_prob,
     stationary_distribution,
-    step_kinds,
     write_sweep_csv,
 )
 from paritykex.exchange import derive_seed, run_exchange
@@ -31,7 +29,6 @@ from paritykex.network import (
     evaluate,
     init_network,
     is_synchronized,
-    order_params,
 )
 from paritykex.protocol import ProtocolConfig
 from paritykex.rng import draw_inputs, seed_from_bytes
@@ -138,75 +135,6 @@ def test_expected_q_validates():
         expected_q(0, 32)
 
 
-# --- joint distribution -----------------------------------------------------------
-
-
-def test_joint_distribution_identical_nets_diagonal():
-    params = TpmParams(k=2, n=24, l=2)
-    net, _ = init_network(params, seed_from_bytes(b"joint-diag-seed!"))
-    twin = TpmNetwork(params, net.weights.copy())
-    joint = joint_distribution(net, twin, 0)
-    assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-    off_diagonal = joint - np.diag(np.diag(joint))
-    assert np.all(off_diagonal == 0)
-
-
-def test_joint_distribution_moments_match_order_params():
-    params = TpmParams(k=3, n=32, l=3)
-    rng = seed_from_bytes(b"joint-moments-0!")
-    net_a, rng = init_network(params, rng)
-    net_b, rng = init_network(params, rng)
-    values = np.arange(-3, 4, dtype=float)
-    for unit in range(3):
-        joint = joint_distribution(net_a, net_b, unit)
-        op = order_params(net_a, net_b, unit)
-        q_a = float(((values**2)[:, None] * joint).sum())
-        q_b = float(((values**2)[None, :] * joint).sum())
-        r = float((values[:, None] * values[None, :] * joint).sum())
-        assert q_a == pytest.approx(op.q_a, abs=1e-12)
-        assert q_b == pytest.approx(op.q_b, abs=1e-12)
-        assert r == pytest.approx(op.r, abs=1e-12)
-
-
-# --- step classification -----------------------------------------------------------
-
-
-def test_step_kinds_against_peer():
-    params = TpmParams(k=3, n=16, l=3)
-    rng = seed_from_bytes(b"step-kind-seed00")
-    seen = set()
-    for _ in range(300):
-        net_a, rng = init_network(params, rng)
-        net_b, rng = init_network(params, rng)
-        inputs, rng = draw_inputs(rng, 3, 16)
-        ev_a, ev_b = evaluate(net_a, inputs), evaluate(net_b, inputs)
-        kinds = step_kinds(ev_a, ev_b)
-        if ev_a.tau != ev_b.tau:
-            assert kinds == ("idle",) * 3
-        else:
-            for i, kind in enumerate(kinds):
-                if ev_a.sigmas[i] != ev_b.sigmas[i]:
-                    assert kind == "repulsive"
-                elif ev_a.sigmas[i] == ev_a.tau:
-                    assert kind == "attractive"
-                else:
-                    assert kind == "no_move"
-        seen.update(kinds)
-    assert {"idle", "attractive", "repulsive", "no_move"} <= seen
-
-
-def test_step_kinds_hand_computed():
-    def ev(sigmas):
-        return Evaluation(fields=np.zeros(len(sigmas)), sigmas=np.array(sigmas),
-                          tau=int(np.prod(sigmas)))
-
-    mine = ev([1, 1, -1, -1])
-    assert step_kinds(mine, ev([1, -1, 1, -1])) == (
-        "attractive", "repulsive", "repulsive", "no_move"
-    )
-    assert step_kinds(mine, ev([1, 1, 1, -1])) == ("idle",) * 4
-
-
 # --- key space and chi-square -------------------------------------------------------
 
 
@@ -240,13 +168,9 @@ def test_chi_square_validates():
 
 
 def test_single_trial_synchronizes_and_records_rho():
-    stats = run_single_trial(
-        TpmParams(3, 16, 2), "random_walk", b"single-trial-00!", 10**6, record_rho=True
-    )
+    stats = run_single_trial(TpmParams(3, 16, 2), "random_walk", b"single-trial-00!", 10**6)
     assert stats.synced
     assert stats.iterations > 0
-    assert len(stats.rho_trajectory) == stats.iterations
-    assert stats.rho_trajectory[-1] == pytest.approx(1.0)
 
 
 def test_sync_trials_reproducible():

@@ -115,6 +115,31 @@ def test_sweep_range_validation(capsys):
     assert main(["sweep", "--vary", "l", "--from", "3", "--to", "1", "--seed", SEED]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["attack", "--l-values", "200", "--trials", "2"],
+    ["sweep", "--vary", "l", "--from", "1", "--to", "2", "--trials", "0"],
+    ["sweep", "--vary", "n", "--from", "1", "--to", "2", "--trials", "2", "--mode", "protocol"],
+    ["exchange", "--drop", "2"],
+])
+def test_usage_error_on_bad_point_params(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--seed", SEED]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_checks_every_point_before_running_any(tmp_path, monkeypatch, capsys):
+    # l=126 and l=127 are valid, l=128 is not: nothing may run or be written
+    monkeypatch.chdir(tmp_path)
+    args = ["sweep", "--vary", "l", "--from", "126", "--to", "128", "--trials", "1",
+            "--cap", "5", "--seed", SEED]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: synaptic depth l must be <= 127\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_writes_csv(tmp_path, capsys):
     out = tmp_path / "attack.csv"
     code = main(

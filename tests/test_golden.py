@@ -16,8 +16,10 @@ from paritykex import (
     ProtocolConfig,
     TpmParams,
     derive_seed,
+    expected_q,
     run_attack_trials,
     run_exchange,
+    run_single_trial,
     run_sync_trials,
     serialize_weights,
     state_digest,
@@ -129,3 +131,24 @@ def test_trial_aggregates_and_csv_golden(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "b8f2e6c6feebfd34d8d7f32f920a23c93369c947dc83196de4d52388a9e06180"
     )
+
+
+# run_single_trial is the scalar oracle the lockstep engine is checked against.
+SINGLE_TRIALS = {
+    "random_walk": (b"golden-single-rw", 86),
+    "hebbian": (b"golden-single-hb", 88),
+    "anti_hebbian": (b"golden-single-ah", 141),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SINGLE_TRIALS))
+def test_single_trial_golden(rule):
+    seed, iterations = SINGLE_TRIALS[rule]
+    stats = run_single_trial(TpmParams(3, 16, 2), rule, seed)
+    assert (stats.iterations, stats.synced) == (iterations, True)
+    capped = run_single_trial(TpmParams(3, 16, 2), rule, seed, 50)
+    assert (capped.iterations, capped.synced) == (50, False)
+
+
+def test_expected_q_golden():
+    assert expected_q(3, 32) == 4.84264969828763

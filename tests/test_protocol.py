@@ -12,7 +12,6 @@ from paritykex.keycodec import extract_key, otp_transform, serialize_weights
 from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
 from paritykex.protocol import (
     RESYNC_ROUNDS,
-    SYNC_PROBE,
     DeliverKey,
     Fail,
     FrameArrived,
@@ -39,18 +38,17 @@ def test_integrity_check_monotone():
     assert not integrity_check(Frame(3, AckSyn(tau=1)), 5)
 
 
-def probe_of(net, st=b"SYNC-TEST-VECTOR"):
-    return sync_probe(serialize_weights(net), st)
+def probe_of(net):
+    return sync_probe(serialize_weights(net))
 
 
 def test_sync_test_roundtrip():
     params = TpmParams(k=3, n=32, l=3)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-0"))
-    st = b"SYNC-TEST-VECTOR"
-    probe = probe_of(net, st)
-    assert probe == probe_of(TpmNetwork(params, net.weights.copy()), st)
+    probe = probe_of(net)
+    assert probe == probe_of(TpmNetwork(params, net.weights.copy()))
     # the probe hides the constant under the weights and reveals it again
-    assert otp_transform(serialize_weights(net)[:16], probe) == st
+    assert otp_transform(serialize_weights(net)[:16], probe) == b"SYNC-TEST-VECTOR"
 
 
 def test_sync_test_sensitive_to_first_weights():
@@ -82,7 +80,7 @@ def test_sync_test_needs_enough_weights():
     params = TpmParams(k=1, n=4, l=1)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-3"))
     with pytest.raises(ValueError):
-        probe_of(net, bytes(16))
+        probe_of(net)
 
 
 # --- config validation --------------------------------------------------------
@@ -329,7 +327,7 @@ def test_receiver_replay_rejected():
 def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net), SYNC_PROBE)
+    probe = sync_probe(serialize_weights(rstate.net))
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     assert state2.phase == "certifying"
@@ -350,7 +348,7 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 def test_receiver_auth_verification_and_rejection():
     cfg = config(max_attempts=3)
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net), SYNC_PROBE)
+    probe = sync_probe(serialize_weights(rstate.net))
     syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
     state, actions, rng = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     session = state.session
