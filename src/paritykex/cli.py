@@ -126,6 +126,8 @@ def _run_exchange(args: argparse.Namespace) -> int:
             latency_ticks=args.latency,
             rng_seed=int.from_bytes(derive_seed(seed, "channel")[:8], "big"),
         )
+        if (args.listen or args.connect) and not args.tick_ms > 0:
+            raise ValueError(f"--tick-ms must be positive, got {args.tick_ms}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,6 +207,8 @@ def run_udp(
 
     Returns the final state, the delivered key and the failure reason.
     """
+    if not tick_ms > 0:
+        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
     host = Endpoint(role, cfg, seed, lambda datagram, now: transport.send(datagram))
     t0 = time.monotonic()
 

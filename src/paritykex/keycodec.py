@@ -14,10 +14,9 @@ length-preserving can be swapped in through the same seam.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
-
-from .network import TpmNetwork
+from .network import TpmNetwork, plane_values
 
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
@@ -56,23 +55,26 @@ def decode_weight(b: int) -> int:
     return magnitude
 
 
-# Entry b is the byte of the weight whose low two's-complement byte is b
-# (0x80, whose weight -128 no bank holds, is filled with the byte of -127).
-_WEIGHT_BYTES = np.array(
-    [encode_weight(b if b < 0x80 else max(b - 0x100, -127)) for b in range(256)], dtype=np.uint8
-)
+@lru_cache(maxsize=None)
+def _offset_bytes(l: int) -> bytes:
+    """Translation table from w + l, for w in [-l, +l], to the byte of w."""
+    return bytes(encode_weight(min(u, 2 * l) - l) for u in range(256))
 
 
 def serialize_weights(net: TpmNetwork) -> bytes:
-    """Serialize the bank row-major, one byte per weight.
+    """Serialize the bank row-major, one byte per weight."""
+    p = net.params
+    return plane_values(net, p.k * p.n).translate(_offset_bytes(p.l))
 
-    The bytes are kept on the network, which is immutable, so a bank that
-    a round leaves unchanged is serialized once.
-    """
-    material = net.__dict__.get("_material")
-    if material is None:
-        material = net.__dict__["_material"] = _WEIGHT_BYTES[net.weights.astype(np.uint8)].tobytes()
-    return material
+
+def serialize_prefix(net: TpmNetwork) -> bytes:
+    """The first ``KEY_BYTES`` bytes of ``serialize_weights(net)``, kept on the network so
+    that the probe of a bank a round leaves unchanged is built once."""
+    prefix = net.__dict__.get("_prefix")
+    if prefix is None:
+        values = plane_values(net, KEY_BYTES)
+        prefix = net.__dict__["_prefix"] = values.translate(_offset_bytes(net.params.l))
+    return prefix
 
 
 def key_group_count(material: bytes) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Optional
 
 import numpy as np
@@ -46,15 +47,12 @@ class TpmParams:
             raise ValueError(f"synaptic depth l must be <= {MAX_DEPTH}")
 
 
-@dataclass(frozen=True, eq=False)
 class TpmNetwork:
-    """Immutable weight state: integer matrix of shape (k, n)."""
+    """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
+    form is built from the other on first read.  The protocol round runs on the planes."""
 
-    params: TpmParams
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        p, w = self.params, self.weights
+    def __init__(self, params: TpmParams, weights: np.ndarray):
+        p, w = params, weights
         if w.dtype.kind not in "iu":
             raise ValueError("weights must have an integer dtype")
         if w.shape != (p.k, p.n):
@@ -63,6 +61,38 @@ class TpmNetwork:
         if not (w.min() >= -p.l and w.max() <= p.l):
             raise ValueError("weights exceed the synaptic depth bound")
         w.setflags(write=False)
+        self.__dict__.update(params=params, weights=w)
+
+    @classmethod
+    def from_planes(cls, params: TpmParams, planes: tuple[tuple[int, ...], ...]) -> "TpmNetwork":
+        """A bank held as ``planes`` (see ``planes``); ValueError where a weight exceeds +l."""
+        for unit in planes:
+            # w + l > 2l where adding 2^depth - 1 - 2l to it carries out of the top plane
+            carry, add = 0, (1 << len(unit)) - 1 - 2 * params.l
+            for b, plane in enumerate(unit):
+                carry = plane | carry if add >> b & 1 else plane & carry
+            if carry:
+                raise ValueError("weights exceed the synaptic depth bound")
+        net = object.__new__(cls)
+        net.__dict__.update(params=params, planes=planes)
+        return net
+
+    @cached_property
+    def planes(self) -> tuple[tuple[int, ...], ...]:
+        """Per unit, ``(2l).bit_length()`` n-bit ints: bit j of plane b is bit b of w[j] + l."""
+        u = (self.weights + self.params.l).astype(np.uint8)
+        depth = (2 * self.params.l).bit_length()
+        return tuple(tuple(int.from_bytes(np.packbits(row >> b & 1, bitorder="little"), "little")
+                           for b in range(depth)) for row in u)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The read-only int32 (k, n) bank."""
+        p = self.params
+        values = np.frombuffer(plane_values(self, p.k * p.n), np.uint8)
+        w = values.reshape(p.k, p.n).astype(np.int32) - p.l
+        w.setflags(write=False)
+        return w
 
     @property
     def active_weights(self) -> np.ndarray:
@@ -77,12 +107,6 @@ class Evaluation:
     fields: np.ndarray
     sigmas: np.ndarray
     tau: int
-
-    @classmethod
-    def of(cls, w: np.ndarray, x: np.ndarray) -> "Evaluation":
-        """The forward pass of bank ``w`` on inputs ``x``, which are trusted to be +-1."""
-        sums, sigmas, tau = forward(w, x)
-        return cls(fields=sums / math.sqrt(w.shape[-1]), sigmas=sigmas.astype(np.int32), tau=int(tau))
 
 
 @dataclass(frozen=True)
@@ -165,13 +189,75 @@ def learn(
     return np.minimum(np.maximum(w + x * moving[..., None], -l), l)
 
 
+# Entry b spreads the bits of b, LSB first, to the low bits of eight little-endian bytes.
+_SPREAD = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+           .view("<u8").ravel().tolist())
+
+
+def plane_values(net: TpmNetwork, count: int) -> bytes:
+    """w + l of the first ``count`` weights, row-major, one byte each, read off the bit planes."""
+    value = start = 0
+    for unit in net.planes[: -(-count // net.params.n)]:
+        take, b = min(net.params.n, count - start), 8 * start
+        for plane in unit:
+            for c in range(0, take, 8):
+                value |= _SPREAD[plane >> c & 0xFF] << (8 * c + b)
+            b += 1
+        start += take
+    return (value & ((1 << 8 * start) - 1)).to_bytes(start, "little")
+
+
+def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
+    """``forward``'s signs and tau for one bank; bit j of ``masks[i]`` set means x[i, j] = +1.
+
+    With u = w + l in planes P_b: sum_j w_j x_j = sum_b 2^b (2|P_b & m| - |P_b|) - l (2|m| - n).
+    """
+    l, n = net.params.l, net.params.n
+    sigmas = []
+    for unit, mask in zip(net.planes, masks):
+        total, b = l * (n - 2 * mask.bit_count()), 0
+        for plane in unit:
+            total += (2 * (plane & mask).bit_count() - plane.bit_count()) << b
+            b += 1
+        sigmas.append(1 if total > 0 else -1)
+    return sigmas, math.prod(sigmas)
+
+
+def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -> TpmNetwork:
+    """``learn`` for one bank on its bit planes, on a step where both sides announced ``tau``:
+    a ripple carry or borrow through the planes, dropped where w is already +l or -l (the clamp)."""
+    p = net.params
+    top, full = 2 * p.l, (1 << p.n) - 1
+    step = tau if rule == "hebbian" else -tau if rule == "anti_hebbian" else 1
+    units = []
+    for unit, mask, sigma in zip(net.planes, masks, sigmas):
+        if sigma == tau:
+            up = mask if step > 0 else full ^ mask
+            # no w + l exceeds 2l, so one holding every bit of 2l equals it
+            at_top, nonzero = full, 0
+            for b, plane in enumerate(unit):
+                nonzero |= plane
+                if top >> b & 1:
+                    at_top &= plane
+            carry, borrow = up & ~at_top, (full ^ up) & nonzero
+            moved = []
+            for plane in unit:
+                moved.append(plane ^ (carry | borrow))
+                carry &= plane
+                borrow &= ~plane
+            unit = tuple(moved)
+        units.append(unit)
+    return TpmNetwork.from_planes(p, tuple(units))
+
+
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
     """Forward pass.
 
     fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas and tau are
     those of ``forward``.
     """
-    return Evaluation.of(net.weights, _check_inputs(net.params, inputs))
+    sums, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
+    return Evaluation(sums / math.sqrt(net.params.n), sigmas.astype(np.int32), int(tau))
 
 
 def apply_learning(

@@ -43,10 +43,11 @@ from .keycodec import (
     extract_key,
     key_group_count,
     otp_transform,
+    serialize_prefix,
     serialize_weights,
 )
-from .network import LEARNING_RULES, Evaluation, LearningRule, TpmNetwork, TpmParams, learn
-from .rng import RngState, draw_inputs, next_bytes, next_word, seed_from_bytes
+from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, forward_planes, learn_planes
+from .rng import RngState, draw_input_masks, next_bytes, next_word, seed_from_bytes
 
 logger = logging.getLogger(__name__)
 
@@ -143,11 +144,12 @@ Action = Union[SendFrame, SetTimer, DeliverKey, Fail]
 
 @dataclass(frozen=True, eq=False)
 class PendingRound:
-    """The sender's outstanding SYN: id plus the inputs it was built from."""
+    """The sender's outstanding SYN: id, its input masks and the unit signs and output on them."""
 
     frame_id: int
-    inputs: np.ndarray
-    evaluation: Evaluation
+    inputs: list[int]
+    sigmas: list[int]
+    tau: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +158,6 @@ class SenderState:
     phase: Phase = "idle"
     next_id: int = 0
     attempts: int = 0
-    timer: Optional[int] = None
     session: Optional[SessionKey] = None
     pending: Optional[PendingRound] = None
     auth_id: Optional[int] = None
@@ -204,9 +205,8 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     h.update(type(state).__name__.encode())
     h.update(state.phase.encode())
     h.update(state.net.weights.tobytes())
-    # the fixed zero word and the receiver's -1 (it keeps no timer) keep earlier digests' bytes
-    timer = state.timer if isinstance(state, SenderState) else None
-    for number in (state.iterations, 0, -1 if timer is None else timer):
+    # the fixed zero word and the -1 where a timer was once hashed keep earlier digests' bytes
+    for number in (state.iterations, 0, -1):
         h.update(int(number).to_bytes(8, "big", signed=True))
     if state.session is not None:
         h.update(state.session.key + bytes([state.session.iv]))
@@ -217,29 +217,14 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
         h.update(int(-1 if state.auth_id is None else state.auth_id).to_bytes(8, "big", signed=True))
         if state.pending is not None:
             h.update(int(state.pending.frame_id).to_bytes(8, "big"))
-            h.update(np.asarray(state.pending.inputs).tobytes())
+            n = state.net.params.n
+            signs = [[1 if mask >> j & 1 else -1 for j in range(n)] for mask in state.pending.inputs]
+            h.update(np.array(signs, dtype=np.int32).tobytes())
     else:
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))
         h.update(int(state.cert_failures).to_bytes(8, "big"))
         h.update(int(state.fin_holdoff).to_bytes(8, "big"))
     return h.hexdigest()
-
-
-# --- the learning round, shared by both sides ----------------------------
-
-
-def _round_inputs(cfg: ProtocolConfig, seed: bytes) -> np.ndarray:
-    """Inputs for one round, drawn from a generator seeded with the SYN seed."""
-    inputs, _ = draw_inputs(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
-    if np.count_nonzero(np.abs(inputs) != 1):
-        raise ValueError("round inputs must be +-1 valued")
-    return inputs
-
-
-def _learned(net: TpmNetwork, inputs: np.ndarray, ev: Evaluation, rule: LearningRule) -> TpmNetwork:
-    """The bank after a step on which both sides announced ``ev.tau``."""
-    w = learn(net.weights, inputs, ev.sigmas, ev.tau, True, rule, net.params.l)
-    return TpmNetwork(net.params, w.astype(np.int32, copy=False))
 
 
 # --- sender --------------------------------------------------------------
@@ -250,17 +235,16 @@ def _sender_new_round(
 ) -> tuple[SenderState, tuple[Action, ...], RngState]:
     frame_id = state.next_id
     seed, rng = next_bytes(rng, 16)
-    inputs = _round_inputs(cfg, seed)
-    evaluation = Evaluation.of(state.net.weights, inputs)
-    probe = sync_probe(serialize_weights(state.net))
-    frame = Frame(frame_id, Syn(seed=seed, tau=evaluation.tau, ek_st=probe))
+    inputs, _ = draw_input_masks(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
+    sigmas, tau = forward_planes(state.net, inputs)
+    probe = sync_probe(serialize_prefix(state.net))
+    frame = Frame(frame_id, Syn(seed=seed, tau=tau, ek_st=probe))
     state = _evolve(
         state,
         phase="synchronizing",
         next_id=frame_id + 1,
         attempts=state.attempts + 1,
-        timer=cfg.timeout_ticks,
-        pending=PendingRound(frame_id, inputs, evaluation),
+        pending=PendingRound(frame_id, inputs, sigmas, tau),
         auth_id=None,
         rounds=state.rounds + 1,
     )
@@ -278,7 +262,6 @@ def _sender_send_auth(
         phase="certifying",
         next_id=frame_id + 1,
         attempts=state.attempts + 1,
-        timer=cfg.timeout_ticks,
         pending=None,
         auth_id=frame_id,
     )
@@ -303,7 +286,7 @@ def sender_advance(
             return state, (), rng
         if state.attempts >= cfg.max_attempts:
             return (
-                _evolve(state, phase="failed", timer=None),
+                _evolve(state, phase="failed"),
                 (Fail("attempts exceeded"),),
                 rng,
             )
@@ -322,7 +305,7 @@ def sender_advance(
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
             pending = state.pending
-            net = _learned(state.net, pending.inputs, pending.evaluation, cfg.rule)
+            net = learn_planes(state.net, pending.inputs, pending.sigmas, pending.tau, cfg.rule)
             state = _evolve(state, net=net, attempts=0, iterations=state.iterations + 1)
             return _sender_new_round(state, cfg, rng)
         if isinstance(payload, NakSyn):
@@ -348,9 +331,9 @@ def sender_advance(
             assert state.session is not None
             if otp_transform(state.session.key, payload.ek_code) == cfg.rsc:
                 session = state.session
-                state = _evolve(state, phase="established", timer=None, attempts=0)
+                state = _evolve(state, phase="established", attempts=0)
                 return state, (DeliverKey(session),), rng
-            state = _evolve(state, phase="failed", timer=None)
+            state = _evolve(state, phase="failed")
             return state, (Fail("peer certification failed"),), rng
         if isinstance(payload, NakSyn):
             # receiver rejected our certification: the probe matched but the
@@ -370,14 +353,14 @@ def sender_advance(
 def _receiver_learning_reply(
     state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
 ) -> tuple[ReceiverState, tuple[Action, ...]]:
-    inputs = _round_inputs(cfg, syn.seed)
-    evaluation = Evaluation.of(state.net.weights, inputs)
-    if evaluation.tau == syn.tau:
-        net = _learned(state.net, inputs, evaluation, cfg.rule)
+    inputs, _ = draw_input_masks(seed_from_bytes(syn.seed), cfg.params.k, cfg.params.n)
+    sigmas, tau = forward_planes(state.net, inputs)
+    if tau == syn.tau:
+        net = learn_planes(state.net, inputs, sigmas, tau, cfg.rule)
         state = _evolve(state, net=net, iterations=state.iterations + 1)
-        reply: Frame = Frame(frame.frame_id, AckSyn(tau=evaluation.tau))
+        reply: Frame = Frame(frame.frame_id, AckSyn(tau=tau))
     else:
-        reply = Frame(frame.frame_id, NakSyn(tau=evaluation.tau))
+        reply = Frame(frame.frame_id, NakSyn(tau=tau))
     return state, (SendFrame(reply),)
 
 
@@ -402,8 +385,7 @@ def receiver_advance(
             return state, (), rng
         phase = "synchronizing" if state.phase == "idle" else state.phase
         state = _evolve(state, last_seen_id=frame.frame_id, phase=phase)
-        material = serialize_weights(state.net)
-        synced = sync_probe(material) == payload.ek_st
+        synced = sync_probe(serialize_prefix(state.net)) == payload.ek_st
 
         if synced and state.session is not None:
             # FIN_SYN or AUTH got lost; repeat the standing offer
@@ -412,6 +394,7 @@ def receiver_advance(
             # the probe stopped matching: the earlier offer was premature
             state = _evolve(state, session=None, phase="synchronizing")
         if synced and state.fin_holdoff == 0:
+            material = serialize_weights(state.net)
             word, rng = next_word(rng)
             iv = word % key_group_count(material)
             session = extract_key(material, iv)

@@ -92,8 +92,17 @@ def next_bytes(state: RngState, count: int) -> tuple[bytes, RngState]:
     return buf[:count], state
 
 
-# Row b holds the +-1 entries of byte b, LSB first: bit 1 -> +1, bit 0 -> -1.
-_BYTE_SIGNS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int32) * 2 - 1
+def draw_input_masks(state: RngState, k: int, n: int) -> tuple[list[int], RngState]:
+    """``draw_inputs`` as k n-bit masks: bit j of mask i is set where entry (i, j) is +1."""
+    words, s0, s1 = _steps(state.s0, state.s1, -(-k * n // 64))
+    stream = 0
+    for word in reversed(words):
+        stream = stream << 64 | word
+    full, masks = (1 << n) - 1, []
+    for _ in range(k):
+        masks.append(stream & full)
+        stream >>= n
+    return masks, RngState(s0, s1)
 
 
 def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
@@ -104,12 +113,8 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
-    total = k * n
-    nwords = -(-total // 64)
-    words, s0, s1 = _steps(state.s0, state.s1, nwords)
-    stream = np.frombuffer(b"".join(w.to_bytes(8, "little") for w in words), dtype=np.uint8)
-    signs = _BYTE_SIGNS.take(stream, axis=0).reshape(-1)
-    return signs[:total].reshape(k, n), RngState(s0, s1)
+    masks, state = draw_input_masks(state, k, n)
+    return np.array([[m >> j & 1 for j in range(n)] for m in masks], dtype=np.int32) * 2 - 1, state
 
 
 # --- lane-wise generator ------------------------------------------------------

@@ -99,6 +99,18 @@ def test_udp_mode_requires_explicit_seed(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tick_ms", ["0", "-1", "nan"])
+@pytest.mark.parametrize("mode", ["--listen", "--connect"])
+def test_udp_mode_rejects_nonpositive_tick_ms(monkeypatch, capsys, mode, tick_ms):
+    # --tick-ms 0 died with a ZeroDivisionError (exit 1); a negative tick ran the clock backwards
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    assert main(["exchange", mode, "127.0.0.1:39999", "--seed", SEED, f"--tick-ms={tick_ms}"]) == 2
+    assert "error: --tick-ms must be positive" in capsys.readouterr().err
+
+
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     args = ["sweep", "--vary", "l", "--from", "1", "--to", "2", "--trials", "5",
             "--n", "16", "--seed", SEED]

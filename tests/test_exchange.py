@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from paritykex.channel import ChannelConfig, UdpTransport
 from paritykex.exchange import (
     derive_seed,
@@ -145,3 +147,18 @@ def test_udp_endpoints_agree_over_loopback():
     finally:
         receiver_transport.close()
         sender_transport.close()
+
+
+class UnusedTransport:
+    """A transport that fails the test if the runner touches it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"transport.{name} used")
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize("tick_ms", [0, -1.0, float("nan")])
+def test_udp_runner_rejects_nonpositive_tick(role, tick_ms):
+    # a zero tick divided by zero in the clock and a negative one ran it backwards
+    with pytest.raises(ValueError, match="tick_ms"):
+        run_udp(role, config(), b"udp-tick-check-0", UnusedTransport(), tick_ms)

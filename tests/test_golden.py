@@ -152,3 +152,79 @@ def test_single_trial_golden(rule):
 
 def test_expected_q_golden():
     assert expected_q(3, 32) == 4.84264969828763
+
+
+# One digest per exchange over everything a fixed seed must reproduce.  The
+# depths cover banks of 2 (l=1), 3 (l=2, 3) and 4 (l=5, 7) bits per weight;
+# the k=2, n=13 banks have units that are not whole bytes and a 16-weight
+# probe that spans both units; the "impaired" cases run over the benchmark's
+# impaired link.  Anti-hebbian partners at l >= 5 practically never
+# synchronize, so those two run over a link that loses 40% of the frames
+# until the sender gives up.  Every case ends settled.
+BENCH_LINK = dict(drop_prob=0.1, dup_prob=0.05, corrupt_prob=0.02, reorder_prob=0.05)
+FAILING_LINK = dict(drop_prob=0.4)
+BATCH_CAP = 3000
+
+
+def batch_cases():
+    for rule in ("random_walk", "hebbian", "anti_hebbian"):
+        for l in (1, 2, 3, 5, 7):
+            failing = rule == "anti_hebbian" and l >= 5
+            yield f"{rule}-k3n32l{l}", 3, 32, l, rule, FAILING_LINK if failing else None
+        for l in (1, 3):
+            yield f"{rule}-k2n13l{l}", 2, 13, l, rule, None
+    for l, rule, link_seed in ((1, "random_walk", 1), (1, "random_walk", 2), (1, "hebbian", 3),
+                               (3, "random_walk", 4), (1, "anti_hebbian", 5)):
+        yield f"impaired-{rule}-l{l}-{link_seed}", 3, 32, l, rule, dict(BENCH_LINK, rng_seed=link_seed)
+
+
+def exchange_digest(outcome):
+    h = hashlib.sha256()
+    for key in (outcome.sender_key, outcome.receiver_key):
+        h.update(b"-" if key is None else key.key + bytes([key.iv]))
+    for number in (outcome.rounds, outcome.iterations, outcome.ticks, outcome.decode_failures):
+        h.update(number.to_bytes(8, "big"))
+    for state in (outcome.sender, outcome.receiver):
+        h.update(state_digest(state).encode())
+        h.update(serialize_weights(state.net))
+    return h.hexdigest()
+
+
+BATCH_DIGESTS = {
+    "random_walk-k3n32l1": "3d51cf5ac3c51977a1df439fd74912fee88653ed574e113f63e13ee6bceafde4",
+    "random_walk-k3n32l2": "03e59a5e24ffa50df7f3b48bee8d7a8bdd12840e6a8c798bb5a0b1f47aea1fde",
+    "random_walk-k3n32l3": "c9c25fce7c13ead142d051a59b209df7d471772bd7bc432278e65fbfde98140b",
+    "random_walk-k3n32l5": "31e1993bcf78e1f0a9c3ae06f5417e28cafdd40cd37f79034099a57d53755015",
+    "random_walk-k3n32l7": "24c699cc6802dda0a30d4ab0ad38f358247538c69d81cb26b218a9b69b823198",
+    "random_walk-k2n13l1": "9724c7bae40786433a1e71e3ba90ea8fdbf33e47a023cfb2f5db4166551c30b8",
+    "random_walk-k2n13l3": "568e201da2a43ef9316d36c5225220e640bfa24ba19556c49d94e0e631fb7ad4",
+    "hebbian-k3n32l1": "33963fb695752f6fd66cb1febc9fc596df739c4ec28f46492c5aa072cd80cfd4",
+    "hebbian-k3n32l2": "eb06085d4628ab6ee025857df2dd56c66678d04a1114dc8f6537f612dd64b1a5",
+    "hebbian-k3n32l3": "811077b1a3b45abb38b81f73d69944a481193a550bad85332c4d1bee8ff753aa",
+    "hebbian-k3n32l5": "de8dce38c9a0f5a6f3198c71ec879f377813a6f390767b515109568f2bd15f33",
+    "hebbian-k3n32l7": "2696c7ccaee04e4cb83a3975fafbccf2ed9a7bfcdc0cf3ea07758319e33028c8",
+    "hebbian-k2n13l1": "efb2a6ddac1abe81d1fe12952248f430ab5e8375d169d1d3ff1a18b5e357ec66",
+    "hebbian-k2n13l3": "9d3051a7c7d7edcfc74e54c187f2018bc42ad3cff9abf89d08e9ead6f99debdb",
+    "anti_hebbian-k3n32l1": "484f1919bcb42603e7d8a542b4bcb747f8b45175e569fe77f8c95d43f1e3f8c7",
+    "anti_hebbian-k3n32l2": "910227b339b316ffa74747454f8469a367101f56dbc5cc9c99a87b5d247eeeab",
+    "anti_hebbian-k3n32l3": "8d6b7a0fbe75bd799984a4c90bba99ff6d81b560dc57abe66a1cd0d9a87bb367",
+    "anti_hebbian-k3n32l5": "e4c682840a1ed9d4a18fa9b75e42784386881013235b5e01c4f134e1189887a3",
+    "anti_hebbian-k3n32l7": "516fd03c20e74fad1505bb20643859e33b674afce3c624d248432f60df4073bc",
+    "anti_hebbian-k2n13l1": "b04c3124edb49bc29603ebb7363b57380ab09cbe814ef465215a659e5aaf6a5e",
+    "anti_hebbian-k2n13l3": "80b3b94d1acf86d707ad55a2cf0cd5d8f68ae0fcfd1e307d81b3728c14694b09",
+    "impaired-random_walk-l1-1": "de1c5c0d5d0a08b717bd2722ad47b99f727ca424b72267b9e98fa82c508aab45",
+    "impaired-random_walk-l1-2": "010fd279e387ac885e4f649e4a85ade7eb99b8d0fdabd7236ccaa7637fd2edff",
+    "impaired-hebbian-l1-3": "6def341b2a8e6eeeb56ae27fcf19263711843cae45c3c3b75bcd186346c24159",
+    "impaired-random_walk-l3-4": "75293c417f753d96c275dfe2620cd0ca474b5f85ab41dc9665cdb4bc64f0c603",
+    "impaired-anti_hebbian-l1-5": "a8a4ddd3b69b8ea59a1a261bd61fd6f513b7768a4b63bdf712fe8aa51c13fa83",
+}
+
+
+def test_exchange_batch_golden():
+    digests = {}
+    for name, k, n, l, rule, link in batch_cases():
+        cfg = replace(config(l), params=TpmParams(k=k, n=n, l=l), rule=rule)
+        outcome = run_exchange(cfg, f"golden-batch-{name}".encode(), ChannelConfig(**link or {}), BATCH_CAP)
+        assert outcome.sender.phase in ("established", "failed"), name
+        digests[name] = exchange_digest(outcome)
+    assert digests == BATCH_DIGESTS

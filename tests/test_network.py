@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from paritykex.keycodec import encode_weight, serialize_prefix, serialize_weights
 from paritykex.network import (
+    LEARNING_RULES,
     TpmNetwork,
     TpmParams,
     apply_learning,
     evaluate,
     forward,
+    forward_planes,
     init_network,
     init_network_lanes,
     is_synchronized,
     learn,
+    learn_planes,
     order_params,
 )
-from paritykex.rng import draw_inputs, seed_from_bytes, seed_lanes
+from paritykex.rng import draw_input_masks, draw_inputs, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -409,3 +413,109 @@ def test_full_run_reaches_and_keeps_synchronization():
         net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
         net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
         assert is_synchronized(net_a, net_b)
+
+
+# --- the bit-plane kernel of the protocol round ---------------------------------
+
+PLANE_SHAPES = [(k, n, l) for k in (1, 3, 4) for n in (1, 7, 8, 13, 32, 33, 64)
+                for l in (1, 2, 3, 5, 64, 127)]
+
+
+def masks_of(x):
+    """The n-bit input masks of a (k, n) +-1 matrix: bit j of mask i set where x[i, j] = +1."""
+    return [sum(1 << j for j, v in enumerate(row) if v > 0) for row in x.tolist()]
+
+
+def zero_sum_bank(gen, x, l):
+    """A random bank whose every unit sum over ``x`` is 0: shrink weights pushing the sum away."""
+    w = gen.integers(-l, l + 1, size=x.shape)
+    for row, xs in zip(w, x):
+        total = int(row @ xs)
+        for j in gen.permutation(len(row)):
+            if total and row[j] and (row[j] * xs[j] > 0) == (total > 0):
+                cut = min(abs(int(row[j])), abs(total)) * np.sign(row[j])
+                row[j] -= cut
+                total -= int(cut * xs[j])
+        assert total == 0
+    return w
+
+
+def cross_check_banks(gen, k, n, l):
+    """(weights, inputs) pairs: uniform banks, banks saturated at +-l and zero-sum banks."""
+    for kind in ("uniform", "saturated", "zero sums"):
+        for _ in range(8):
+            x = gen.choice([-1, 1], size=(k, n))
+            if kind == "uniform":
+                w = gen.integers(-l, l + 1, size=(k, n))
+            elif kind == "saturated":
+                w = gen.choice([-l, l], size=(k, n))
+            else:
+                w = zero_sum_bank(gen, x, l)
+            yield w.astype(np.int32), x
+
+
+def test_plane_kernel_matches_the_array_kernel():
+    gen = np.random.default_rng(20261019)
+    banks = 0
+    for k, n, l in PLANE_SHAPES:
+        params = TpmParams(k, n, l)
+        for w, x in cross_check_banks(gen, k, n, l):
+            net = TpmNetwork.from_planes(params, TpmNetwork(params, w).planes)
+            masks = masks_of(x)
+            _, sigmas, tau = forward(w, x)
+            assert forward_planes(net, masks) == (sigmas.tolist(), int(tau))
+            for rule in LEARNING_RULES:
+                expected = learn(w, x, sigmas, tau, True, rule, l)
+                assert np.array_equal(learn_planes(net, masks, sigmas.tolist(), int(tau), rule).weights,
+                                      expected), (k, n, l, rule)
+            banks += 1
+    assert banks >= 3000
+
+
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_plane_kernel_tracks_the_array_kernel_over_long_runs(rule):
+    # long enough for weights to pile up at both bounds
+    for k, n, l in ((3, 32, 1), (2, 13, 3), (4, 33, 5)):
+        params = TpmParams(k, n, l)
+        net, rng = init_network(params, seed_from_bytes(b"plane-long-run-0"))
+        w = net.weights
+        for _ in range(300):
+            masks, _ = draw_input_masks(rng, k, n)
+            x, rng = draw_inputs(rng, k, n)
+            assert masks == masks_of(x)
+            _, sigmas, tau = forward(w, x)
+            w = learn(w, x, sigmas, tau, True, rule, l)
+            net = learn_planes(net, masks, *forward_planes(net, masks), rule)
+            assert np.array_equal(net.weights, w)
+
+
+@pytest.mark.parametrize("k, n, l", PLANE_SHAPES[::5])
+def test_weights_round_trip_through_planes(k, n, l):
+    params = TpmParams(k, n, l)
+    w = np.random.default_rng(k * 1000 + n * 10 + l).integers(-l, l + 1, size=(k, n), dtype=np.int32)
+    back = TpmNetwork.from_planes(params, TpmNetwork(params, w.copy()).planes)
+    assert len(back.planes) == k and {len(unit) for unit in back.planes} == {(2 * l).bit_length()}
+    assert back.weights.dtype == np.int32 and not back.weights.flags.writeable
+    assert np.array_equal(back.weights, w)
+    material = bytes(encode_weight(int(v)) for v in w.ravel())
+    assert serialize_weights(back) == material
+    assert serialize_prefix(back) == material[:16]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
+def test_plane_bank_above_the_bound_is_rejected(l):
+    params = TpmParams(2, 5, l)
+    depth = (2 * l).bit_length()
+
+    def bank(value):
+        # unit 1, weight 3 holds w + l = value; every other weight is 0
+        planes = [[(l >> b & 1) * 0b11111 for b in range(depth)] for _ in range(2)]
+        for b in range(depth):
+            planes[1][b] = planes[1][b] & ~(1 << 3) | (value >> b & 1) << 3
+        return tuple(tuple(unit) for unit in planes)
+
+    assert TpmNetwork.from_planes(params, bank(2 * l)).weights[1, 3] == l
+    assert TpmNetwork.from_planes(params, bank(0)).weights[1, 3] == -l
+    for value in (2 * l + 1, (1 << depth) - 1):
+        with pytest.raises(ValueError, match="bound"):
+            TpmNetwork.from_planes(params, bank(value))

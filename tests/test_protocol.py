@@ -198,8 +198,8 @@ def test_sender_ack_applies_learning_and_opens_next_round():
     assert any(isinstance(a, SendFrame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
     moved = not np.array_equal(state2.net.active_weights, before)
-    ev = state.pending.evaluation
-    assert moved == bool(np.any(ev.sigmas == ev.tau))
+    pending = state.pending
+    assert moved == (pending.tau in pending.sigmas)
 
 
 def test_sender_nak_keeps_weights():
