@@ -1,16 +1,17 @@
 """A complete key exchange: synchronization, sync probe, certification.
 
 The sender opens numbered rounds (SYN carries the input seed, its output
-bit, and the probe encrypted under its first 128 serialized weight bits).
-Once the receiver can decrypt the probe it picks one of the six 128-bit
-weight groups as the session key and both sides prove knowledge of their
-secret codes under that key.  The same run is then repeated over a lossy,
-duplicating, corrupting channel.
+bit, and a SHA-256 probe of its whole weight bank bound to the round).
+Once the receiver's own bank gives the same probe, the banks are equal: it
+names a group index, both sides derive the session key from their whole
+bank with HKDF salted by that index, and each proves knowledge of its
+secret code with an HMAC over the key.  The same run is then repeated over
+a lossy, duplicating, corrupting channel.
 """
 
 from dataclasses import replace
 
-from paritykex import ChannelConfig, ProtocolConfig, TpmParams, run_exchange
+from paritykex import ChannelConfig, ProtocolConfig, TpmParams, is_synchronized, run_exchange
 
 cfg = ProtocolConfig(
     params=TpmParams(k=3, n=32, l=3),
@@ -28,12 +29,11 @@ print(f"established in {outcome.rounds} rounds "
       f"({outcome.iterations} weight updates, {outcome.ticks} ticks)")
 print(f"sender key:   {outcome.sender_key.key.hex()}")
 print(f"receiver key: {outcome.receiver_key.key.hex()}")
-print(f"chosen group: {outcome.sender_key.iv} of 6")
+print(f"group index (the HKDF salt): {outcome.sender_key.iv} of 6")
 print(f"wire traffic: {outcome.channel.frames_sent} frames, "
       f"{outcome.channel.bytes_sent} bytes")
-print(f"certification retries: {outcome.receiver.cert_failures} "
-      "(the 128-bit probe can pass while later weight groups still differ;"
-      " certification catches that and the endpoints resume synchronizing)")
+print(f"weight banks equal: {is_synchronized(outcome.sender.net, outcome.receiver.net)} "
+      "(a key is offered only when the whole-bank probe matches)")
 
 print("\n=== drop 10% / duplicate 5% / corrupt 2% ===")
 # a shallower network recovers faster here: every lost reply leaves the

@@ -49,7 +49,6 @@ from .keycodec import (
     decode_weight,
     encode_weight,
     extract_key,
-    otp_transform,
     serialize_weights,
 )
 from .network import (

@@ -54,7 +54,7 @@ class FrameTruncatedError(FrameError):
 
 @dataclass(frozen=True)
 class Syn:
-    """Synchronization round: input seed, sender output, encrypted probe."""
+    """Synchronization round: input seed, sender output, whole-bank probe."""
 
     seed: bytes
     tau: int
@@ -63,7 +63,7 @@ class Syn:
 
 @dataclass(frozen=True)
 class FinSyn:
-    """Synchronization confirmed; iv selects the key group."""
+    """Synchronization confirmed; iv is the group index that salts the session key."""
 
     iv: int
 
@@ -77,14 +77,14 @@ class AckSyn:
 
 @dataclass(frozen=True)
 class NakSyn:
-    """Outputs differed (or certification was rejected); no update."""
+    """Outputs differed; no update."""
 
     tau: int
 
 
 @dataclass(frozen=True)
 class Auth:
-    """Certification: a secret code encrypted under the session key."""
+    """Certification: an HMAC of the session key under a secret code."""
 
     ek_code: bytes
 

@@ -1,18 +1,17 @@
-"""Weight serialization and session-key extraction.
+"""Weight serialization and session-key derivation.
 
 Each weight becomes one byte: the MSB carries the sign (1 = negative) and
 the low seven bits the magnitude, so depths up to 127 round-trip exactly.
-The serialized bank is the key material; a session key is one
-128-bit slice of it, selected by a group index.  The byte 0x80 ("minus
-zero") is never produced but decodes to 0 so decoding is total.
-
-The stream transform used for the synchronization probe and the
-certification codes is a one-time-pad XOR; anything self-inverse and
-length-preserving can be swapped in through the same seam.
+The serialized bank is the key material; a session key is HKDF-SHA256
+(RFC 5869) over all of it, salted with the one-byte group index the
+receiver's FIN_SYN names.  The byte 0x80 ("minus zero") is never produced
+but decodes to 0 so decoding is total.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +23,7 @@ KEY_BYTES = KEY_BITS // 8
 
 @dataclass(frozen=True)
 class SessionKey:
-    """A 128-bit key and the group index it was sliced from."""
+    """A 128-bit key and the group index that salted it."""
 
     key: bytes
     iv: int
@@ -63,36 +62,26 @@ def _offset_bytes(l: int) -> bytes:
 
 def serialize_weights(net: TpmNetwork) -> bytes:
     """Serialize the bank row-major, one byte per weight."""
-    p = net.params
-    return plane_values(net, p.k * p.n).translate(_offset_bytes(p.l))
+    return plane_values(net).translate(_offset_bytes(net.params.l))
 
 
-def serialize_prefix(net: TpmNetwork) -> bytes:
-    """The first ``KEY_BYTES`` bytes of ``serialize_weights(net)``, kept on the network so
-    that the probe of a bank a round leaves unchanged is built once."""
-    prefix = net.__dict__.get("_prefix")
-    if prefix is None:
-        values = plane_values(net, KEY_BYTES)
-        prefix = net.__dict__["_prefix"] = values.translate(_offset_bytes(net.params.l))
-    return prefix
-
-
-def key_group_count(material: bytes) -> int:
-    """Number of whole 128-bit groups in the material."""
-    return len(material) // KEY_BYTES
+def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
+    """HKDF with SHA-256 (RFC 5869): extract a pseudorandom key, then expand it to ``length`` bytes."""
+    prk = hmac.new(salt, ikm, hashlib.sha256).digest()
+    okm = block = b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
 
 
 def extract_key(material: bytes, iv: int) -> SessionKey:
-    """Slice the iv-th 128-bit group out of the key material."""
-    if iv < 0 or KEY_BYTES * (iv + 1) > len(material):
-        raise ValueError(
-            f"group index {iv} out of range for {len(material) * 8}-bit material"
-        )
-    return SessionKey(key=material[KEY_BYTES * iv : KEY_BYTES * (iv + 1)], iv=iv)
+    """The session key of the whole key material, salted with the group index ``iv`` (one byte)."""
+    return SessionKey(key=hkdf_sha256(material, bytes([iv]), b"paritykex session key", KEY_BYTES), iv=iv)
 
 
 def otp_transform(key: bytes, block: bytes) -> bytes:
-    """XOR ``block`` with ``key``; self-inverse, length-preserving."""
+    """XOR ``block`` with ``key``; self-inverse, length-preserving.  No protocol path calls it."""
     if len(key) != len(block):
         raise ValueError("key and block lengths must match")
     mixed = int.from_bytes(key, "big") ^ int.from_bytes(block, "big")

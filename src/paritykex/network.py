@@ -89,7 +89,7 @@ class TpmNetwork:
     def weights(self) -> np.ndarray:
         """The read-only int32 (k, n) bank."""
         p = self.params
-        values = np.frombuffer(plane_values(self, p.k * p.n), np.uint8)
+        values = np.frombuffer(plane_values(self), np.uint8)
         w = values.reshape(p.k, p.n).astype(np.int32) - p.l
         w.setflags(write=False)
         return w
@@ -102,9 +102,8 @@ class TpmNetwork:
 
 @dataclass(frozen=True, eq=False)
 class Evaluation:
-    """Forward pass result: local fields, unit signs, parity output."""
+    """Forward pass result: unit signs and parity output."""
 
-    fields: np.ndarray
     sigmas: np.ndarray
     tau: int
 
@@ -194,17 +193,15 @@ _SPREAD = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitord
            .view("<u8").ravel().tolist())
 
 
-def plane_values(net: TpmNetwork, count: int) -> bytes:
-    """w + l of the first ``count`` weights, row-major, one byte each, read off the bit planes."""
-    value = start = 0
-    for unit in net.planes[: -(-count // net.params.n)]:
-        take, b = min(net.params.n, count - start), 8 * start
-        for plane in unit:
-            for c in range(0, take, 8):
-                value |= _SPREAD[plane >> c & 0xFF] << (8 * c + b)
-            b += 1
-        start += take
-    return (value & ((1 << 8 * start) - 1)).to_bytes(start, "little")
+def plane_values(net: TpmNetwork) -> bytes:
+    """w + l of every weight, row-major, one byte each, read off the bit planes."""
+    n, value = net.params.n, 0
+    for i, unit in enumerate(net.planes):
+        for b, plane in enumerate(unit):
+            for c in range(0, n, 8):
+                value |= _SPREAD[plane >> c & 0xFF] << (8 * (i * n + c) + b)
+    size = net.params.k * n
+    return (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
 
 
 def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
@@ -251,13 +248,9 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
 
 
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
-    """Forward pass.
-
-    fields[i] = (1/sqrt(n)) * sum_j w[i,j] * x[i,j]; sigmas and tau are
-    those of ``forward``.
-    """
-    sums, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
-    return Evaluation(sums / math.sqrt(net.params.n), sigmas.astype(np.int32), int(tau))
+    """Forward pass: the unit signs and tau of ``forward``."""
+    _, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
+    return Evaluation(sigmas.astype(np.int32), int(tau))
 
 
 def apply_learning(

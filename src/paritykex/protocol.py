@@ -7,29 +7,26 @@ back in.  That keeps every run replayable and lets tests assert that
 replayed frames change nothing.
 
 Flow per synchronization round: the sender draws a fresh input seed,
-evaluates, and sends SYN{seed, tau, E(probe)} where the probe is the public
-constant encrypted under the first 128 bits of its serialized weights.  The
+evaluates, and sends SYN{seed, tau, probe} where the probe is a SHA-256
+digest of its whole weight bank, bound to the seed and the frame id.  The
 receiver checks frame integrity (strictly increasing ids), then builds the
-same probe from its own first 128 weight bits and compares.  A match means
-the visible weights agree: the receiver picks a key group, answers FIN_SYN and
-waits for certification.  Otherwise it derives the same inputs from the
-seed, compares outputs, learns on agreement (ACK_SYN) or not (NAK_SYN).
+same digest from its own bank and compares.  A match means the banks are
+equal: the receiver picks a group index, derives the session key from its
+bank salted with it, answers FIN_SYN{index} and waits for certification.
+Otherwise it derives the same inputs from the seed, compares outputs,
+learns on agreement (ACK_SYN) or not (NAK_SYN).
 
-Certification: the sender proves itself first by sending AUTH with its
-secret code encrypted under the session key; the receiver verifies, proves
-itself back the same way, and both sides deliver the key.
-
-The 128-bit probe only covers the first 16 serialized weights, so it can
-pass while later groups still differ.  Certification catches that case:
-the receiver rejects the AUTH, answers NAK_SYN, and both sides drop back
-to synchronizing (the receiver holds off further FIN_SYN for a quarantine
-of learning rounds so the retry actually converges).  Repeated rejections
-exhaust ``max_attempts`` and fail the run.
+Certification: the sender proves itself first by sending AUTH with an HMAC
+of the session key under its secret code; the receiver verifies, proves
+itself back the same way under its own code, and both sides deliver the
+key.  Equal banks give equal keys, so a rejected AUTH can only mean the
+codes differ, and it fails the run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 import logging
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
@@ -37,28 +34,13 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
-from .keycodec import (
-    KEY_BYTES,
-    SessionKey,
-    extract_key,
-    key_group_count,
-    otp_transform,
-    serialize_prefix,
-    serialize_weights,
-)
+from .keycodec import KEY_BYTES, SessionKey, extract_key, serialize_weights
 from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, forward_planes, learn_planes
 from .rng import RngState, draw_input_masks, next_bytes, next_word, seed_from_bytes
 
 logger = logging.getLogger(__name__)
 
 Phase = Literal["idle", "synchronizing", "await_fin", "certifying", "established", "failed"]
-
-# Public constant whose encryption serves as the synchronization probe.
-SYNC_PROBE = b"SYNC-TEST-VECTOR"
-
-# Learning rounds the receiver waits after its first rejected certification
-# before offering FIN_SYN again; the wait doubles with each further rejection.
-RESYNC_ROUNDS = 32
 
 # FIN_SYN carries the key group index in one byte.
 MAX_KEY_GROUPS = 256
@@ -87,7 +69,7 @@ class ProtocolConfig:
         if self.params.l < 1:
             raise ValueError("synaptic depth l must be at least 1 for a key exchange")
         if self.params.k * self.params.n < KEY_BYTES:
-            raise ValueError("k*n must be at least 16 to carve a 128-bit key")
+            raise ValueError("k*n must be at least 16 to name a key group")
         if self.params.k * self.params.n > KEY_BYTES * MAX_KEY_GROUPS:
             raise ValueError(
                 f"k*n must be at most {KEY_BYTES * MAX_KEY_GROUPS}: "
@@ -172,7 +154,6 @@ class ReceiverState:
     last_seen_id: int = -1
     session: Optional[SessionKey] = None
     cert_failures: int = 0
-    fin_holdoff: int = 0
     iterations: int = 0
 
 
@@ -188,15 +169,26 @@ def integrity_check(frame: Frame, last_seen_id: int) -> bool:
     return frame.frame_id > last_seen_id
 
 
-def sync_probe(material: bytes) -> bytes:
-    """Encrypt ``SYNC_PROBE`` under the first 128 serialized weight bits.
+def sync_probe(net: TpmNetwork, seed: bytes, frame_id: int) -> bytes:
+    """The SYN probe: SHA-256 over the whole bank's bit planes, bound to the SYN's seed and id.
 
-    The sender puts this block in its SYN; the receiver computes it from
-    its own weights and compares, which is the same test as decrypting the
-    received block because the transform is self-inverse.  Material shorter
-    than 128 bits raises ValueError.
+    Equal probes mean equal banks, barring a SHA-256 collision; the seed and
+    id make each round's probe fresh.  Each plane enters as ``ceil(n/8)`` bytes.
     """
-    return otp_transform(material[:KEY_BYTES], SYNC_PROBE)
+    width = -(-net.params.n // 8)
+    planes = b"".join([plane.to_bytes(width, "little") for unit in net.planes for plane in unit])
+    head = b"paritykex probe" + seed + frame_id.to_bytes(4, "big")
+    return hashlib.sha256(head + planes).digest()[:KEY_BYTES]
+
+
+# The sender's AUTH and the receiver's reply differ in label, so equal codes cannot reflect.
+SENDER_AUTH, RECEIVER_AUTH = b"paritykex auth sender", b"paritykex auth receiver"
+
+
+def auth_code(code: bytes, label: bytes, session: SessionKey, frame_id: int) -> bytes:
+    """An AUTH field: HMAC-SHA256 under a secret code of a label, the key and the AUTH's id."""
+    message = label + session.key + frame_id.to_bytes(4, "big")
+    return hmac.new(code, message, hashlib.sha256).digest()[:KEY_BYTES]
 
 
 def state_digest(state: Union[SenderState, ReceiverState]) -> str:
@@ -223,7 +215,6 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     else:
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))
         h.update(int(state.cert_failures).to_bytes(8, "big"))
-        h.update(int(state.fin_holdoff).to_bytes(8, "big"))
     return h.hexdigest()
 
 
@@ -237,8 +228,7 @@ def _sender_new_round(
     seed, rng = next_bytes(rng, 16)
     inputs, _ = draw_input_masks(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
     sigmas, tau = forward_planes(state.net, inputs)
-    probe = sync_probe(serialize_prefix(state.net))
-    frame = Frame(frame_id, Syn(seed=seed, tau=tau, ek_st=probe))
+    frame = Frame(frame_id, Syn(seed=seed, tau=tau, ek_st=sync_probe(state.net, seed, frame_id)))
     state = _evolve(
         state,
         phase="synchronizing",
@@ -256,7 +246,7 @@ def _sender_send_auth(
 ) -> tuple[SenderState, tuple[Action, ...]]:
     assert state.session is not None
     frame_id = state.next_id
-    frame = Frame(frame_id, Auth(ek_code=otp_transform(state.session.key, cfg.ssc)))
+    frame = Frame(frame_id, Auth(ek_code=auth_code(cfg.ssc, SENDER_AUTH, state.session, frame_id)))
     state = _evolve(
         state,
         phase="certifying",
@@ -311,11 +301,7 @@ def sender_advance(
         if isinstance(payload, NakSyn):
             return _sender_new_round(_evolve(state, attempts=0), cfg, rng)
         if isinstance(payload, FinSyn):
-            material = serialize_weights(state.net)
-            if not 0 <= payload.iv < key_group_count(material):
-                logger.debug("sender: FIN_SYN with bad group %d ignored", payload.iv)
-                return state, (), rng
-            session = extract_key(material, payload.iv)
+            session = extract_key(serialize_weights(state.net), payload.iv)
             state, actions = _sender_send_auth(
                 _evolve(state, session=session, attempts=0), cfg
             )
@@ -329,17 +315,13 @@ def sender_advance(
             return state, (), rng
         if isinstance(payload, Auth):
             assert state.session is not None
-            if otp_transform(state.session.key, payload.ek_code) == cfg.rsc:
+            expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)
+            if hmac.compare_digest(payload.ek_code, expected):
                 session = state.session
                 state = _evolve(state, phase="established", attempts=0)
                 return state, (DeliverKey(session),), rng
             state = _evolve(state, phase="failed")
             return state, (Fail("peer certification failed"),), rng
-        if isinstance(payload, NakSyn):
-            # receiver rejected our certification: the probe matched but the
-            # chosen key group did not; resume synchronizing
-            state = _evolve(state, session=None, attempts=0)
-            return _sender_new_round(state, cfg, rng)
         logger.debug("sender: %s ignored while certifying", type(payload).__name__)
         return state, (), rng
 
@@ -385,53 +367,34 @@ def receiver_advance(
             return state, (), rng
         phase = "synchronizing" if state.phase == "idle" else state.phase
         state = _evolve(state, last_seen_id=frame.frame_id, phase=phase)
-        synced = sync_probe(serialize_prefix(state.net)) == payload.ek_st
+        synced = sync_probe(state.net, payload.seed, frame.frame_id) == payload.ek_st
 
         if synced and state.session is not None:
             # FIN_SYN or AUTH got lost; repeat the standing offer
             return state, (SendFrame(Frame(frame.frame_id, FinSyn(state.session.iv))),), rng
-        if not synced and state.session is not None:
-            # the probe stopped matching: the earlier offer was premature
-            state = _evolve(state, session=None, phase="synchronizing")
-        if synced and state.fin_holdoff == 0:
-            material = serialize_weights(state.net)
+        if synced:
             word, rng = next_word(rng)
-            iv = word % key_group_count(material)
-            session = extract_key(material, iv)
+            iv = word % (cfg.params.k * cfg.params.n // KEY_BYTES)
+            session = extract_key(serialize_weights(state.net), iv)
             state = _evolve(state, phase="certifying", session=session)
             return state, (SendFrame(Frame(frame.frame_id, FinSyn(iv))),), rng
-        if synced:
-            # quarantined after a rejected certification: keep learning
-            state = _evolve(state, fin_holdoff=state.fin_holdoff - 1)
         new_state, actions = _receiver_learning_reply(state, frame, payload, cfg)
         return new_state, actions, rng
 
     if isinstance(payload, Auth):
-        state = _evolve(state, last_seen_id=frame.frame_id)
         if state.session is None:
-            # no live key offer; tell the sender to resume synchronizing
-            return state, (SendFrame(Frame(frame.frame_id, NakSyn(tau=1))),), rng
-        if otp_transform(state.session.key, payload.ek_code) == cfg.ssc:
-            reply = Frame(frame.frame_id, Auth(otp_transform(state.session.key, cfg.rsc)))
-            actions: tuple[Action, ...] = (SendFrame(reply),)
-            if state.phase != "established":
-                actions = actions + (DeliverKey(state.session),)
-            state = _evolve(state, phase="established")
-            return state, actions, rng
-        failures = state.cert_failures + 1
-        if failures >= cfg.max_attempts:
-            state = _evolve(state, phase="failed", session=None, cert_failures=failures)
+            logger.debug("receiver: AUTH without a key offer ignored")
+            return state, (), rng
+        state = _evolve(state, last_seen_id=frame.frame_id)
+        expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, frame.frame_id)
+        if not hmac.compare_digest(payload.ek_code, expected):
+            state = _evolve(state, phase="failed", session=None, cert_failures=1)
             return state, (Fail("peer certification failed"),), rng
-        # quarantine doubles per rejection so retries track convergence
-        holdoff = RESYNC_ROUNDS << min(failures - 1, 4)
-        state = _evolve(
-            state,
-            phase="synchronizing",
-            session=None,
-            cert_failures=failures,
-            fin_holdoff=holdoff,
-        )
-        return state, (SendFrame(Frame(frame.frame_id, NakSyn(tau=1))),), rng
+        reply = Auth(auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id))
+        actions: tuple[Action, ...] = (SendFrame(Frame(frame.frame_id, reply)),)
+        if state.phase != "established":
+            actions = actions + (DeliverKey(state.session),)
+        return _evolve(state, phase="established"), actions, rng
 
     logger.debug("receiver: %s ignored", type(payload).__name__)
     return state, (), rng

@@ -62,6 +62,7 @@ def test_criterion_1_key_agreement():
     t0 = time.time()
     established = 0
     agreeing = 0
+    equal_banks = 0
     total = 0
     for l in (3, 5):
         cfg = config(l=l, n=32, max_attempts=12)
@@ -75,14 +76,17 @@ def test_criterion_1_key_agreement():
             if outcome.established:
                 established += 1
                 agreeing += outcome.sender_key == outcome.receiver_key is not None
+                equal_banks += px.is_synchronized(outcome.sender.net, outcome.receiver.net)
     elapsed = time.time() - t0
-    ok = agreeing == established and established >= 0.99 * total and elapsed < 60
+    ok = agreeing == equal_banks == established and established >= 0.99 * total and elapsed < 60
     report(
         "criterion 1",
         ok,
-        f"{established}/{total} established, {agreeing} with identical keys, {elapsed:.0f}s",
+        f"{established}/{total} established, {agreeing} with identical keys, "
+        f"{equal_banks} with bit-equal banks, {elapsed:.0f}s",
     )
     assert agreeing == established, "an established run yielded differing keys"
+    assert equal_banks == established, "an established run ended with differing banks"
     assert established >= 0.99 * total
     assert elapsed < 60
 

@@ -248,7 +248,7 @@ def listener_oracle(params, rule, seed, cap):
             net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
             net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
             # the eavesdropper adopts the announced output as its own
-            listener_view = Evaluation(fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau)
+            listener_view = Evaluation(sigmas=ev_e.sigmas, tau=ev_a.tau)
             net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, rule)
         iterations += 1
         if ab_time is None and is_synchronized(net_a, net_b):
@@ -357,7 +357,7 @@ def test_listener_with_identical_start_tracks_forever():
         ev_b = evaluate(net_b, inputs)
         if ev_a.tau == ev_b.tau:
             ev_e = evaluate(net_e, inputs)
-            listener_view = Evaluation(fields=ev_e.fields, sigmas=ev_e.sigmas, tau=ev_a.tau)
+            listener_view = Evaluation(sigmas=ev_e.sigmas, tau=ev_a.tau)
             net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
             net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
             net_e = apply_learning(net_e, inputs, listener_view, ev_b.tau, "random_walk")

@@ -2,7 +2,7 @@
 
 The determinism tests compare two runs of the same build, so a change that
 alters both runs alike passes them.  These values were recorded once and
-pin the generator order, weight init, learning, probe, key slicing, frame
+pin the generator order, weight init, learning, probe, key derivation, frame
 sizes, the tick loop and the trial aggregates across refactors.
 """
 
@@ -59,30 +59,30 @@ def summary(outcome):
 
 def test_clean_exchange_golden():
     outcome = run_exchange(config(3), b"golden-clean-l3!")
-    assert summary(outcome) == ("82000100820383028282018300020003", 5, 165, 109, 166, 8630, 0)
+    assert summary(outcome) == ("1a22bd04a762b9dc422f26bb4731c968", 5, 198, 141, 199, 10346, 0)
     assert state_digest(outcome.sender) == (
-        "f463e5ae74ae41b111f3d9bcf7cdc4b31b4253386f705b799f7dacd895f9dc3c"
+        "d91291be4d9823771ebce699729cb210b94e92c0146168b478f1e04b1605f76d"
     )
     assert state_digest(outcome.receiver) == (
-        "99eeca7f459a1362591ec0a91f49a09eaf2608cc66bde7af0786320f9e5d6bbf"
+        "67a1f09be8b5027c4b80b78e5222295ea92c4e744beec960a4875816ae02d5b8"
     )
     banks = serialize_weights(outcome.sender.net) + serialize_weights(outcome.receiver.net)
     assert hashlib.sha256(banks).hexdigest() == (
-        "0a9fb446215d23565747fcaf2d80955845e9bff5cc36a94a39aa4dda6fa42b5c"
+        "52ea1565da0b6c9143baac2bbb6563eb091ac9dee10e84fdd9e72d5edbb3527b"
     )
 
 
 def test_impaired_exchange_golden():
     outcome = run_exchange(config(1), b"golden-impaired!", IMPAIRED)
-    assert summary(outcome) == ("01810100000101810001010001018101", 0, 118, 60, 563, 6051, 4)
+    assert summary(outcome) == ("d0064af04c5fc9d74b77e6997bfe84c2", 1, 132, 54, 626, 6819, 4)
     ch = outcome.channel
     assert (ch.frames_sent, ch.frames_delivered, ch.dropped, ch.duplicated, ch.corrupted,
-            ch.reordered) == (223, 212, 23, 12, 4, 13)
+            ch.reordered) == (252, 238, 26, 12, 4, 14)
     assert state_digest(outcome.sender) == (
-        "a025d355847e8284b3ded595a7271911f463df7b5ae070ac6b9dbe2ec5f0f3da"
+        "e54c42bbd3ecd4cfb84f6ec5faf4ed99b4a441a9036786ac261619d2b10be7de"
     )
     assert state_digest(outcome.receiver) == (
-        "f052e4ecdea05890491efefb57530a8ea0a177f1b986a467a8c155f3b21c988a"
+        "4f655902a3f347b5f655653128b52dc0893c8c15fa7ff3893540e449714f6b90"
     )
 
 
@@ -91,15 +91,15 @@ def test_impaired_exchange_golden():
 OTHER_RULES = {
     "hebbian": (
         b"golden-hebbian-3",
-        ("83028282810102028183018381830303", 2, 364, 226, 366, 19013, 0),
-        "c0c16b4fd8d5c0a2907bb4f631be317bf16896ece540fe8d05cee99c776c173a",
-        "02e555a86649b143c4f2584500b5ce17aa911e4c0beba2e1f1a1f5496ab15f0e",
+        ("af018f3ab0442edb06d490b57b566337", 5, 358, 216, 359, 18666, 0),
+        "dec23873b3e2048acd19291d4a46507147a481d77d7e4c19098f586d82e27dcf",
+        "6ae6b153640151c52b185f8f19539831dc83f69fea9d21097462082e5329dbb6",
     ),
     "anti_hebbian": (
         b"golden-anti-heb3",
-        ("83010281020003010100818200018101", 5, 447, 316, 451, 23399, 0),
-        "822ae29e04889f43d41f38fc9938ea52f245033a495df14ad8bc720d0391caf1",
-        "6d9bed4d6ec43a9b5d02ec4274ccbf6ee194ce0c3f07832f4e9a5d8af46e4c8d",
+        ("84c8d132c90c72ad38b430bf62b2e984", 4, 326, 218, 327, 17002, 0),
+        "ca283aff0bcdba30ba2f0ae222f05833169340f85f5d37caec16aa7bdb678fd0",
+        "f58ac40ddb8ad4734ad0488af1b38961f635923b966ad8bef27893bcb536e012",
     ),
 }
 
@@ -123,13 +123,13 @@ def test_trial_aggregates_and_csv_golden(tmp_path):
                 r.attacker_success_rate, r.mean_attacker_iter, r.synced_fraction)
 
     assert fields(direct) == (4, 162.25, 155.5, 45.76775611716179, None, None, None, 1.0)
-    assert fields(protocol) == (3, 28.0, 29.0, 8.602325267042627, 1506.0, None, None, 1.0)
+    assert fields(protocol) == (3, 29.0, 29.0, 7.3484692283495345, 1558.0, None, None, 1.0)
     assert fields(attack) == (4, 31.25, 34.0, 7.562241731127087, None, 0.5, 41.5, 1.0)
 
     path = tmp_path / "golden.csv"
     write_sweep_csv([direct, protocol, attack], str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "b8f2e6c6feebfd34d8d7f32f920a23c93369c947dc83196de4d52388a9e06180"
+        "898118de6f3d0ebd643a44dc512f225d6dc94627835ccebd1865f670589d566b"
     )
 
 
@@ -156,14 +156,17 @@ def test_expected_q_golden():
 
 # One digest per exchange over everything a fixed seed must reproduce.  The
 # depths cover banks of 2 (l=1), 3 (l=2, 3) and 4 (l=5, 7) bits per weight;
-# the k=2, n=13 banks have units that are not whole bytes and a 16-weight
-# probe that spans both units; the "impaired" cases run over the benchmark's
-# impaired link.  Anti-hebbian partners at l >= 5 practically never
-# synchronize, so those two run over a link that loses 40% of the frames
-# until the sender gives up.  Every case ends settled.
+# the k=2, n=13 banks have units whose planes are not whole bytes; the
+# "impaired" cases run over the benchmark's impaired link.  Anti-hebbian
+# partners at l >= 5 practically never synchronize, so those two run over a
+# link that loses 40% of the frames until the sender gives up.  Every case
+# ends settled but one: at l = 3 on the impaired link, lost ACKs leave the
+# receiver's learning one-sided, and that case stops at the round cap
+# still synchronizing.
 BENCH_LINK = dict(drop_prob=0.1, dup_prob=0.05, corrupt_prob=0.02, reorder_prob=0.05)
 FAILING_LINK = dict(drop_prob=0.4)
 BATCH_CAP = 3000
+CAPPED = {"impaired-random_walk-l3-4"}
 
 
 def batch_cases():
@@ -191,32 +194,32 @@ def exchange_digest(outcome):
 
 
 BATCH_DIGESTS = {
-    "random_walk-k3n32l1": "3d51cf5ac3c51977a1df439fd74912fee88653ed574e113f63e13ee6bceafde4",
-    "random_walk-k3n32l2": "03e59a5e24ffa50df7f3b48bee8d7a8bdd12840e6a8c798bb5a0b1f47aea1fde",
-    "random_walk-k3n32l3": "c9c25fce7c13ead142d051a59b209df7d471772bd7bc432278e65fbfde98140b",
-    "random_walk-k3n32l5": "31e1993bcf78e1f0a9c3ae06f5417e28cafdd40cd37f79034099a57d53755015",
-    "random_walk-k3n32l7": "24c699cc6802dda0a30d4ab0ad38f358247538c69d81cb26b218a9b69b823198",
-    "random_walk-k2n13l1": "9724c7bae40786433a1e71e3ba90ea8fdbf33e47a023cfb2f5db4166551c30b8",
-    "random_walk-k2n13l3": "568e201da2a43ef9316d36c5225220e640bfa24ba19556c49d94e0e631fb7ad4",
-    "hebbian-k3n32l1": "33963fb695752f6fd66cb1febc9fc596df739c4ec28f46492c5aa072cd80cfd4",
-    "hebbian-k3n32l2": "eb06085d4628ab6ee025857df2dd56c66678d04a1114dc8f6537f612dd64b1a5",
-    "hebbian-k3n32l3": "811077b1a3b45abb38b81f73d69944a481193a550bad85332c4d1bee8ff753aa",
-    "hebbian-k3n32l5": "de8dce38c9a0f5a6f3198c71ec879f377813a6f390767b515109568f2bd15f33",
-    "hebbian-k3n32l7": "2696c7ccaee04e4cb83a3975fafbccf2ed9a7bfcdc0cf3ea07758319e33028c8",
-    "hebbian-k2n13l1": "efb2a6ddac1abe81d1fe12952248f430ab5e8375d169d1d3ff1a18b5e357ec66",
-    "hebbian-k2n13l3": "9d3051a7c7d7edcfc74e54c187f2018bc42ad3cff9abf89d08e9ead6f99debdb",
-    "anti_hebbian-k3n32l1": "484f1919bcb42603e7d8a542b4bcb747f8b45175e569fe77f8c95d43f1e3f8c7",
-    "anti_hebbian-k3n32l2": "910227b339b316ffa74747454f8469a367101f56dbc5cc9c99a87b5d247eeeab",
-    "anti_hebbian-k3n32l3": "8d6b7a0fbe75bd799984a4c90bba99ff6d81b560dc57abe66a1cd0d9a87bb367",
-    "anti_hebbian-k3n32l5": "e4c682840a1ed9d4a18fa9b75e42784386881013235b5e01c4f134e1189887a3",
-    "anti_hebbian-k3n32l7": "516fd03c20e74fad1505bb20643859e33b674afce3c624d248432f60df4073bc",
-    "anti_hebbian-k2n13l1": "b04c3124edb49bc29603ebb7363b57380ab09cbe814ef465215a659e5aaf6a5e",
-    "anti_hebbian-k2n13l3": "80b3b94d1acf86d707ad55a2cf0cd5d8f68ae0fcfd1e307d81b3728c14694b09",
-    "impaired-random_walk-l1-1": "de1c5c0d5d0a08b717bd2722ad47b99f727ca424b72267b9e98fa82c508aab45",
-    "impaired-random_walk-l1-2": "010fd279e387ac885e4f649e4a85ade7eb99b8d0fdabd7236ccaa7637fd2edff",
-    "impaired-hebbian-l1-3": "6def341b2a8e6eeeb56ae27fcf19263711843cae45c3c3b75bcd186346c24159",
-    "impaired-random_walk-l3-4": "75293c417f753d96c275dfe2620cd0ca474b5f85ab41dc9665cdb4bc64f0c603",
-    "impaired-anti_hebbian-l1-5": "a8a4ddd3b69b8ea59a1a261bd61fd6f513b7768a4b63bdf712fe8aa51c13fa83",
+    "random_walk-k3n32l1": "41a1823a4a2066aa70038585d6bcc27ff2bdfe8b260ca904bf20cb75c43e6f5d",
+    "random_walk-k3n32l2": "beaa7c56c98ecd893c770a0e3025bce5bfe09a8d55a24a3ad435515d05df0926",
+    "random_walk-k3n32l3": "751d1605246bd753ab34d9f1c3aaa61e4d20f448763b1e3b1fe59457f3c5be95",
+    "random_walk-k3n32l5": "c02f86dbd6d3641a93053318d042f9a99c0fbdfd1983afa2d9a5ef1b61e69156",
+    "random_walk-k3n32l7": "e4306c31eddbb07006e800f739a3c060cb6e510f51820646a479fa08b12e6326",
+    "random_walk-k2n13l1": "decfd3e24441c9afdd06040529b3ffafcffc2a6463cc1d25e962829c11c8bc2b",
+    "random_walk-k2n13l3": "9488b1fc286a7aafe48975b8ae9b578e713f9c502a8f2ae9d9a53b2096572d19",
+    "hebbian-k3n32l1": "4c9b89a2da2d3c37e82ba916f74ac2bc47692b1697221b5538429b6a9ad0eb70",
+    "hebbian-k3n32l2": "26404dcc37d58a8ad90ce448d383b5c80dcefe5fe74965eeebb2380d134e7dfb",
+    "hebbian-k3n32l3": "12d1db6b251f9be0f9bf7b88993b32d52cf729eab3cb4e4a104141c0ef604079",
+    "hebbian-k3n32l5": "1ba5e760f54e1211d62ea8f7a4b4e2dce712d9a2d8922b6a0f5cdae0f0b4aac4",
+    "hebbian-k3n32l7": "693382d588da938cfb020b3eac697eba440ef8681bdc40f5eae45eb1c0fda6c8",
+    "hebbian-k2n13l1": "f50a5f504c8f1343495162de5fd24938e1bff4064cd583e2d9a7dcf18a321320",
+    "hebbian-k2n13l3": "b0396b08e29c45acc277dc0d3b267b1d4153515a88d485db34eaa138c926d398",
+    "anti_hebbian-k3n32l1": "7ea99c95fa363817eabc30de9354526187ce30c964aaa3fd7ea0a4ee8e043399",
+    "anti_hebbian-k3n32l2": "0b9c79c9f77e4a54fca441fb6992f1c299a10e91291b22b08f1a2af37dcf6bbc",
+    "anti_hebbian-k3n32l3": "0c564480143190c574f6ca1bbcda9af202813f9708bc2ed0efe64d859738e18c",
+    "anti_hebbian-k3n32l5": "2540e063ae8ed168c199ce57fecd9808c873af0cd304645e05ceeef858c5be49",
+    "anti_hebbian-k3n32l7": "670ab70a905ca8b44ee53bd47bde239bb04807a81333dce3df4f70650d063d05",
+    "anti_hebbian-k2n13l1": "b6014f8739fc50c23c1766f59ee449fb504afc7ba444cdee024699c79d56bdb4",
+    "anti_hebbian-k2n13l3": "08e212aa3f60efac047ca04a449f97e44569c21cf4a165cfdf1931c0ef3bf8b3",
+    "impaired-random_walk-l1-1": "f5a83e9a693a52570e69b217a8db037f41e9257744f05c028ac43e068bacc05e",
+    "impaired-random_walk-l1-2": "16338941a7e4fe9ae16e84aa2f0d52e6aadc92015f7c8501eb31084769caebe7",
+    "impaired-hebbian-l1-3": "8440f7d47891c06217185e3ad5846b2f204900569bef6c08a24413260b116eca",
+    "impaired-random_walk-l3-4": "fc87d98b2cadc7768e6699dfc445b409ba4eb76ef3b070e406e5376dabf580f2",
+    "impaired-anti_hebbian-l1-5": "1f1d62b02b7b0cb0a3a19b7d7d71e4c9741d38ffea2d06a2446a3ca057a698be",
 }
 
 
@@ -225,6 +228,10 @@ def test_exchange_batch_golden():
     for name, k, n, l, rule, link in batch_cases():
         cfg = replace(config(l), params=TpmParams(k=k, n=n, l=l), rule=rule)
         outcome = run_exchange(cfg, f"golden-batch-{name}".encode(), ChannelConfig(**link or {}), BATCH_CAP)
-        assert outcome.sender.phase in ("established", "failed"), name
+        if name in CAPPED:
+            assert (outcome.sender.phase, outcome.receiver.phase) == ("synchronizing",) * 2, name
+            assert outcome.rounds == BATCH_CAP + 1, name
+        else:
+            assert outcome.sender.phase in ("established", "failed"), name
         digests[name] = exchange_digest(outcome)
     assert digests == BATCH_DIGESTS

@@ -1,4 +1,4 @@
-"""Weight byte codec, key material slicing, stream transform."""
+"""Weight byte codec, session-key derivation, stream transform."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from paritykex.keycodec import (
     decode_weight,
     encode_weight,
     extract_key,
-    key_group_count,
+    hkdf_sha256,
     otp_transform,
     serialize_weights,
 )
@@ -66,7 +66,6 @@ def test_serialize_sizes():
     net, _ = init_network(TpmParams(k=3, n=32, l=127), seed_from_bytes(b"sizes-check-seed"))
     material = serialize_weights(net)
     assert len(material) * 8 == 768
-    assert key_group_count(material) == 6
 
 
 def test_serialize_zero_network():
@@ -79,24 +78,37 @@ def test_serialize_deterministic():
     assert serialize_weights(net) == serialize_weights(net)
 
 
-def test_extract_key_slices():
-    material = bytes(range(96))
-    first = extract_key(material, 0)
-    assert first.key == bytes(range(16))
-    assert first.iv == 0
-    last = extract_key(material, 5)
-    assert last.key == bytes(range(80, 96))
+# RFC 5869 Appendix A, test cases 1-3 (SHA-256): IKM, salt, info, OKM.
+RFC5869 = [
+    (bytes([0x0B] * 22), bytes(range(0x0D)), bytes(range(0xF0, 0xFA)),
+     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"),
+    (bytes(range(0x50)), bytes(range(0x60, 0xB0)), bytes(range(0xB0, 0x100)),
+     "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+     "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+     "cc30c58179ec3e87c14c01d5c1f3434f1d87"),
+    (bytes([0x0B] * 22), b"", b"",
+     "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"),
+]
 
 
-def test_extract_key_partition():
+@pytest.mark.parametrize("ikm, salt, info, okm", RFC5869)
+def test_hkdf_rfc5869_vectors(ikm, salt, info, okm):
+    assert hkdf_sha256(ikm, salt, info, len(okm) // 2).hex() == okm
+
+
+def test_extract_key_changes_with_every_byte_and_the_iv():
     material = bytes(range(96))
-    slices = [extract_key(material, iv).key for iv in range(6)]
-    assert b"".join(slices) == material
+    key = extract_key(material, 3)
+    assert key.iv == 3 and len(key.key) == 16
+    for i in range(len(material)):
+        flipped = material[:i] + bytes([material[i] ^ 0x01]) + material[i + 1 :]
+        assert extract_key(flipped, 3).key != key.key
+    assert len({extract_key(material, iv).key for iv in range(256)}) == 256
 
 
 def test_extract_key_range_checked():
     with pytest.raises(ValueError):
-        extract_key(bytes(96), 6)
+        extract_key(bytes(96), 256)
     with pytest.raises(ValueError):
         extract_key(bytes(96), -1)
 
@@ -160,5 +172,5 @@ def test_key_agreement_after_synchronization():
             net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
     assert is_synchronized(net_a, net_b)
     mat_a, mat_b = serialize_weights(net_a), serialize_weights(net_b)
-    for iv in range(key_group_count(mat_a)):
+    for iv in range(len(mat_a) // 16):
         assert extract_key(mat_a, iv) == extract_key(mat_b, iv)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from paritykex.keycodec import encode_weight, serialize_prefix, serialize_weights
+from paritykex.keycodec import encode_weight, serialize_weights
 from paritykex.network import (
     LEARNING_RULES,
     TpmNetwork,
@@ -124,7 +124,6 @@ def test_init_uniform_histogram():
 def test_evaluate_all_ones():
     net = make_net([[1, 1], [1, 1]], l=1)
     ev = evaluate(net, np.ones((2, 2), dtype=int))
-    assert np.allclose(ev.fields, [math.sqrt(2), math.sqrt(2)])
     assert list(ev.sigmas) == [1, 1]
     assert ev.tau == 1
 
@@ -132,7 +131,6 @@ def test_evaluate_all_ones():
 def test_evaluate_zero_field_is_negative():
     net = make_net([[1, -1]], l=1)
     ev = evaluate(net, np.array([[1, 1]]))
-    assert ev.fields[0] == 0
     assert ev.sigmas[0] == -1
     assert ev.tau == -1
 
@@ -151,7 +149,6 @@ def test_evaluate_tau_is_product_of_recomputed_signs():
             )
             sign = 1 if total > 0 else -1
             assert ev.sigmas[i] == sign
-            assert abs(ev.fields[i] - total / math.sqrt(17)) < 1e-12
             prod *= sign
         assert ev.tau == prod
 
@@ -169,7 +166,6 @@ def test_evaluate_pure():
     x = np.array([[1, -1, 1]])
     a = evaluate(net, x)
     b = evaluate(net, x)
-    assert np.array_equal(a.fields, b.fields)
     assert np.array_equal(a.sigmas, b.sigmas)
     assert a.tau == b.tau
 
@@ -292,7 +288,6 @@ def test_kernel_matches_scalar_wrappers_lane_by_lane(rule):
     for lane in np.ndindex(2, 3):
         net = TpmNetwork(params, w[lane].copy())
         ev = evaluate(net, x[lane])
-        assert np.allclose(ev.fields, sums[lane] / math.sqrt(params.n), rtol=0, atol=1e-12)
         assert np.array_equal(ev.sigmas, sigmas[lane])
         assert ev.tau == tau[lane]
         # the peer announces the same output exactly where the lane moves
@@ -499,7 +494,6 @@ def test_weights_round_trip_through_planes(k, n, l):
     assert np.array_equal(back.weights, w)
     material = bytes(encode_weight(int(v)) for v in w.ravel())
     assert serialize_weights(back) == material
-    assert serialize_prefix(back) == material[:16]
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])

@@ -6,12 +6,13 @@ import pytest
 from support import config, drive, fresh
 
 from paritykex.channel import ChannelConfig
-from paritykex.exchange import run_exchange
+from paritykex.exchange import derive_seed, run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
-from paritykex.keycodec import extract_key, otp_transform, serialize_weights
+from paritykex.keycodec import extract_key, serialize_weights
 from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
 from paritykex.protocol import (
-    RESYNC_ROUNDS,
+    RECEIVER_AUTH,
+    SENDER_AUTH,
     DeliverKey,
     Fail,
     FrameArrived,
@@ -19,6 +20,7 @@ from paritykex.protocol import (
     SendFrame,
     Start,
     TimerFired,
+    auth_code,
     integrity_check,
     receiver_advance,
     sender_advance,
@@ -38,17 +40,22 @@ def test_integrity_check_monotone():
     assert not integrity_check(Frame(3, AckSyn(tau=1)), 5)
 
 
-def probe_of(net):
-    return sync_probe(serialize_weights(net))
+SEED = bytes(range(16))
+
+
+def probe_of(net, seed=SEED, frame_id=3):
+    return sync_probe(net, seed, frame_id)
 
 
 def test_sync_test_roundtrip():
     params = TpmParams(k=3, n=32, l=3)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-0"))
     probe = probe_of(net)
+    assert len(probe) == 16
     assert probe == probe_of(TpmNetwork(params, net.weights.copy()))
-    # the probe hides the constant under the weights and reveals it again
-    assert otp_transform(serialize_weights(net)[:16], probe) == b"SYNC-TEST-VECTOR"
+    assert probe == probe_of(TpmNetwork.from_planes(params, net.planes))
+    # the probe is a digest, not the weights under a public constant
+    assert bytes(a ^ b for a, b in zip(probe, b"SYNC-TEST-VECTOR")) != serialize_weights(net)[:16]
 
 
 def test_sync_test_sensitive_to_first_weights():
@@ -60,27 +67,35 @@ def test_sync_test_sensitive_to_first_weights():
     assert probe_of(other) != probe_of(net)
 
 
-def test_sync_test_blind_to_later_weights():
-    # nets that agree only on the first 16 weights still pass; nets that
-    # agree only on the later weights must fail
-    params = TpmParams(k=3, n=32, l=3)
+@pytest.mark.parametrize("k, n, l", [(3, 32, 3), (2, 13, 1), (1, 16, 7)])
+def test_sync_test_sensitive_to_every_weight(k, n, l):
+    # the first-16-weights probe passed on banks that differed only later
+    params = TpmParams(k=k, n=n, l=l)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-2"))
-    agree_later = net.weights.copy()
-    agree_later[0, :16] = np.clip(agree_later[0, :16] + 1, -3, 3)
-    if np.array_equal(agree_later, net.weights):
-        agree_later[0, 0] = -3
-    assert probe_of(TpmNetwork(params, agree_later)) != probe_of(net)
+    probe = probe_of(net)
+    for i, j in np.ndindex(k, n):
+        weights = net.weights.copy()
+        weights[i, j] = weights[i, j] - 1 if weights[i, j] > -l else l
+        assert probe_of(TpmNetwork(params, weights)) != probe, (i, j)
 
-    agree_first = net.weights.copy()
-    agree_first[2, :] = np.clip(agree_first[2, :] + 1, -3, 3)
-    assert probe_of(TpmNetwork(params, agree_first)) == probe_of(net)
+
+def test_sync_test_sensitive_to_seed_and_frame_id():
+    # the same bank gives a fresh probe every round: two probes do not show
+    # whether the bank changed between them, and none replays into a later round
+    params = TpmParams(k=3, n=32, l=3)
+    net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-4"))
+    probes = {probe_of(net, seed, frame_id)
+              for seed in (SEED, bytes(16), SEED[::-1]) for frame_id in (0, 1, 3, 2**32 - 1)}
+    assert len(probes) == 12
 
 
 def test_sync_test_needs_enough_weights():
+    # any bank has a probe, but a key exchange needs one 16-weight key group
     params = TpmParams(k=1, n=4, l=1)
     net, _ = init_network(params, seed_from_bytes(b"sync-test-seed-3"))
-    with pytest.raises(ValueError):
-        probe_of(net)
+    assert len(probe_of(net)) == 16
+    with pytest.raises(ValueError, match="at least 16"):
+        ProtocolConfig(params=params, ssc=b"sender-secret-0!", rsc=b"receiv-secret-0!")
 
 
 # --- config validation --------------------------------------------------------
@@ -168,6 +183,30 @@ def test_phases_stay_within_the_documented_set():
     assert {"synchronizing", "certifying", "established"} <= seen
 
 
+def xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def test_wire_observer_learns_no_key_or_code():
+    # A passive observer of clean exchanges tries the old ways in: the SYN
+    # probe was the first 16 weight bytes XORed with a public constant (the
+    # key itself whenever the receiver picked group 0), and AUTH carried the
+    # key XORed with the secret code.  None of them may give the key, ssc or
+    # rsc, and every established run must end with bit-equal banks.
+    cfg = config(l=3)
+    for i in range(60):
+        outcome, wire = drive(cfg, derive_seed(bytes(16), f"x{i}"))
+        assert outcome.established, i
+        key = outcome.sender_key.key
+        assert np.array_equal(outcome.sender.net.weights, outcome.receiver.net.weights), i
+        for side, frame in wire:
+            payload = frame.payload
+            if isinstance(payload, Syn):
+                assert xor(payload.ek_st, b"SYNC-TEST-VECTOR") != key, i
+            if isinstance(payload, Auth):
+                assert xor(payload.ek_code, key) != (cfg.ssc if side == "a" else cfg.rsc), i
+
+
 # --- targeted transitions ------------------------------------------------------
 
 
@@ -232,17 +271,18 @@ def test_sender_fin_extracts_key_and_sends_auth():
     assert state2.session == expected
     auth = next(a.frame for a in actions if isinstance(a, SendFrame))
     assert isinstance(auth.payload, Auth)
-    assert otp_transform(expected.key, auth.payload.ek_code) == cfg.ssc
+    assert auth.payload.ek_code == auth_code(cfg.ssc, SENDER_AUTH, expected, auth.frame_id)
 
 
-def test_sender_rejects_out_of_range_iv():
+def test_sender_accepts_any_iv_byte():
+    # the group index only salts the key, so every byte value is a valid one
     cfg = config()
     state, rng, syn = build_sender(cfg)
-    digest = state_digest(state)
-    fin = Frame(syn.frame_id, FinSyn(iv=6))
-    state2, actions, _ = sender_advance(state, FrameArrived(fin), cfg, rng)
-    assert state_digest(state2) == digest
-    assert actions == ()
+    for iv in (6, 255):
+        fin = Frame(syn.frame_id, FinSyn(iv=iv))
+        state2, actions, _ = sender_advance(state, FrameArrived(fin), cfg, rng)
+        assert state2.phase == "certifying"
+        assert state2.session == extract_key(serialize_weights(state.net), iv)
 
 
 def test_sender_timeout_retries_then_fails():
@@ -265,15 +305,20 @@ def test_sender_auth_reply_verification():
     auth = next(a.frame for a in actions if isinstance(a, SendFrame))
     session = state.session
 
-    good = Frame(auth.frame_id, Auth(otp_transform(session.key, cfg.rsc)))
+    good = Frame(auth.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id)))
     done, actions, _ = sender_advance(state, FrameArrived(good), cfg, rng)
     assert done.phase == "established"
     assert any(isinstance(a, DeliverKey) for a in actions)
 
-    bad = Frame(auth.frame_id, Auth(otp_transform(session.key, b"tampered-code-0!"))),
-    failed, actions, _ = sender_advance(state, FrameArrived(bad[0]), cfg, rng)
-    assert failed.phase == "failed"
-    assert any(isinstance(a, Fail) for a in actions)
+    # a wrong code, the sender's own AUTH reflected back, or a reply bound
+    # to another frame id all fail
+    for code, label, frame_id in ((b"tampered-code-0!", RECEIVER_AUTH, auth.frame_id),
+                                  (cfg.ssc, SENDER_AUTH, auth.frame_id),
+                                  (cfg.rsc, RECEIVER_AUTH, auth.frame_id + 1)):
+        bad = Frame(auth.frame_id, Auth(auth_code(code, label, session, frame_id)))
+        failed, actions, _ = sender_advance(state, FrameArrived(bad), cfg, rng)
+        assert failed.phase == "failed"
+        assert actions == (Fail("peer certification failed"),)
 
 
 def receiver_with_syn(cfg, seed=b"receiver-unittes"):
@@ -324,21 +369,27 @@ def test_receiver_replay_rejected():
     assert rng3 == rng2
 
 
+def synced_syn(net, frame_id):
+    """A SYN whose probe matches ``net``."""
+    return Frame(frame_id, Syn(seed=bytes(16), tau=1, ek_st=sync_probe(net, bytes(16), frame_id)))
+
+
 def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net))
-    syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
+    syn = synced_syn(rstate.net, 3)
     state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     assert state2.phase == "certifying"
     assert state2.session is not None
     fin = next(a.frame for a in actions if isinstance(a, SendFrame))
     assert isinstance(fin.payload, FinSyn)
     assert fin.payload.iv == state2.session.iv
+    assert 0 <= fin.payload.iv < 6
+    assert state2.session == extract_key(serialize_weights(rstate.net), fin.payload.iv)
     assert rng2 != rrng  # consumed a word picking the group
 
     # a repeated synced SYN (say FIN was lost) repeats the same offer
-    syn2 = Frame(4, Syn(seed=bytes(16), tau=1, ek_st=probe))
+    syn2 = synced_syn(rstate.net, 4)
     state3, actions3, _ = receiver_advance(state2, FrameArrived(syn2), cfg, rng2)
     fin2 = next(a.frame for a in actions3 if isinstance(a, SendFrame))
     assert fin2.payload.iv == fin.payload.iv
@@ -346,70 +397,53 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 
 
 def test_receiver_auth_verification_and_rejection():
-    cfg = config(max_attempts=3)
+    cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    probe = sync_probe(serialize_weights(rstate.net))
-    syn = Frame(3, Syn(seed=bytes(16), tau=1, ek_st=probe))
-    state, actions, rng = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
+    state, actions, rng = receiver_advance(rstate, FrameArrived(synced_syn(rstate.net, 3)), cfg, rrng)
     session = state.session
 
-    good = Frame(5, Auth(otp_transform(session.key, cfg.ssc)))
+    good = Frame(5, Auth(auth_code(cfg.ssc, SENDER_AUTH, session, 5)))
     est, actions, rng2 = receiver_advance(state, FrameArrived(good), cfg, rng)
     assert est.phase == "established"
     reply = next(a.frame for a in actions if isinstance(a, SendFrame))
-    assert otp_transform(session.key, reply.payload.ek_code) == cfg.rsc
+    assert reply.frame_id == 5
+    assert reply.payload.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
     assert any(isinstance(a, DeliverKey) for a in actions)
 
-    # rejection path: wrong code sends NAK, drops the offer, quarantines
-    bad = Frame(5, Auth(otp_transform(session.key, b"wrong-secret-00!")))
-    rej, actions, _ = receiver_advance(state, FrameArrived(bad), cfg, rng)
-    assert rej.phase == "synchronizing"
-    assert rej.session is None
-    assert rej.cert_failures == 1
-    assert rej.fin_holdoff == RESYNC_ROUNDS
-    reply = next(a.frame for a in actions if isinstance(a, SendFrame))
-    assert isinstance(reply.payload, NakSyn)
-
-    # repeated rejections eventually fail
-    state_loop = state
-    rng_loop = rng
-    for i in range(cfg.max_attempts):
-        frame = Frame(10 + i, Auth(otp_transform(session.key, b"wrong-secret-00!")))
-        state_loop, actions, rng_loop = receiver_advance(
-            state_loop, FrameArrived(frame), cfg, rng_loop
-        )
-        if state_loop.phase == "failed":
-            break
-        # restore a live offer for the next attempt
-        state_loop = type(state_loop)(
-            **{**state_loop.__dict__, "session": session, "phase": "certifying"}
-        )
-    assert state_loop.phase == "failed"
+    # equal banks give equal keys, so one rejected AUTH is final: a wrong
+    # code, or the right code bound to another frame id
+    for bad in (auth_code(b"wrong-secret-00!", SENDER_AUTH, session, 5),
+                auth_code(cfg.ssc, SENDER_AUTH, session, 4)):
+        rej, actions, _ = receiver_advance(state, FrameArrived(Frame(5, Auth(bad))), cfg, rng)
+        assert rej.phase == "failed"
+        assert rej.session is None
+        assert rej.cert_failures == 1
+        assert actions == (Fail("peer certification failed"),)
 
 
-def test_receiver_auth_without_offer_naks():
+def test_receiver_ignores_auth_without_offer():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
     auth = Frame(9, Auth(bytes(16)))
-    state2, actions, _ = receiver_advance(rstate, FrameArrived(auth), cfg, rrng)
-    assert state2.phase in ("idle", "synchronizing")
-    reply = next(a.frame for a in actions if isinstance(a, SendFrame))
-    assert isinstance(reply.payload, NakSyn)
-    assert reply.frame_id == 9
+    digest = state_digest(rstate)
+    state2, actions, rng2 = receiver_advance(rstate, FrameArrived(auth), cfg, rrng)
+    assert state_digest(state2) == digest
+    assert actions == ()
+    assert rng2 == rrng
 
 
-def test_sender_nak_during_certification_resumes_sync():
+def test_sender_ignores_nak_during_certification():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=1))
     state, actions, rng = sender_advance(state, FrameArrived(fin), cfg, rng)
     auth = next(a.frame for a in actions if isinstance(a, SendFrame))
     assert state.phase == "certifying"
+    digest = state_digest(state)
     nak = Frame(auth.frame_id, NakSyn(tau=1))
     state2, actions, _ = sender_advance(state, FrameArrived(nak), cfg, rng)
-    assert state2.phase == "synchronizing"
-    assert state2.session is None
-    assert any(isinstance(a.frame.payload, Syn) for a in actions if isinstance(a, SendFrame))
+    assert state_digest(state2) == digest
+    assert actions == ()
 
 
 def test_established_sender_ignores_everything():
