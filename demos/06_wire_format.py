@@ -2,7 +2,7 @@
 
 Five frame types share one layout: command nibble, 32-bit id, fixed-width
 payload, CRC-32 trailer.  Flipping any single bit is caught by the CRC;
-replayed ids are caught by the strictly-monotone acceptance rule.  The
+a frame is new only if its id is above the last one accepted.  The
 deterministic generator that both endpoints share is pinned down by the
 golden vectors at the bottom.
 """
@@ -49,10 +49,12 @@ for bit in range(len(wire) * 8):
         rejected += 1
 print(f"  {rejected}/{len(wire) * 8} corrupted copies raised the integrity error")
 
-print("\nreplay protection is a strictly increasing id:")
-print(f"  id 5 after high-water 4: accepted = {integrity_check(Frame(5, AckSyn(1)), 4)}")
-print(f"  id 5 again:              accepted = {integrity_check(Frame(5, AckSyn(1)), 5)}")
-print(f"  id 3 out of order:       accepted = {integrity_check(Frame(3, AckSyn(1)), 5)}")
+print("\na frame is new only if its id is above the last one accepted:")
+print(f"  id 5 after high-water 4: new = {integrity_check(Frame(5, AckSyn(1)), 4)}")
+print(f"  id 5 again:              new = {integrity_check(Frame(5, AckSyn(1)), 5)}"
+      "  (answered with the cached reply)")
+print(f"  id 3 out of order:       new = {integrity_check(Frame(3, AckSyn(1)), 5)}"
+      "  (ignored)")
 
 print("\ngenerator golden vectors (seed -> first three 64-bit words):")
 for seed in (bytes(range(16)), bytes(16)):

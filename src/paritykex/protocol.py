@@ -6,10 +6,15 @@ SendFrame actions onto a channel and feeds FrameArrived / TimerFired events
 back in.  That keeps every run replayable and lets tests assert that
 replayed frames change nothing.
 
+Retransmission is stop-and-wait (RFC 1350): on a timeout the sender re-sends
+the frame it last sent, unchanged.  The receiver answers a repeat of the last
+id it accepted with the reply it already sent, changing nothing, and ignores
+lower ids; so a lost reply never makes one side learn without the other.
+
 Flow per synchronization round: the sender draws a fresh input seed,
 evaluates, and sends SYN{seed, tau, probe} where the probe is a SHA-256
 digest of its whole weight bank, bound to the seed and the frame id.  The
-receiver checks frame integrity (strictly increasing ids), then builds the
+receiver takes a higher id than the last as a new frame, then builds the
 same digest from its own bank and compares.  A match means the banks are
 equal: the receiver picks a group index, derives the session key from its
 bank salted with it, answers FIN_SYN{index} and waits for certification.
@@ -40,7 +45,7 @@ from .rng import RngState, draw_input_masks, next_bytes, next_word, seed_from_by
 
 logger = logging.getLogger(__name__)
 
-Phase = Literal["idle", "synchronizing", "await_fin", "certifying", "established", "failed"]
+Phase = Literal["idle", "synchronizing", "certifying", "established", "failed"]
 
 # FIN_SYN carries the key group index in one byte.
 MAX_KEY_GROUPS = 256
@@ -126,9 +131,8 @@ Action = Union[SendFrame, SetTimer, DeliverKey, Fail]
 
 @dataclass(frozen=True, eq=False)
 class PendingRound:
-    """The sender's outstanding SYN: id, its input masks and the unit signs and output on them."""
+    """The sender's outstanding SYN round: its input masks and the unit signs and output on them."""
 
-    frame_id: int
     inputs: list[int]
     sigmas: list[int]
     tau: int
@@ -142,7 +146,7 @@ class SenderState:
     attempts: int = 0
     session: Optional[SessionKey] = None
     pending: Optional[PendingRound] = None
-    auth_id: Optional[int] = None
+    sent: Optional[Frame] = None
     rounds: int = 0
     iterations: int = 0
 
@@ -152,6 +156,7 @@ class ReceiverState:
     net: TpmNetwork
     phase: Phase = "idle"
     last_seen_id: int = -1
+    reply: Optional[Frame] = None
     session: Optional[SessionKey] = None
     cert_failures: int = 0
     iterations: int = 0
@@ -165,7 +170,7 @@ def _evolve(state, **changes):
 
 
 def integrity_check(frame: Frame, last_seen_id: int) -> bool:
-    """Accept only strictly increasing ids: kills replays and reordering."""
+    """A new frame has an id above the last one accepted; a lower id is stale."""
     return frame.frame_id > last_seen_id
 
 
@@ -203,16 +208,20 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     if state.session is not None:
         h.update(state.session.key + bytes([state.session.iv]))
     if isinstance(state, SenderState):
+        # the outstanding frame's id enters as an AUTH id and, in a round, a SYN id: digests keep their bytes
+        sent = state.sent
+        auth_id = sent.frame_id if sent is not None and isinstance(sent.payload, Auth) else -1
         h.update(int(state.next_id).to_bytes(8, "big"))
         h.update(int(state.attempts).to_bytes(8, "big"))
         h.update(int(state.rounds).to_bytes(8, "big"))
-        h.update(int(-1 if state.auth_id is None else state.auth_id).to_bytes(8, "big", signed=True))
-        if state.pending is not None:
-            h.update(int(state.pending.frame_id).to_bytes(8, "big"))
+        h.update(int(auth_id).to_bytes(8, "big", signed=True))
+        if state.pending is not None and sent is not None:
+            h.update(int(sent.frame_id).to_bytes(8, "big"))
             n = state.net.params.n
             signs = [[1 if mask >> j & 1 else -1 for j in range(n)] for mask in state.pending.inputs]
             h.update(np.array(signs, dtype=np.int32).tobytes())
     else:
+        # the cached reply is left out: it changes only when last_seen_id does
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))
         h.update(int(state.cert_failures).to_bytes(8, "big"))
     return h.hexdigest()
@@ -233,29 +242,12 @@ def _sender_new_round(
         state,
         phase="synchronizing",
         next_id=frame_id + 1,
-        attempts=state.attempts + 1,
-        pending=PendingRound(frame_id, inputs, sigmas, tau),
-        auth_id=None,
+        attempts=1,
+        pending=PendingRound(inputs, sigmas, tau),
+        sent=frame,
         rounds=state.rounds + 1,
     )
     return state, (SendFrame(frame), SetTimer(cfg.timeout_ticks)), rng
-
-
-def _sender_send_auth(
-    state: SenderState, cfg: ProtocolConfig
-) -> tuple[SenderState, tuple[Action, ...]]:
-    assert state.session is not None
-    frame_id = state.next_id
-    frame = Frame(frame_id, Auth(ek_code=auth_code(cfg.ssc, SENDER_AUTH, state.session, frame_id)))
-    state = _evolve(
-        state,
-        phase="certifying",
-        next_id=frame_id + 1,
-        attempts=state.attempts + 1,
-        pending=None,
-        auth_id=frame_id,
-    )
-    return state, (SendFrame(frame), SetTimer(cfg.timeout_ticks))
 
 
 def sender_advance(
@@ -269,63 +261,68 @@ def sender_advance(
         if state.phase != "idle":
             logger.debug("sender: Start ignored in phase %s", state.phase)
             return state, (), rng
-        return _sender_new_round(_evolve(state, attempts=0), cfg, rng)
+        return _sender_new_round(state, cfg, rng)
+
+    sent = state.sent
+    if sent is None:
+        logger.debug("sender: %s ignored before Start", type(event).__name__)
+        return state, (), rng
 
     if isinstance(event, TimerFired):
-        if state.phase not in ("synchronizing", "certifying"):
-            return state, (), rng
         if state.attempts >= cfg.max_attempts:
             return (
                 _evolve(state, phase="failed"),
                 (Fail("attempts exceeded"),),
                 rng,
             )
-        if state.phase == "certifying":
-            state, actions = _sender_send_auth(state, cfg)
-            return state, actions, rng
-        return _sender_new_round(state, cfg, rng)
+        # rounds counts every SYN sent, re-sends included
+        rounds = state.rounds + isinstance(sent.payload, Syn)
+        state = _evolve(state, attempts=state.attempts + 1, rounds=rounds)
+        return state, (SendFrame(sent), SetTimer(cfg.timeout_ticks)), rng
 
     frame = event.frame
     payload = frame.payload
+    if frame.frame_id != sent.frame_id:
+        logger.debug("sender: stale frame id %d ignored", frame.frame_id)
+        return state, (), rng
 
     if state.phase == "synchronizing":
-        if state.pending is None or frame.frame_id != state.pending.frame_id:
-            logger.debug("sender: stale frame id %d ignored", frame.frame_id)
-            return state, (), rng
+        pending = state.pending
+        assert pending is not None
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
-            pending = state.pending
             net = learn_planes(state.net, pending.inputs, pending.sigmas, pending.tau, cfg.rule)
-            state = _evolve(state, net=net, attempts=0, iterations=state.iterations + 1)
+            state = _evolve(state, net=net, iterations=state.iterations + 1)
             return _sender_new_round(state, cfg, rng)
         if isinstance(payload, NakSyn):
-            return _sender_new_round(_evolve(state, attempts=0), cfg, rng)
+            return _sender_new_round(state, cfg, rng)
         if isinstance(payload, FinSyn):
             session = extract_key(serialize_weights(state.net), payload.iv)
-            state, actions = _sender_send_auth(
-                _evolve(state, session=session, attempts=0), cfg
+            frame_id = state.next_id
+            auth = Frame(frame_id, Auth(ek_code=auth_code(cfg.ssc, SENDER_AUTH, session, frame_id)))
+            state = _evolve(
+                state,
+                phase="certifying",
+                next_id=frame_id + 1,
+                attempts=1,
+                session=session,
+                pending=None,
+                sent=auth,
             )
-            return state, actions, rng
+            return state, (SendFrame(auth), SetTimer(cfg.timeout_ticks)), rng
         logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
         return state, (), rng
 
-    if state.phase == "certifying":
-        if frame.frame_id != state.auth_id:
-            logger.debug("sender: stale frame id %d ignored", frame.frame_id)
-            return state, (), rng
-        if isinstance(payload, Auth):
-            assert state.session is not None
-            expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)
-            if hmac.compare_digest(payload.ek_code, expected):
-                session = state.session
-                state = _evolve(state, phase="established", attempts=0)
-                return state, (DeliverKey(session),), rng
-            state = _evolve(state, phase="failed")
-            return state, (Fail("peer certification failed"),), rng
-        logger.debug("sender: %s ignored while certifying", type(payload).__name__)
-        return state, (), rng
-
-    logger.debug("sender: frame ignored in phase %s", state.phase)
+    if isinstance(payload, Auth):
+        assert state.session is not None
+        expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)
+        if hmac.compare_digest(payload.ek_code, expected):
+            session = state.session
+            state = _evolve(state, phase="established", attempts=0)
+            return state, (DeliverKey(session),), rng
+        state = _evolve(state, phase="failed")
+        return state, (Fail("peer certification failed"),), rng
+    logger.debug("sender: %s ignored while certifying", type(payload).__name__)
     return state, (), rng
 
 
@@ -334,16 +331,14 @@ def sender_advance(
 
 def _receiver_learning_reply(
     state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
-) -> tuple[ReceiverState, tuple[Action, ...]]:
+) -> tuple[ReceiverState, Frame]:
     inputs, _ = draw_input_masks(seed_from_bytes(syn.seed), cfg.params.k, cfg.params.n)
     sigmas, tau = forward_planes(state.net, inputs)
     if tau == syn.tau:
         net = learn_planes(state.net, inputs, sigmas, tau, cfg.rule)
         state = _evolve(state, net=net, iterations=state.iterations + 1)
-        reply: Frame = Frame(frame.frame_id, AckSyn(tau=tau))
-    else:
-        reply = Frame(frame.frame_id, NakSyn(tau=tau))
-    return state, (SendFrame(reply),)
+        return state, Frame(frame.frame_id, AckSyn(tau=tau))
+    return state, Frame(frame.frame_id, NakSyn(tau=tau))
 
 
 def receiver_advance(
@@ -357,44 +352,43 @@ def receiver_advance(
 
     frame = event.frame
     payload = frame.payload
+    if frame.frame_id == state.last_seen_id:
+        # a re-sent frame whose reply was lost: answer it again, change nothing
+        assert state.reply is not None
+        return state, (SendFrame(state.reply),), rng
     if not integrity_check(frame, state.last_seen_id):
-        logger.debug("receiver: frame id %d failed integrity, ignored", frame.frame_id)
+        logger.debug("receiver: stale frame id %d ignored", frame.frame_id)
         return state, (), rng
 
     if isinstance(payload, Syn):
-        if state.phase == "established":
-            logger.debug("receiver: SYN ignored after establishment")
+        if state.session is not None:
+            logger.debug("receiver: SYN ignored after a key offer")
             return state, (), rng
-        phase = "synchronizing" if state.phase == "idle" else state.phase
-        state = _evolve(state, last_seen_id=frame.frame_id, phase=phase)
-        synced = sync_probe(state.net, payload.seed, frame.frame_id) == payload.ek_st
-
-        if synced and state.session is not None:
-            # FIN_SYN or AUTH got lost; repeat the standing offer
-            return state, (SendFrame(Frame(frame.frame_id, FinSyn(state.session.iv))),), rng
-        if synced:
+        session, phase = None, "synchronizing"
+        if sync_probe(state.net, payload.seed, frame.frame_id) == payload.ek_st:
             word, rng = next_word(rng)
             iv = word % (cfg.params.k * cfg.params.n // KEY_BYTES)
-            session = extract_key(serialize_weights(state.net), iv)
-            state = _evolve(state, phase="certifying", session=session)
-            return state, (SendFrame(Frame(frame.frame_id, FinSyn(iv))),), rng
-        new_state, actions = _receiver_learning_reply(state, frame, payload, cfg)
-        return new_state, actions, rng
+            session, phase = extract_key(serialize_weights(state.net), iv), "certifying"
+            reply = Frame(frame.frame_id, FinSyn(iv))
+        else:
+            state, reply = _receiver_learning_reply(state, frame, payload, cfg)
+        state = _evolve(state, phase=phase, session=session, last_seen_id=frame.frame_id, reply=reply)
+        return state, (SendFrame(reply),), rng
 
     if isinstance(payload, Auth):
-        if state.session is None:
-            logger.debug("receiver: AUTH without a key offer ignored")
+        if state.phase != "certifying":
+            logger.debug("receiver: AUTH ignored in phase %s", state.phase)
             return state, (), rng
-        state = _evolve(state, last_seen_id=frame.frame_id)
+        assert state.session is not None
         expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, frame.frame_id)
         if not hmac.compare_digest(payload.ek_code, expected):
-            state = _evolve(state, phase="failed", session=None, cert_failures=1)
+            state = _evolve(state, phase="failed", session=None, cert_failures=1,
+                            last_seen_id=frame.frame_id)
             return state, (Fail("peer certification failed"),), rng
-        reply = Auth(auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id))
-        actions: tuple[Action, ...] = (SendFrame(Frame(frame.frame_id, reply)),)
-        if state.phase != "established":
-            actions = actions + (DeliverKey(state.session),)
-        return _evolve(state, phase="established"), actions, rng
+        session = state.session
+        reply = Frame(frame.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, frame.frame_id)))
+        state = _evolve(state, phase="established", last_seen_id=frame.frame_id, reply=reply)
+        return state, (SendFrame(reply), DeliverKey(session)), rng
 
     logger.debug("receiver: %s ignored", type(payload).__name__)
     return state, (), rng

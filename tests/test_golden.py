@@ -74,15 +74,15 @@ def test_clean_exchange_golden():
 
 def test_impaired_exchange_golden():
     outcome = run_exchange(config(1), b"golden-impaired!", IMPAIRED)
-    assert summary(outcome) == ("d0064af04c5fc9d74b77e6997bfe84c2", 1, 132, 54, 626, 6819, 4)
+    assert summary(outcome) == ("442628e899ed62198cc1f8713717d3bd", 1, 69, 30, 360, 3518, 4)
     ch = outcome.channel
     assert (ch.frames_sent, ch.frames_delivered, ch.dropped, ch.duplicated, ch.corrupted,
-            ch.reordered) == (252, 238, 26, 12, 4, 14)
+            ch.reordered) == (128, 119, 15, 6, 4, 7)
     assert state_digest(outcome.sender) == (
-        "e54c42bbd3ecd4cfb84f6ec5faf4ed99b4a441a9036786ac261619d2b10be7de"
+        "08151f3bf22ed3ac335f523d210798a7c6ff7419fe5db8b56c72f2ae3b5ebe1c"
     )
     assert state_digest(outcome.receiver) == (
-        "4f655902a3f347b5f655653128b52dc0893c8c15fa7ff3893540e449714f6b90"
+        "0cc95a4571c335ea01e741daff8b40bde5b4960d39186da63a6d020536defae4"
     )
 
 
@@ -160,13 +160,10 @@ def test_expected_q_golden():
 # "impaired" cases run over the benchmark's impaired link.  Anti-hebbian
 # partners at l >= 5 practically never synchronize, so those two run over a
 # link that loses 40% of the frames until the sender gives up.  Every case
-# ends settled but one: at l = 3 on the impaired link, lost ACKs leave the
-# receiver's learning one-sided, and that case stops at the round cap
-# still synchronizing.
+# ends settled.
 BENCH_LINK = dict(drop_prob=0.1, dup_prob=0.05, corrupt_prob=0.02, reorder_prob=0.05)
 FAILING_LINK = dict(drop_prob=0.4)
 BATCH_CAP = 3000
-CAPPED = {"impaired-random_walk-l3-4"}
 
 
 def batch_cases():
@@ -211,15 +208,15 @@ BATCH_DIGESTS = {
     "anti_hebbian-k3n32l1": "7ea99c95fa363817eabc30de9354526187ce30c964aaa3fd7ea0a4ee8e043399",
     "anti_hebbian-k3n32l2": "0b9c79c9f77e4a54fca441fb6992f1c299a10e91291b22b08f1a2af37dcf6bbc",
     "anti_hebbian-k3n32l3": "0c564480143190c574f6ca1bbcda9af202813f9708bc2ed0efe64d859738e18c",
-    "anti_hebbian-k3n32l5": "2540e063ae8ed168c199ce57fecd9808c873af0cd304645e05ceeef858c5be49",
-    "anti_hebbian-k3n32l7": "670ab70a905ca8b44ee53bd47bde239bb04807a81333dce3df4f70650d063d05",
+    "anti_hebbian-k3n32l5": "fc393fcfe1817fda15eb315e1a4aee74f7528518c0ed75a5e0ec8c2ce49225bc",
+    "anti_hebbian-k3n32l7": "a410f3283f8e8eef2a605f147dc874949243e9bc2469d59add5a86f2945d0370",
     "anti_hebbian-k2n13l1": "b6014f8739fc50c23c1766f59ee449fb504afc7ba444cdee024699c79d56bdb4",
     "anti_hebbian-k2n13l3": "08e212aa3f60efac047ca04a449f97e44569c21cf4a165cfdf1931c0ef3bf8b3",
-    "impaired-random_walk-l1-1": "f5a83e9a693a52570e69b217a8db037f41e9257744f05c028ac43e068bacc05e",
-    "impaired-random_walk-l1-2": "16338941a7e4fe9ae16e84aa2f0d52e6aadc92015f7c8501eb31084769caebe7",
-    "impaired-hebbian-l1-3": "8440f7d47891c06217185e3ad5846b2f204900569bef6c08a24413260b116eca",
-    "impaired-random_walk-l3-4": "fc87d98b2cadc7768e6699dfc445b409ba4eb76ef3b070e406e5376dabf580f2",
-    "impaired-anti_hebbian-l1-5": "1f1d62b02b7b0cb0a3a19b7d7d71e4c9741d38ffea2d06a2446a3ca057a698be",
+    "impaired-random_walk-l1-1": "339b50fcb27ac162edbb90a7571a36fd2c9a408a33a99dbe11e89c89423c13fa",
+    "impaired-random_walk-l1-2": "769155e64b450fea37bedc215e05d5d007b80fb8da5dbcad54e2edfd06812d07",
+    "impaired-hebbian-l1-3": "ef02c340420a2bce890b85b53d873a776eb7e7f1b6b0d440ffe4c2e9f34b7e4f",
+    "impaired-random_walk-l3-4": "7d3d3ea9c4a6aa0f3c126d998cc5a2d93d081889bf6f422d9dcff039b20d621f",
+    "impaired-anti_hebbian-l1-5": "e158db8dd5bd3ca0d6cd4a727d9a187ba56a1e70f06335c462426388f1ab6d34",
 }
 
 
@@ -228,10 +225,6 @@ def test_exchange_batch_golden():
     for name, k, n, l, rule, link in batch_cases():
         cfg = replace(config(l), params=TpmParams(k=k, n=n, l=l), rule=rule)
         outcome = run_exchange(cfg, f"golden-batch-{name}".encode(), ChannelConfig(**link or {}), BATCH_CAP)
-        if name in CAPPED:
-            assert (outcome.sender.phase, outcome.receiver.phase) == ("synchronizing",) * 2, name
-            assert outcome.rounds == BATCH_CAP + 1, name
-        else:
-            assert outcome.sender.phase in ("established", "failed"), name
+        assert outcome.sender.phase in ("established", "failed"), name
         digests[name] = exchange_digest(outcome)
     assert digests == BATCH_DIGESTS

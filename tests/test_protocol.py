@@ -1,5 +1,7 @@
 """Endpoint state machines: flow, integrity gating, certification, replay."""
 
+from typing import get_args
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from support import config, drive, fresh
 
 from paritykex.channel import ChannelConfig
 from paritykex.exchange import derive_seed, run_exchange
-from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
+from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
 from paritykex.keycodec import extract_key, serialize_weights
 from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
 from paritykex.protocol import (
@@ -16,6 +18,7 @@ from paritykex.protocol import (
     DeliverKey,
     Fail,
     FrameArrived,
+    Phase,
     ProtocolConfig,
     SendFrame,
     Start,
@@ -179,6 +182,8 @@ def test_phases_stay_within_the_documented_set():
 
     outcome, _ = drive(config(l=2), b"phase-watch-seed", on_delivery=watch)
     seen.update((outcome.sender.phase, outcome.receiver.phase))
+    # a phase declared but never entered fails here; "failed" is entered by the failure tests
+    assert get_args(Phase) == ("idle", "synchronizing", "certifying", "established", "failed")
     assert seen <= {"idle", "synchronizing", "certifying", "established"}
     assert {"synchronizing", "certifying", "established"} <= seen
 
@@ -297,6 +302,23 @@ def test_sender_timeout_retries_then_fails():
     assert any(isinstance(a, Fail) for a in actions)
 
 
+def test_sender_timeout_resends_the_same_frame():
+    # a re-sent SYN is a round sent again, a re-sent AUTH is not; neither draws
+    cfg = config()
+    state, rng, syn = build_sender(cfg)
+    resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
+    assert encode_frame(actions[0].frame) == encode_frame(syn)
+    assert (resent.rounds, resent.attempts, rng2) == (state.rounds + 1, 2, rng)
+
+    fin = Frame(syn.frame_id, FinSyn(iv=2))
+    state, actions, rng = sender_advance(resent, FrameArrived(fin), cfg, rng2)
+    auth = actions[0].frame
+    resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
+    assert isinstance(auth.payload, Auth)
+    assert encode_frame(actions[0].frame) == encode_frame(auth)
+    assert (resent.rounds, resent.attempts, rng2) == (state.rounds, 2, rng)
+
+
 def test_sender_auth_reply_verification():
     cfg = config()
     state, rng, syn = build_sender(cfg)
@@ -359,13 +381,14 @@ def test_receiver_tau_match_acks_and_learns():
 
 
 def test_receiver_replay_rejected():
+    # a repeat changes nothing and gets only the reply already sent
     cfg = config()
     rstate, rrng, sstate, syn = receiver_with_syn(cfg)
     state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
     digest = state_digest(state2)
     state3, actions3, rng3 = receiver_advance(state2, FrameArrived(syn), cfg, rng2)
     assert state_digest(state3) == digest
-    assert actions3 == ()
+    assert actions3 == actions and isinstance(actions3[0], SendFrame)
     assert rng3 == rng2
 
 
@@ -388,12 +411,14 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     assert state2.session == extract_key(serialize_weights(rstate.net), fin.payload.iv)
     assert rng2 != rrng  # consumed a word picking the group
 
-    # a repeated synced SYN (say FIN was lost) repeats the same offer
-    syn2 = synced_syn(rstate.net, 4)
-    state3, actions3, _ = receiver_advance(state2, FrameArrived(syn2), cfg, rng2)
-    fin2 = next(a.frame for a in actions3 if isinstance(a, SendFrame))
-    assert fin2.payload.iv == fin.payload.iv
-    assert state3.session == state2.session
+    # a repeat of SYN 3 (say FIN was lost) gets the identical FIN_SYN and no
+    # new draw; a synced SYN with a new id, after the offer, is ignored
+    digest = state_digest(state2)
+    for repeat, expected in ((syn, (SendFrame(fin),)), (synced_syn(rstate.net, 4), ())):
+        state3, actions3, rng3 = receiver_advance(state2, FrameArrived(repeat), cfg, rng2)
+        assert actions3 == expected
+        assert state_digest(state3) == digest
+        assert rng3 == rng2
 
 
 def test_receiver_auth_verification_and_rejection():
@@ -468,9 +493,10 @@ def test_replay_every_delivered_frame_changes_nothing():
         # process, then re-deliver against the new state
         new_state, actions, new_rng = advance(state, FrameArrived(frame), endpoint_cfg, rng)
         replayed, actions2, rng2 = advance(new_state, FrameArrived(frame), endpoint_cfg, new_rng)
-        if actions:  # frame was accepted: replay must be inert
+        if actions:  # frame was accepted: a replay changes nothing; the receiver re-sends
+            replies = tuple(a for a in actions if isinstance(a, SendFrame))
             assert state_digest(replayed) == state_digest(new_state)
-            assert actions2 == ()
+            assert actions2 == (() if advance is sender_advance else replies)
             assert rng2 == new_rng
 
     outcome, _ = drive(cfg, b"replay-check-00!", on_delivery=replay)
