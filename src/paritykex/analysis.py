@@ -12,12 +12,12 @@ test suite pin the normalization down.)
 The trial runners own everything stochastic: each trial derives its own
 seed from the master seed, so sweeps are bit-reproducible.  The bare
 (direct-mode) trials of one call, and the listener trials, run in lockstep:
-the networks of all T trials are held as (T, k, n) arrays with one lane
-per trial and a lane-wise generator, every lane takes its step at once, and
-a trial leaves the batch when it ends.  Each lane draws exactly what a
-scalar trial from the same seed draws, so the counts are those of
-``run_single_trial`` and of the scalar ``evaluate``/``apply_learning`` loop,
-trial for trial.
+the banks of all T trials are held as one (banks, T, k, n) array with one
+lane per trial and a lane-wise generator, every bank of every lane takes
+its step in one kernel call, and a trial leaves the batch when it ends.
+Each lane draws exactly what a scalar trial from the same seed draws, so
+the counts are those of ``run_single_trial`` and of the scalar
+``evaluate``/``apply_learning`` loop, trial for trial.
 """
 
 from __future__ import annotations
@@ -207,10 +207,11 @@ def _lockstep_trials(
 
     Lane t draws networks A and B (and, with ``listener``, E) and then each
     step's inputs from the generator seeded with ``seeds[t]``, as a scalar
-    trial does.  Every step is the ``forward``/``learn`` kernel of the
-    scalar ``evaluate``/``apply_learning`` over all lanes at once: when A and
-    B announce the same output, every bank learns toward A's output, so the
-    passive listener E adopts it as its own.
+    trial does.  The banks are one (banks, lanes, k, n) stack, and a step is
+    one ``forward`` and one ``learn`` call, the kernel of the scalar
+    ``evaluate``/``apply_learning``, on all of it: when A and B announce the
+    same output, every bank learns toward A's output, so the passive
+    listener E adopts it as its own.
 
     Returns, per trial, the step count at which A first matched B and, with
     a listener, a second list with the one at which E first matched A; None
@@ -221,31 +222,27 @@ def _lockstep_trials(
     """
     p = params
     state = seed_lanes(seeds)
-    banks = []
-    for _ in range(3 if listener else 2):
-        weights, state = init_network_lanes(p, state)
-        banks.append(weights)
-    pairs = ((0, 1), (2, 0)) if listener else ((0, 1),)  # (A, B) and (E, A)
-    times = np.full((len(pairs), len(seeds)), -1)
+    w = np.empty((3 if listener else 2, len(seeds), p.k, p.n), dtype=np.int32)  # A, B, E
+    for bank in w:
+        bank[...], state = init_network_lanes(p, state)
+    times = np.full((len(w) - 1, len(seeds)), -1)  # rows: (A, B) and (E, A)
+    waiting = times < 0  # times[:, lanes] < 0, kept in step with the lanes
     lanes = np.arange(len(seeds))  # trial index of each lane still in the batch
     iterations = 0
     while lanes.size:
         if iterations or not listener:
-            for row, (i, j) in zip(times, pairs):
-                matched = (banks[i] == banks[j]).all(axis=(1, 2))
-                row[lanes[matched & (row[lanes] < 0)]] = iterations
-            keep = (times[:, lanes] < 0).any(axis=0)
-            if not keep.all():
-                banks = [w[keep] for w in banks]
-                state = state[:, keep]
-                lanes = lanes[keep]
+            first = (w[1:] == w[0]).all(axis=(2, 3)) & waiting
+            if first.any():
+                rows, cols = first.nonzero()
+                times[rows, lanes[cols]] = iterations
+                waiting &= ~first
+                keep = waiting.any(axis=0)
+                w, state, waiting, lanes = w[:, keep], state[:, keep], waiting[:, keep], lanes[keep]
         if iterations >= iteration_cap or not lanes.size:
             break
         x, state = draw_inputs_lanes(state, p.k, p.n)
-        passes = [forward(w, x) for w in banks]
-        tau = passes[0][2]
-        agree = tau == passes[1][2]
-        banks = [learn(w, x, s, tau, agree, rule, p.l) for w, (_, s, _) in zip(banks, passes)]
+        _, sigmas, tau = forward(w, x)
+        w = learn(w, x, sigmas, tau[0], tau[0] == tau[1], rule, p.l)
         iterations += 1
     return [[t if t >= 0 else None for t in row] for row in times.tolist()]
 

@@ -158,13 +158,13 @@ def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward pass of a stack of banks: weights and inputs of shape (..., k, n).
+    """Forward pass of a stack of banks: weights (..., k, n) and inputs that broadcast to them.
 
     Returns the integer sums over each unit's inputs, the unit signs (a zero
     sum maps to -1 so the output stays binary) and tau, their product; the
     sums and signs have shape (..., k) and tau has shape (...).
     """
-    sums = (w * x).sum(axis=-1)
+    sums = np.einsum("...kn,...kn->...k", w, x)
     sigmas = np.where(sums > 0, 1, -1)
     return sums, sigmas, sigmas.prod(axis=-1)
 
@@ -177,15 +177,17 @@ def learn(
     Where ``moves`` holds, the units whose sign equals tau update: hebbian
     adds tau*x, anti_hebbian subtracts tau*x, random_walk adds x; the result
     is clamped back into [-l, +l].  ``tau`` and ``moves`` have the shape of
-    the stack, (...), and broadcast over its units.
+    the stack, (...), or of its trailing axes, and broadcast over the leading
+    bank axes and over the units: one (T,) tau steers a (banks, T, k, n) stack.
     """
     tau = np.asarray(tau)[..., None]
-    moving = (sigmas == tau) & np.asarray(moves)[..., None]
+    moving = ((sigmas == tau) & np.asarray(moves)[..., None]).astype(w.dtype)
     if rule == "hebbian":
         moving = moving * tau
     elif rule == "anti_hebbian":
         moving = moving * -tau
-    return np.minimum(np.maximum(w + x * moving[..., None], -l), l)
+    moved = w + x * moving[..., None]
+    return np.clip(moved, -l, l, out=moved)
 
 
 # Entry b spreads the bits of b, LSB first, to the low bits of eight little-endian bytes.

@@ -297,6 +297,33 @@ def test_kernel_matches_scalar_wrappers_lane_by_lane(rule):
         assert moves[lane] != np.array_equal(learned[lane], w[lane])
 
 
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_kernel_on_a_bank_stack_equals_calling_it_bank_by_bank(rule):
+    # the lockstep engine's call: banks A, B, E of 4 lanes, with A's tau and a
+    # per-lane moves flag of shape (lanes,) broadcast over the bank axis
+    l = 2
+    gen = np.random.default_rng(20261019)
+    w = gen.integers(-l, l + 1, size=(3, 4, 3, 8), dtype=np.int32)
+    x = gen.choice(np.array([-1, 1], dtype=np.int32), size=(4, 3, 8))
+    w[1, 0, 0] = x[0, 0] * np.array([1, -1] * 4)  # a unit whose sum is zero
+    w[0, 1], w[0, 2] = l, -l  # A's banks of two lanes at the upper and the lower bound
+    moves = np.array([True, True, True, False])
+
+    sums, sigmas, tau = forward(w, x)
+    learned = learn(w, x, sigmas, tau[0], moves, rule, l)
+    assert sums[1, 0, 0] == 0 and sigmas[1, 0, 0] == -1
+    for bank in range(3):
+        expected = forward(w[bank], x)
+        for got, want in zip((sums[bank], sigmas[bank], tau[bank]), expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(learned[bank], learn(w[bank], x, sigmas[bank], tau[0], moves, rule, l))
+    assert np.array_equal(learned[:, 3], w[:, 3])  # the lane that does not move
+    # A always has a unit whose sign is tau; at a bound its weights step inward or stay clamped
+    for lane, bound in ((1, l), (2, -l)):
+        unit = np.flatnonzero(sigmas[0, lane] == tau[0, lane])[0]
+        assert set(learned[0, lane, unit].tolist()) == {bound, bound - np.sign(bound)}
+
+
 def test_random_walk_marginal_stays_uniform():
     # paired random-walk learning leaves the weight marginal uniform
     params = TpmParams(k=3, n=16, l=2)

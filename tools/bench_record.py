@@ -9,7 +9,8 @@ the file keeps every run, and one row per (label, workload) with the median
 of each metric over its seeds.  With ``--base``, every seed runs once in
 that checkout (label "parent") and once in this one (label "change"), the
 two alternating which goes first, and each workload gets a per-metric count
-of the pairs the change won, in the direction ``BENCHMARK.json`` declares.
+of the pairs the change won, in the direction ``BENCHMARK.json`` declares,
+and each side's share of failed operations over those pairs.
 An existing ``--out`` file is extended: its runs are kept, and the file is
 rewritten after every run with the rows recomputed over all of them.
 """
@@ -48,20 +49,25 @@ def medians(runs: list[dict]) -> dict:
 
 
 def pair_wins(runs: list[dict], workload: str) -> dict:
-    """Per end-to-end metric: the pairs (same seed) where the change did better."""
+    """Per end-to-end metric: the pairs (same seed) where the change did better; and per side,
+    the share of the operations its paired runs attempted that failed."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
     by_seed = {}
     for r in runs:
         if r["workload"] == workload:
-            by_seed.setdefault(r["seed"], {})[r["label"]] = r["metrics"]
+            by_seed.setdefault(r["seed"], {})[r["label"]] = r
     pairs = [sides for sides in by_seed.values() if {"parent", "change"} <= sides.keys()]
     wins = {}
     for name, direction in better.items():
-        if pairs and name in pairs[0]["change"]:
+        if pairs and name in pairs[0]["change"]["metrics"]:
             sign = 1 if direction == "lower" else -1
-            won = sum(sign * (p["parent"][name]["value"] - p["change"][name]["value"]) > 0 for p in pairs)
+            won = sum(sign * (p["parent"]["metrics"][name]["value"] - p["change"]["metrics"][name]["value"]) > 0
+                      for p in pairs)
             wins[name] = f"{won}/{len(pairs)}"
+    if pairs:
+        wins["failed_share"] = {side: sum(p[side]["failed"] for p in pairs) / sum(p[side]["attempted"] for p in pairs)
+                                for side in ("parent", "change")}
     return wins
 
 
@@ -71,7 +77,8 @@ def write(path: str, runs: list[dict]) -> None:
         mine = [r for r in runs if (r["workload"], r["label"], r["trace"]) == (workload, label, trace)]
         rows.append({"label": label, "commit": mine[-1]["commit"], "workload": workload, "trace": trace,
                      "seeds": [r["seed"] for r in mine], "all_correct": all(r["correct"] for r in mine),
-                     "failed": sum(r["failed"] for r in mine), "metrics": medians(mine)})
+                     "attempted": sum(r["attempted"] for r in mine), "failed": sum(r["failed"] for r in mine),
+                     "metrics": medians(mine)})
     untraced = [r for r in runs if not r["trace"]]
     record = {
         "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
