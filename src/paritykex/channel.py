@@ -9,9 +9,11 @@ binding: one frame per datagram, no retransmission below the protocol.
 
 from __future__ import annotations
 
+import bisect
 import random
 import socket
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 ENDPOINTS = ("a", "b")
@@ -59,7 +61,7 @@ class SimulatedLink:
         self.stats = ChannelStats()
         self._rng = random.Random(config.rng_seed)
         self._seq = 0
-        # per destination: list of (deliver_tick, seq, datagram)
+        # per destination: (deliver_tick, seq, datagram) in (tick, seq) order, so the due ones lead
         self._queues: dict[str, list[tuple[int, int, bytes]]] = {"a": [], "b": []}
 
     @staticmethod
@@ -99,18 +101,21 @@ class SimulatedLink:
             if self._rng.random() < cfg.reorder_prob:
                 tick += self._rng.randint(1, 3)
                 self.stats.reordered += 1
-            self._queues[dest].append((tick, self._seq, payload))
+            bisect.insort(self._queues[dest], (tick, self._seq, payload))
             self._seq += 1
 
     def poll(self, endpoint: str, now_ticks: int) -> list[bytes]:
-        """All datagrams due at ``endpoint`` by ``now_ticks``, in order."""
+        """All datagrams due at ``endpoint`` by ``now_ticks``, in (tick, seq) order."""
         if endpoint not in ENDPOINTS:
             raise ValueError(f"endpoint must be one of {ENDPOINTS}")
         queue = self._queues[endpoint]
-        due = sorted(item for item in queue if item[0] <= now_ticks)
-        self._queues[endpoint] = [item for item in queue if item[0] > now_ticks]
-        self.stats.frames_delivered += len(due)
-        return [item[2] for item in due]
+        if not queue or queue[0][0] > now_ticks:
+            return []
+        due = bisect.bisect_right(queue, now_ticks, key=itemgetter(0))
+        self.stats.frames_delivered += due
+        delivered = [datagram for _, _, datagram in queue[:due]]
+        del queue[:due]
+        return delivered
 
 
 class UdpTransport:

@@ -76,7 +76,11 @@ class Endpoint:
         return self.state.phase in ("established", "failed")
 
     def feed(self, event: Event, now: float) -> tuple[Action, ...]:
-        """Advance the machine by one event and carry out its actions."""
+        """Advance the machine by one event and carry out its actions.
+
+        A machine settles on the step that delivers its key or fails, and a settled
+        one sets no timer, so those two actions clear the deadline.
+        """
         self.state, actions, self.rng = self.advance(self.state, event, self.cfg, self.rng)
         for action in actions:
             if isinstance(action, SendFrame):
@@ -84,11 +88,9 @@ class Endpoint:
             elif isinstance(action, SetTimer):
                 self.deadline = now + action.ticks
             elif isinstance(action, DeliverKey):
-                self.key = action.session
+                self.key, self.deadline = action.session, None
             elif isinstance(action, Fail):
-                self.fail_reason = action.reason
-        if self.settled:
-            self.deadline = None
+                self.fail_reason, self.deadline = action.reason, None
         return actions
 
     def receive(self, datagram: bytes, now: float) -> bool:

@@ -34,6 +34,7 @@ CMD_AUTH = 0x4
 MAX_FRAME_ID = (1 << 32) - 1
 _HEADER_LEN = 5
 _CRC_LEN = 4
+_SYN_TAU = _HEADER_LEN + SEED_LEN  # offset of the SYN's tau byte
 
 
 class FrameError(Exception):
@@ -107,6 +108,8 @@ _PAYLOAD_LEN = {
     CMD_NAK_SYN: 1,
     CMD_AUTH: CODE_LEN,
 }
+# whole frame byte width per command
+_FRAME_LEN = {command: _HEADER_LEN + width + _CRC_LEN for command, width in _PAYLOAD_LEN.items()}
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class Frame:
 
 def crc32(data: bytes) -> int:
     """The frame checksum (standard reflected CRC-32)."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+    return zlib.crc32(data)
 
 
 def _encode_tau(tau: int) -> bytes:
@@ -153,12 +156,12 @@ def encode_frame(frame: Frame) -> bytes:
         if len(p.seed) != SEED_LEN or len(p.ek_st) != CODE_LEN:
             raise ValueError("SYN seed and probe must be 16 bytes each")
         body = p.seed + _encode_tau(p.tau) + p.ek_st
+    elif isinstance(p, (AckSyn, NakSyn)):
+        body = _encode_tau(p.tau)
     elif isinstance(p, FinSyn):
         if not 0 <= p.iv <= 0xFF:
             raise ValueError("iv must fit one byte")
         body = bytes([p.iv])
-    elif isinstance(p, (AckSyn, NakSyn)):
-        body = _encode_tau(p.tau)
     elif isinstance(p, Auth):
         if len(p.ek_code) != CODE_LEN:
             raise ValueError("AUTH code must be 16 bytes")
@@ -166,49 +169,46 @@ def encode_frame(frame: Frame) -> bytes:
     else:
         raise ValueError(f"unknown payload type: {type(p).__name__}")
 
-    head = bytes([frame.command << 4]) + frame.frame_id.to_bytes(4, "big") + body
-    return head + crc32(head).to_bytes(4, "big")
+    # the command nibble sits 36 bits up: at the top of byte 0, above the 32-bit id
+    head = (_COMMAND_OF_PAYLOAD[type(p)] << 36 | frame.frame_id).to_bytes(_HEADER_LEN, "big") + body
+    return head + crc32(head).to_bytes(_CRC_LEN, "big")
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Parse and validate one datagram.
+    """Parse and validate one datagram, reading each field once in the wire's order.
 
     Raises FrameTruncatedError when too short or malformed,
     FrameIntegrityError on checksum mismatch, FrameProtocolError on a
     reserved command code.
     """
-    if len(data) < _HEADER_LEN + _CRC_LEN:
-        raise FrameTruncatedError(f"frame of {len(data)} bytes is too short")
-    body, tail = data[:-_CRC_LEN], data[-_CRC_LEN:]
-    if crc32(body) != int.from_bytes(tail, "big"):
+    size = len(data)
+    if size < _HEADER_LEN + _CRC_LEN:
+        raise FrameTruncatedError(f"frame of {size} bytes is too short")
+    if crc32(data[:-_CRC_LEN]) != int.from_bytes(data[-_CRC_LEN:], "big"):
         raise FrameIntegrityError("checksum mismatch")
 
-    if data[0] & 0x0F:
+    head = data[0]
+    if head & 0x0F:
         raise FrameTruncatedError("low nibble of the command byte must be zero")
-    command = data[0] >> 4
-    if command not in _PAYLOAD_LEN:
+    command = head >> 4
+    expected = _FRAME_LEN.get(command)
+    if expected is None:
         raise FrameProtocolError(f"reserved command code {command:04b}")
-    expected = _HEADER_LEN + _PAYLOAD_LEN[command] + _CRC_LEN
-    if len(data) != expected:
+    if size != expected:
         raise FrameTruncatedError(
-            f"command {command:04b} frame must be {expected} bytes, got {len(data)}"
+            f"command {command:04b} frame must be {expected} bytes, got {size}"
         )
 
-    frame_id = int.from_bytes(data[1:5], "big")
-    raw = data[_HEADER_LEN:-_CRC_LEN]
+    frame_id = int.from_bytes(data[1:_HEADER_LEN], "big")
     payload: Payload
     if command == CMD_SYN:
-        payload = Syn(
-            seed=raw[:SEED_LEN],
-            tau=_decode_tau(raw[SEED_LEN]),
-            ek_st=raw[SEED_LEN + 1 :],
-        )
-    elif command == CMD_FIN_SYN:
-        payload = FinSyn(iv=raw[0])
+        payload = Syn(data[_HEADER_LEN:_SYN_TAU], _decode_tau(data[_SYN_TAU]), data[_SYN_TAU + 1:-_CRC_LEN])
     elif command == CMD_ACK_SYN:
-        payload = AckSyn(tau=_decode_tau(raw[0]))
+        payload = AckSyn(_decode_tau(data[_HEADER_LEN]))
     elif command == CMD_NAK_SYN:
-        payload = NakSyn(tau=_decode_tau(raw[0]))
+        payload = NakSyn(_decode_tau(data[_HEADER_LEN]))
+    elif command == CMD_FIN_SYN:
+        payload = FinSyn(data[_HEADER_LEN])
     else:
-        payload = Auth(ek_code=raw)
-    return Frame(frame_id=frame_id, payload=payload)
+        payload = Auth(data[_HEADER_LEN:-_CRC_LEN])
+    return Frame(frame_id, payload)

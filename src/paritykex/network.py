@@ -49,7 +49,8 @@ class TpmParams:
 
 class TpmNetwork:
     """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
-    form is built from the other on first read.  The protocol round runs on the planes."""
+    form is built from the other on first read.  The protocol round runs on the planes and
+    on ``unit_data``, which ``learn_planes`` hands from each bank to the next."""
 
     def __init__(self, params: TpmParams, weights: np.ndarray):
         p, w = params, weights
@@ -66,15 +67,24 @@ class TpmNetwork:
     @classmethod
     def from_planes(cls, params: TpmParams, planes: tuple[tuple[int, ...], ...]) -> "TpmNetwork":
         """A bank held as ``planes`` (see ``planes``); ValueError where a weight exceeds +l."""
-        for unit in planes:
-            # w + l > 2l where adding 2^depth - 1 - 2l to it carries out of the top plane
-            carry, add = 0, (1 << len(unit)) - 1 - 2 * params.l
-            for b, plane in enumerate(unit):
-                carry = plane | carry if add >> b & 1 else plane & carry
+        return cls._of_planes(params, planes, None, planes)
+
+    @classmethod
+    def _of_planes(cls, params: TpmParams, planes, unit_data, checked) -> "TpmNetwork":
+        """``planes`` plus any ``unit_data``; ValueError where a unit in ``checked`` exceeds +l."""
+        # w + l > 2l where adding 2^depth - 1 - 2l to it carries out of the top plane
+        add = (1 << (2 * params.l).bit_length()) - 1 - 2 * params.l
+        for unit in checked:
+            carry, bits = 0, add
+            for plane in unit:
+                carry = plane | carry if bits & 1 else plane & carry
+                bits >>= 1
             if carry:
                 raise ValueError("weights exceed the synaptic depth bound")
         net = object.__new__(cls)
-        net.__dict__.update(params=params, planes=planes)
+        net.params, net.planes = params, planes
+        if unit_data is not None:
+            net.unit_data = unit_data
         return net
 
     @cached_property
@@ -84,6 +94,16 @@ class TpmNetwork:
         depth = (2 * self.params.l).bit_length()
         return tuple(tuple(int.from_bytes(np.packbits(row >> b & 1, bitorder="little"), "little")
                            for b in range(depth)) for row in u)
+
+    @cached_property
+    def unit_data(self) -> tuple[tuple[int, bytes], ...]:
+        """Per unit, ``forward_planes``' constant l*n - sum_b 2^b |P_b| and the unit's
+        ``sync_probe`` bytes: each plane as ``ceil(n/8)`` little-endian bytes."""
+        l, n = self.params.l, self.params.n
+        width = -(-n // 8)
+        return tuple((l * n - sum(plane.bit_count() << b for b, plane in enumerate(unit)),
+                      b"".join([plane.to_bytes(width, "little") for plane in unit]))
+                     for unit in self.planes)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -182,10 +202,11 @@ def learn(
     """
     tau = np.asarray(tau)[..., None]
     moving = ((sigmas == tau) & np.asarray(moves)[..., None]).astype(w.dtype)
+    # in place, so the int64 tau does not widen the mask, nor the bank, past the weights' dtype
     if rule == "hebbian":
-        moving = moving * tau
+        moving *= tau
     elif rule == "anti_hebbian":
-        moving = moving * -tau
+        moving *= -tau
     moved = w + x * moving[..., None]
     return np.clip(moved, -l, l, out=moved)
 
@@ -209,14 +230,16 @@ def plane_values(net: TpmNetwork) -> bytes:
 def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
     """``forward``'s signs and tau for one bank; bit j of ``masks[i]`` set means x[i, j] = +1.
 
-    With u = w + l in planes P_b: sum_j w_j x_j = sum_b 2^b (2|P_b & m| - |P_b|) - l (2|m| - n).
+    With u = w + l in planes P_b: sum_j w_j x_j = sum_b 2^b (2|P_b & m| - |P_b|) - l (2|m| - n),
+    which is the unit's ``unit_data`` constant - 2l|m| + sum_b 2^(b+1) |P_b & m|.
     """
-    l, n = net.params.l, net.params.n
+    l2 = 2 * net.params.l
     sigmas = []
-    for unit, mask in zip(net.planes, masks):
-        total, b = l * (n - 2 * mask.bit_count()), 0
+    for unit, (total, _), mask in zip(net.planes, net.unit_data, masks):
+        total -= l2 * mask.bit_count()
+        b = 1
         for plane in unit:
-            total += (2 * (plane & mask).bit_count() - plane.bit_count()) << b
+            total += (plane & mask).bit_count() << b
             b += 1
         sigmas.append(1 if total > 0 else -1)
     return sigmas, math.prod(sigmas)
@@ -224,12 +247,16 @@ def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
 
 def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -> TpmNetwork:
     """``learn`` for one bank on its bit planes, on a step where both sides announced ``tau``:
-    a ripple carry or borrow through the planes, dropped where w is already +l or -l (the clamp)."""
+    a ripple carry or borrow through the planes, dropped where w is already +l or -l (the clamp).
+
+    The same loop builds each moved unit's ``unit_data``; unmoved units keep theirs.  A
+    ValueError where a moved weight exceeds +l.
+    """
     p = net.params
-    top, full = 2 * p.l, (1 << p.n) - 1
+    top, full, width = 2 * p.l, (1 << p.n) - 1, -(-p.n // 8)
     step = tau if rule == "hebbian" else -tau if rule == "anti_hebbian" else 1
-    units = []
-    for unit, mask, sigma in zip(net.planes, masks, sigmas):
+    units, data, moved_units = [], [], []
+    for unit, kept, mask, sigma in zip(net.planes, net.unit_data, masks, sigmas):
         if sigma == tau:
             up = mask if step > 0 else full ^ mask
             # no w + l exceeds 2l, so one holding every bit of 2l equals it
@@ -239,14 +266,21 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
                 if top >> b & 1:
                     at_top &= plane
             carry, borrow = up & ~at_top, (full ^ up) & nonzero
-            moved = []
-            for plane in unit:
-                moved.append(plane ^ (carry | borrow))
+            # the carried weights rise by one and the borrowing ones fall by one
+            total = kept[0] - carry.bit_count() + borrow.bit_count()
+            moved, packed = [], 0
+            for b, plane in enumerate(unit):
+                new = plane ^ (carry | borrow)
                 carry &= plane
                 borrow &= ~plane
+                moved.append(new)
+                packed |= new << 8 * width * b
             unit = tuple(moved)
+            kept = (total, packed.to_bytes(width * len(unit), "little"))
+            moved_units.append(unit)
         units.append(unit)
-    return TpmNetwork.from_planes(p, tuple(units))
+        data.append(kept)
+    return TpmNetwork._of_planes(p, tuple(units), tuple(data), moved_units)
 
 
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:

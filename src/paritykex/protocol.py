@@ -41,7 +41,7 @@ import numpy as np
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from .keycodec import KEY_BYTES, SessionKey, extract_key, serialize_weights
 from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, forward_planes, learn_planes
-from .rng import RngState, draw_input_masks, next_bytes, next_word, seed_from_bytes
+from .rng import MASK64, RngState, input_masks, next_word, next_words
 
 logger = logging.getLogger(__name__)
 
@@ -178,12 +178,12 @@ def sync_probe(net: TpmNetwork, seed: bytes, frame_id: int) -> bytes:
     """The SYN probe: SHA-256 over the whole bank's bit planes, bound to the SYN's seed and id.
 
     Equal probes mean equal banks, barring a SHA-256 collision; the seed and
-    id make each round's probe fresh.  Each plane enters as ``ceil(n/8)`` bytes.
+    id make each round's probe fresh.  Each plane enters as ``ceil(n/8)`` bytes, which the
+    bank's ``unit_data`` holds.
     """
-    width = -(-net.params.n // 8)
-    planes = b"".join([plane.to_bytes(width, "little") for unit in net.planes for plane in unit])
-    head = b"paritykex probe" + seed + frame_id.to_bytes(4, "big")
-    return hashlib.sha256(head + planes).digest()[:KEY_BYTES]
+    message = [b"paritykex probe", seed, frame_id.to_bytes(4, "big")]
+    message += [planes for _, planes in net.unit_data]
+    return hashlib.sha256(b"".join(message)).digest()[:KEY_BYTES]
 
 
 # The sender's AUTH and the receiver's reply differ in label, so equal codes cannot reflect.
@@ -231,15 +231,19 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
 
 
 def _sender_new_round(
-    state: SenderState, cfg: ProtocolConfig, rng: RngState
+    state: SenderState, cfg: ProtocolConfig, rng: RngState, net: TpmNetwork, iterations: int
 ) -> tuple[SenderState, tuple[Action, ...], RngState]:
+    """Open a round on ``net``, the bank after the last round's learning step, if any."""
     frame_id = state.next_id
-    seed, rng = next_bytes(rng, 16)
-    inputs, _ = draw_input_masks(seed_from_bytes(seed), cfg.params.k, cfg.params.n)
-    sigmas, tau = forward_planes(state.net, inputs)
-    frame = Frame(frame_id, Syn(seed=seed, tau=tau, ek_st=sync_probe(state.net, seed, frame_id)))
+    (s0, s1), rng = next_words(rng, 2)
+    seed = (s0 << 64 | s1).to_bytes(16, "big")
+    inputs = input_masks(s0, s1, cfg.params.k, cfg.params.n)[0]
+    sigmas, tau = forward_planes(net, inputs)
+    frame = Frame(frame_id, Syn(seed, tau, sync_probe(net, seed, frame_id)))
     state = _evolve(
         state,
+        net=net,
+        iterations=iterations,
         phase="synchronizing",
         next_id=frame_id + 1,
         attempts=1,
@@ -261,7 +265,7 @@ def sender_advance(
         if state.phase != "idle":
             logger.debug("sender: Start ignored in phase %s", state.phase)
             return state, (), rng
-        return _sender_new_round(state, cfg, rng)
+        return _sender_new_round(state, cfg, rng, state.net, state.iterations)
 
     sent = state.sent
     if sent is None:
@@ -292,10 +296,9 @@ def sender_advance(
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
             net = learn_planes(state.net, pending.inputs, pending.sigmas, pending.tau, cfg.rule)
-            state = _evolve(state, net=net, iterations=state.iterations + 1)
-            return _sender_new_round(state, cfg, rng)
+            return _sender_new_round(state, cfg, rng, net, state.iterations + 1)
         if isinstance(payload, NakSyn):
-            return _sender_new_round(state, cfg, rng)
+            return _sender_new_round(state, cfg, rng, state.net, state.iterations)
         if isinstance(payload, FinSyn):
             session = extract_key(serialize_weights(state.net), payload.iv)
             frame_id = state.next_id
@@ -331,14 +334,15 @@ def sender_advance(
 
 def _receiver_learning_reply(
     state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
-) -> tuple[ReceiverState, Frame]:
-    inputs, _ = draw_input_masks(seed_from_bytes(syn.seed), cfg.params.k, cfg.params.n)
+) -> tuple[TpmNetwork, int, Frame]:
+    """The receiver's bank and iteration count after a SYN whose probe missed, and its reply."""
+    seed = int.from_bytes(syn.seed, "big")
+    inputs = input_masks(seed >> 64, seed & MASK64, cfg.params.k, cfg.params.n)[0]
     sigmas, tau = forward_planes(state.net, inputs)
     if tau == syn.tau:
         net = learn_planes(state.net, inputs, sigmas, tau, cfg.rule)
-        state = _evolve(state, net=net, iterations=state.iterations + 1)
-        return state, Frame(frame.frame_id, AckSyn(tau=tau))
-    return state, Frame(frame.frame_id, NakSyn(tau=tau))
+        return net, state.iterations + 1, Frame(frame.frame_id, AckSyn(tau))
+    return state.net, state.iterations, Frame(frame.frame_id, NakSyn(tau))
 
 
 def receiver_advance(
@@ -364,15 +368,16 @@ def receiver_advance(
         if state.session is not None:
             logger.debug("receiver: SYN ignored after a key offer")
             return state, (), rng
-        session, phase = None, "synchronizing"
-        if sync_probe(state.net, payload.seed, frame.frame_id) == payload.ek_st:
+        net, iterations, session, phase = state.net, state.iterations, None, "synchronizing"
+        if sync_probe(net, payload.seed, frame.frame_id) == payload.ek_st:
             word, rng = next_word(rng)
             iv = word % (cfg.params.k * cfg.params.n // KEY_BYTES)
-            session, phase = extract_key(serialize_weights(state.net), iv), "certifying"
+            session, phase = extract_key(serialize_weights(net), iv), "certifying"
             reply = Frame(frame.frame_id, FinSyn(iv))
         else:
-            state, reply = _receiver_learning_reply(state, frame, payload, cfg)
-        state = _evolve(state, phase=phase, session=session, last_seen_id=frame.frame_id, reply=reply)
+            net, iterations, reply = _receiver_learning_reply(state, frame, payload, cfg)
+        state = _evolve(state, net=net, iterations=iterations, phase=phase, session=session,
+                        last_seen_id=frame.frame_id, reply=reply)
         return state, (SendFrame(reply),), rng
 
     if isinstance(payload, Auth):

@@ -92,9 +92,16 @@ def next_bytes(state: RngState, count: int) -> tuple[bytes, RngState]:
     return buf[:count], state
 
 
-def draw_input_masks(state: RngState, k: int, n: int) -> tuple[list[int], RngState]:
-    """``draw_inputs`` as k n-bit masks: bit j of mask i is set where entry (i, j) is +1."""
-    words, s0, s1 = _steps(state.s0, state.s1, -(-k * n // 64))
+def input_masks(s0: int, s1: int, k: int, n: int) -> tuple[list[int], int, int]:
+    """The k n-bit input masks the state words (s0, s1) draw, and the words after them.
+
+    Bit j of mask i is set where entry (i, j) of ``draw_inputs`` is +1.  The words
+    (0, 0), those of the all-zero seed, stand for ``ZERO_SEED_STATE`` as in
+    ``seed_from_bytes``, so a SYN seed's two words give its masks directly.
+    """
+    if not s0 | s1:
+        s0, s1 = ZERO_SEED_STATE
+    words, s0, s1 = _steps(s0, s1, -(-k * n // 64))
     stream = 0
     for word in reversed(words):
         stream = stream << 64 | word
@@ -102,6 +109,12 @@ def draw_input_masks(state: RngState, k: int, n: int) -> tuple[list[int], RngSta
     for _ in range(k):
         masks.append(stream & full)
         stream >>= n
+    return masks, s0, s1
+
+
+def draw_input_masks(state: RngState, k: int, n: int) -> tuple[list[int], RngState]:
+    """``draw_inputs`` as k n-bit masks: bit j of mask i is set where entry (i, j) is +1."""
+    masks, s0, s1 = input_masks(state.s0, state.s1, k, n)
     return masks, RngState(s0, s1)
 
 

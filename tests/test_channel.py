@@ -155,3 +155,23 @@ def test_udp_loopback_roundtrip():
     assert client.receive(timeout=0.05) is None
     server.close()
     client.close()
+
+
+def test_poll_of_an_empty_queue_still_rejects_an_unknown_endpoint():
+    link = SimulatedLink(ChannelConfig())
+    assert link.poll("b", 0) == []
+    with pytest.raises(ValueError):
+        link.poll("c", 0)
+
+
+def test_poll_returns_the_due_datagrams_in_tick_then_send_order_and_keeps_the_rest():
+    link = SimulatedLink(ChannelConfig())
+    for data, tick in ((b"late", 10), (b"first", 0), (b"mid", 5), (b"second", 0), (b"later", 7)):
+        link.send("a", data, tick)
+    assert link.poll("b", 4) == [b"first", b"second"]
+    assert link.poll("b", 6) == [b"mid"]
+    assert link.stats.frames_delivered == 3
+    assert link.poll("b", 6) == [] and link.poll("a", 100) == []
+    link.send("a", b"early", 3)  # sent after the later ones, due before them
+    assert link.poll("b", 10) == [b"early", b"later", b"late"]
+    assert link.stats.frames_delivered == 6

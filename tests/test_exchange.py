@@ -4,9 +4,11 @@ import threading
 
 import pytest
 
-from paritykex.channel import ChannelConfig, UdpTransport
+from paritykex.channel import ChannelConfig, SimulatedLink, UdpTransport
 from paritykex.exchange import (
+    Endpoint,
     derive_seed,
+    run_over_link,
     run_exchange,
     run_udp,
 )
@@ -91,6 +93,24 @@ def test_mismatched_secret_fails_verifying_side():
     assert not outcome.established
     assert outcome.receiver.phase == "failed"
     assert outcome.fail_reason == "peer certification failed"
+
+
+def test_a_settled_endpoint_keeps_no_deadline():
+    # an established or failed machine must leave no retransmission timer behind
+    from dataclasses import replace
+
+    cfg = config(l=1, n=16, max_attempts=4)
+    for receiver_cfg, phases in ((cfg, ("established", "established")),
+                                 (replace(cfg, ssc=bytes(16)), (None, "failed")),
+                                 (replace(cfg, rsc=bytes(16)), ("failed", None))):
+        master = b"settled-deadline"
+        sender = Endpoint("sender", cfg, derive_seed(master, "sender"))
+        receiver = Endpoint("receiver", receiver_cfg, derive_seed(master, "receiver"))
+        run_over_link(sender, receiver, SimulatedLink(), 8000)
+        for endpoint, phase in zip((sender, receiver), phases):
+            if phase is not None:
+                assert endpoint.state.phase == phase
+                assert endpoint.deadline is None
 
 
 def test_liveness_under_plain_loss():

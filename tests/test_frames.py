@@ -14,6 +14,7 @@ from paritykex.frames import (
     Auth,
     FinSyn,
     Frame,
+    FrameError,
     FrameIntegrityError,
     FrameProtocolError,
     FrameTruncatedError,
@@ -143,3 +144,32 @@ def test_payload_field_validation():
         encode_frame(Frame(0, Syn(seed=bytes(16), tau=0, ek_st=bytes(16))))
     with pytest.raises(ValueError):
         encode_frame(Frame(0, FinSyn(iv=300)))
+
+
+def _wire(command_byte: int, payload: bytes) -> bytes:
+    body = bytes([command_byte]) + (7).to_bytes(4, "big") + payload
+    return body + crc32(body).to_bytes(4, "big")
+
+
+ACK_WIRE = encode_frame(Frame(7, AckSyn(1)))
+SYN_WIRE = encode_frame(Frame(7, Syn(bytes(16), -1, bytes(16))))
+
+
+@pytest.mark.parametrize("wire, error", [
+    (ACK_WIRE[:8], FrameTruncatedError),  # truncated below header and CRC
+    (SYN_WIRE[:-5] + SYN_WIRE[-4:], FrameIntegrityError),  # a byte lost: the CRC fails first
+    (bytes([ACK_WIRE[0]]) + bytes([ACK_WIRE[1] ^ 0x10]) + ACK_WIRE[2:], FrameIntegrityError),  # one bit
+    (_wire(0x21, b"\x01"), FrameTruncatedError),  # nonzero low nibble
+    (_wire(0x51, b"\x01"), FrameTruncatedError),  # the low nibble is checked before the command
+    (_wire(0x50, b"\x01"), FrameProtocolError),  # reserved command
+    (_wire(0xF0, b""), FrameProtocolError),  # the command is checked before the length
+    (_wire(CMD_ACK_SYN << 4, b"\x01\x01"), FrameTruncatedError),  # wrong length
+    (_wire(CMD_SYN << 4, bytes(16) + b"\x01"), FrameTruncatedError),  # SYN without its probe
+    (_wire(CMD_ACK_SYN << 4, b"\x02"), FrameTruncatedError),  # malformed tau byte
+    (_wire(CMD_NAK_SYN << 4, b"\xff"), FrameTruncatedError),
+    (_wire(CMD_SYN << 4, bytes(16) + b"\x80" + bytes(16)), FrameTruncatedError),
+])
+def test_each_malformed_frame_raises_its_own_error_class(wire, error):
+    with pytest.raises(FrameError) as caught:
+        decode_frame(wire)
+    assert type(caught.value) is error

@@ -1,0 +1,36 @@
+"""tools/layer_bench.py: one JSON line with a median for every layer row of a protocol round."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ROWS = {
+    "rng.next_word", "rng.input_masks",
+    "network.forward_planes", "network.learn_planes", "protocol.sync_probe",
+    "frames.encode_frame.syn", "frames.encode_frame.ack", "frames.decode_frame.syn", "frames.decode_frame.ack",
+    "protocol.sender_advance", "protocol.receiver_advance",
+    "channel.send_and_poll", "channel.poll_empty",
+}
+
+
+def test_layer_bench_prints_every_row_with_its_seed_parameters_and_machine():
+    command = [sys.executable, os.path.join(ROOT, "tools", "layer_bench.py"), "--repeat", "2", "--number", "3"]
+    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record["rows"]) == ROWS
+    assert all(value > 0 for value in record["rows"].values())
+    assert record["unit"] == "us" and record["seed"] == 18
+    assert record["params"] == {"k": 3, "n": 32, "l": 3, "rule": "random_walk"}
+    assert (record["repeat"], record["number"]) == (2, 3)
+    assert set(record["machine"]) == {"cores", "python", "numpy", "platform"}
+
+
+def test_layer_bench_rejects_an_empty_timing():
+    command = [sys.executable, os.path.join(ROOT, "tools", "layer_bench.py"), "--number", "0"]
+    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and "--number" in out.stderr

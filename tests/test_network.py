@@ -324,6 +324,25 @@ def test_kernel_on_a_bank_stack_equals_calling_it_bank_by_bank(rule):
         assert set(learned[0, lane, unit].tolist()) == {bound, bound - np.sign(bound)}
 
 
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_kernel_keeps_the_dtype_of_an_int32_stack(rule):
+    # hebbian and anti_hebbian multiplied the mask by the int64 tau and returned int64
+    l = 3
+    gen = np.random.default_rng(18)
+    w = gen.integers(-l, l + 1, size=(3, 5, 3, 8), dtype=np.int32)
+    x = gen.choice(np.array([-1, 1], dtype=np.int32), size=(5, 3, 8))
+    moves = np.array([True, False, True, True, False])
+    _, sigmas, tau = forward(w, x)
+    learned = learn(w, x, sigmas, tau[0], moves, rule, l)
+    assert learned.dtype == w.dtype
+
+    t = tau[0][:, None].astype(np.int64)
+    step = {"hebbian": t, "anti_hebbian": -t, "random_walk": 1}[rule]
+    gate = (sigmas == t) & moves[:, None]
+    expected = np.clip(w.astype(np.int64) + x * (gate * step)[..., None], -l, l)
+    assert np.array_equal(learned, expected)
+
+
 def test_random_walk_marginal_stays_uniform():
     # paired random-walk learning leaves the weight marginal uniform
     params = TpmParams(k=3, n=16, l=2)
@@ -523,20 +542,61 @@ def test_weights_round_trip_through_planes(k, n, l):
     assert serialize_weights(back) == material
 
 
+def bank_holding(l, value):
+    """Planes of a (2, 5) bank at depth l whose unit 1, weight 3 holds w + l = value; every other
+    weight is 0."""
+    depth = (2 * l).bit_length()
+    planes = [[(l >> b & 1) * 0b11111 for b in range(depth)] for _ in range(2)]
+    for b in range(depth):
+        planes[1][b] = planes[1][b] & ~(1 << 3) | (value >> b & 1) << 3
+    return tuple(tuple(unit) for unit in planes)
+
+
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
 def test_plane_bank_above_the_bound_is_rejected(l):
     params = TpmParams(2, 5, l)
     depth = (2 * l).bit_length()
-
-    def bank(value):
-        # unit 1, weight 3 holds w + l = value; every other weight is 0
-        planes = [[(l >> b & 1) * 0b11111 for b in range(depth)] for _ in range(2)]
-        for b in range(depth):
-            planes[1][b] = planes[1][b] & ~(1 << 3) | (value >> b & 1) << 3
-        return tuple(tuple(unit) for unit in planes)
-
-    assert TpmNetwork.from_planes(params, bank(2 * l)).weights[1, 3] == l
-    assert TpmNetwork.from_planes(params, bank(0)).weights[1, 3] == -l
+    assert TpmNetwork.from_planes(params, bank_holding(l, 2 * l)).weights[1, 3] == l
+    assert TpmNetwork.from_planes(params, bank_holding(l, 0)).weights[1, 3] == -l
     for value in (2 * l + 1, (1 << depth) - 1):
         with pytest.raises(ValueError, match="bound"):
-            TpmNetwork.from_planes(params, bank(value))
+            TpmNetwork.from_planes(params, bank_holding(l, value))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
+def test_learning_rejects_a_moved_unit_above_the_bound(l):
+    # learn_planes has its result's constructor check every unit it moves
+    params = TpmParams(2, 5, l)
+    depth = (2 * l).bit_length()
+    full = 0b11111
+    for value in {2 * l + 1, (1 << depth) - 1}:
+        # a bank with no unit checked, as no public constructor builds one
+        net = TpmNetwork._of_planes(params, bank_holding(l, value), None, ())
+        with pytest.raises(ValueError, match="bound"):
+            learn_planes(net, [full, full], [1, 1], 1, "random_walk")  # every weight up
+        if value - 1 > 2 * l:
+            with pytest.raises(ValueError, match="bound"):
+                learn_planes(net, [0, 0], [1, 1], 1, "random_walk")  # every weight down
+        else:
+            assert learn_planes(net, [0, 0], [1, 1], 1, "random_walk").weights[1, 3] == l
+    # at +l itself the unit moves and stays clamped
+    net = TpmNetwork.from_planes(params, bank_holding(l, 2 * l))
+    assert learn_planes(net, [full, full], [1, 1], 1, "random_walk").weights[1, 3] == l
+
+
+@pytest.mark.parametrize("rule", LEARNING_RULES)
+def test_learned_banks_carry_the_unit_data_a_fresh_bank_computes(rule):
+    # learn_planes builds the moved units' forward constants and probe bytes and
+    # copies the others; after many steps they must equal a recomputation
+    for k, n, l in PLANE_SHAPES:
+        params = TpmParams(k, n, l)
+        net, rng = init_network(params, seed_from_bytes(b"unit-data-run-00"))
+        for _ in range(300):
+            masks, rng = draw_input_masks(rng, k, n)
+            net = learn_planes(net, masks, *forward_planes(net, masks), rule)
+        fresh = TpmNetwork(params, net.weights)
+        assert net.unit_data == fresh.unit_data, (k, n, l)
+        width = -(-n // 8)
+        for unit, (constant, probe) in zip(fresh.planes, fresh.unit_data):
+            assert constant == l * n - sum(plane.bit_count() << b for b, plane in enumerate(unit))
+            assert probe == b"".join(plane.to_bytes(width, "little") for plane in unit)

@@ -9,8 +9,10 @@ from paritykex.rng import (
     MASK64,
     ZERO_SEED_STATE,
     RngState,
+    draw_input_masks,
     draw_inputs,
     draw_inputs_lanes,
+    input_masks,
     next_bytes,
     next_word,
     next_word_lanes,
@@ -240,3 +242,16 @@ def test_single_lane_stays_an_array_and_wraps_silently():
         inputs, state = draw_inputs_lanes(state, 3, 32)
     expected, _ = draw_inputs(scalar, 3, 32)
     assert np.array_equal(inputs[0], expected)
+
+
+@pytest.mark.parametrize("k, n", [(3, 32), (1, 1), (3, 7), (5, 13), (4, 33), (2, 64)])
+def test_seed_words_give_the_masks_drawn_from_the_seed(k, n):
+    # a SYN seed's two words go straight to its input masks; k*n need not fill whole words
+    gen = np.random.default_rng(k * 100 + n)
+    seeds = [bytes(16)] + [gen.bytes(16) for _ in range(40)]
+    for seed in seeds:
+        s0, s1 = int.from_bytes(seed[:8], "big"), int.from_bytes(seed[8:], "big")
+        masks, t0, t1 = input_masks(s0, s1, k, n)
+        drawn, state = draw_input_masks(seed_from_bytes(seed), k, n)
+        assert masks == drawn and (t0, t1) == (state.s0, state.s1), seed
+        assert all(0 <= mask < 1 << n for mask in masks)

@@ -30,6 +30,12 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def machine_info() -> dict:
+    """The cores, Python, numpy and platform a record was made on."""
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -81,8 +87,7 @@ def write(path: str, runs: list[dict]) -> None:
                      "metrics": medians(mine)})
     untraced = [r for r in runs if not r["trace"]]
     record = {
-        "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "platform": platform.platform()},
+        "machine": machine_info(),
         "rows": rows,
         "pair_wins": {w: pair_wins(untraced, w) for w in sorted({r["workload"] for r in untraced})},
         "runs": runs,

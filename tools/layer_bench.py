@@ -1,0 +1,103 @@
+"""Time each layer of one protocol round in isolation and print one JSON line of median µs.
+
+    python3 tools/layer_bench.py [--repeat 9] [--number 2000]
+
+The rows are the layer rows of ROADMAP aim 1 at k=3, n=32, l=3 (random_walk):
+the generator word and the SYN seed's input masks; ``forward_planes``,
+``learn_planes`` and ``sync_probe`` on one bank; ``encode_frame`` and
+``decode_frame`` of a SYN and an ACK; one ``sender_advance`` step (an ACK in,
+the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
+one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
+empty queue.  Every input is built from ``SEED``; each call repeats the same
+work, and a row is the median over ``--repeat`` timings of ``--number`` calls.
+The package is imported from this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import timeit
+
+from bench_record import machine_info
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+K, N, L, RULE, SEED = 3, 32, 3, "random_walk", 18
+
+
+def layer_calls() -> dict:
+    """Name -> zero-argument callable doing one call of that layer on fixed inputs."""
+    from paritykex import channel, frames, network, protocol, rng
+
+    params = network.TpmParams(K, N, L)
+    cfg = protocol.ProtocolConfig(params, ssc=b"layer-bench-ssc!", rsc=b"layer-bench-rsc!",
+                                  rule=RULE, timeout_ticks=16, max_attempts=12)
+    state = rng.seed_from_bytes(SEED.to_bytes(16, "big"))
+    net, state = network.init_network(params, state)
+    peer, state = network.init_network(params, state)
+    (s0, s1), state = rng.next_words(state, 2)
+    seed_bytes = (s0 << 64 | s1).to_bytes(16, "big")
+    masks = rng.input_masks(s0, s1, K, N)[0]
+    sigmas, tau = network.forward_planes(net, masks)
+
+    sender, _, sender_rng = protocol.sender_advance(protocol.SenderState(net), protocol.Start(), cfg, state)
+    syn = sender.sent
+    ack = frames.Frame(syn.frame_id, frames.AckSyn(sender.pending.tau))
+    # the receiver's SYN carries the receiver's own output, so the step learns and ACKs
+    peer_tau = network.forward_planes(peer, sender.pending.inputs)[1]
+    peer_syn = frames.Frame(syn.frame_id, frames.Syn(syn.payload.seed, peer_tau, syn.payload.ek_st))
+    receiver = protocol.ReceiverState(peer)
+    syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
+    link = channel.SimulatedLink()
+
+    def send_and_poll():
+        link.send("a", syn_wire, 0)
+        return link.poll("b", 0)
+
+    return {
+        "rng.next_word": lambda: rng.next_word(state),
+        "rng.input_masks": lambda: rng.input_masks(s0, s1, K, N),
+        "network.forward_planes": lambda: network.forward_planes(net, masks),
+        "network.learn_planes": lambda: network.learn_planes(net, masks, sigmas, tau, RULE),
+        "protocol.sync_probe": lambda: protocol.sync_probe(net, seed_bytes, syn.frame_id),
+        "frames.encode_frame.syn": lambda: frames.encode_frame(syn),
+        "frames.encode_frame.ack": lambda: frames.encode_frame(ack),
+        "frames.decode_frame.syn": lambda: frames.decode_frame(syn_wire),
+        "frames.decode_frame.ack": lambda: frames.decode_frame(ack_wire),
+        "protocol.sender_advance": lambda: protocol.sender_advance(
+            sender, protocol.FrameArrived(ack), cfg, sender_rng),
+        "protocol.receiver_advance": lambda: protocol.receiver_advance(
+            receiver, protocol.FrameArrived(peer_syn), cfg, state),
+        "channel.send_and_poll": send_and_poll,
+        "channel.poll_empty": lambda: link.poll("b", 0),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=9, help="timings per row; the row is their median")
+    ap.add_argument("--number", type=int, default=2000, help="calls per timing")
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or args.number < 1:
+        ap.error("--repeat and --number must be at least 1")
+
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    rows = {}
+    for name, call in layer_calls().items():
+        call()  # fill the bank's first-read caches before timing
+        times = timeit.repeat(call, repeat=args.repeat, number=args.number)
+        rows[name] = round(statistics.median(times) / args.number * 1e6, 3)
+    print(json.dumps({
+        "unit": "us", "rows": rows, "seed": SEED,
+        "params": {"k": K, "n": N, "l": L, "rule": RULE},
+        "repeat": args.repeat, "number": args.number,
+        "machine": machine_info(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
