@@ -46,7 +46,7 @@ while not is_synchronized(net_a, net_b):
               + "  ".join("  n/a" if r is None else f"{r:+.3f}" for r in rhos))
 
 print(f"\nsynchronized after {rounds} rounds ({agreements} with matching outputs)")
-assert np.array_equal(net_a.active_weights, net_b.active_weights)
+assert np.array_equal(net_a.weights, net_b.weights)
 
 print("\nthe synchronized state is absorbing:")
 for _ in range(200):

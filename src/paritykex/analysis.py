@@ -390,19 +390,7 @@ def write_sweep_csv(results: Sequence[SweepResult], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for r in results:
-            writer.writerow(
-                [
-                    r.k,
-                    r.n,
-                    r.l,
-                    r.rule,
-                    r.trials,
-                    f"{r.mean_iter:.6f}",
-                    f"{r.median_iter:.6f}",
-                    f"{r.stddev_iter:.6f}",
-                    "" if r.mean_bytes is None else f"{r.mean_bytes:.6f}",
-                    ""
-                    if r.attacker_success_rate is None
-                    else f"{r.attacker_success_rate:.6f}",
-                ]
-            )
+            values = [getattr(r, "attacker_success_rate" if c == "attacker_success" else c)
+                      for c in CSV_COLUMNS]
+            # k, n, l, rule and trials as they are, the measured means with six decimals
+            writer.writerow(values[:5] + ["" if v is None else f"{v:.6f}" for v in values[5:]])

@@ -42,8 +42,8 @@ def _seed_bytes(value: str | None) -> tuple[bytes, bool]:
 
 def _host_port(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {value!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT with a port in 0-65535, got {value!r}")
     return host, int(port)
 
 

@@ -15,7 +15,9 @@ import hmac
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .network import TpmNetwork, plane_values
+import numpy as np
+
+from .network import TpmNetwork
 
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
@@ -62,7 +64,8 @@ def _offset_bytes(l: int) -> bytes:
 
 def serialize_weights(net: TpmNetwork) -> bytes:
     """Serialize the bank row-major, one byte per weight."""
-    return plane_values(net).translate(_offset_bytes(net.params.l))
+    l = net.params.l
+    return (net.weights + l).astype(np.uint8).tobytes().translate(_offset_bytes(l))
 
 
 def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:

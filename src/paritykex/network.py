@@ -49,8 +49,9 @@ class TpmParams:
 
 class TpmNetwork:
     """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
-    form is built from the other on first read.  The protocol round runs on the planes and
-    on ``unit_data``, which ``learn_planes`` hands from each bank to the next."""
+    form is built from the other on first read, ``weights`` from the plane bytes in
+    ``unit_data``.  The protocol round runs on the planes and on ``unit_data``, which
+    ``learn_planes`` hands from each bank to the next."""
 
     def __init__(self, params: TpmParams, weights: np.ndarray):
         p, w = params, weights
@@ -61,13 +62,10 @@ class TpmNetwork:
         # min/max, not abs: abs wraps the most negative value of a signed dtype
         if not (w.min() >= -p.l and w.max() <= p.l):
             raise ValueError("weights exceed the synaptic depth bound")
+        # a copy, so the bank is int32 whatever the caller passed and the caller's array stays writable
+        w = w.astype(np.int32)
         w.setflags(write=False)
         self.__dict__.update(params=params, weights=w)
-
-    @classmethod
-    def from_planes(cls, params: TpmParams, planes: tuple[tuple[int, ...], ...]) -> "TpmNetwork":
-        """A bank held as ``planes`` (see ``planes``); ValueError where a weight exceeds +l."""
-        return cls._of_planes(params, planes, None, planes)
 
     @classmethod
     def _of_planes(cls, params: TpmParams, planes, unit_data, checked) -> "TpmNetwork":
@@ -107,10 +105,12 @@ class TpmNetwork:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The read-only int32 (k, n) bank."""
+        """The read-only int32 (k, n) bank, decoded from the plane bytes in ``unit_data``."""
         p = self.params
-        values = np.frombuffer(plane_values(self), np.uint8)
-        w = values.reshape(p.k, p.n).astype(np.int32) - p.l
+        depth = (2 * p.l).bit_length()
+        raw = np.frombuffer(b"".join([probe for _, probe in self.unit_data]), np.uint8)
+        bits = np.unpackbits(raw.reshape(p.k, depth, -(-p.n // 8)), axis=2, count=p.n, bitorder="little")
+        w = (1 << np.arange(depth, dtype=np.int32)) @ bits - p.l
         w.setflags(write=False)
         return w
 
@@ -211,22 +211,6 @@ def learn(
     return np.clip(moved, -l, l, out=moved)
 
 
-# Entry b spreads the bits of b, LSB first, to the low bits of eight little-endian bytes.
-_SPREAD = (np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-           .view("<u8").ravel().tolist())
-
-
-def plane_values(net: TpmNetwork) -> bytes:
-    """w + l of every weight, row-major, one byte each, read off the bit planes."""
-    n, value = net.params.n, 0
-    for i, unit in enumerate(net.planes):
-        for b, plane in enumerate(unit):
-            for c in range(0, n, 8):
-                value |= _SPREAD[plane >> c & 0xFF] << (8 * (i * n + c) + b)
-    size = net.params.k * n
-    return (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-
-
 def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
     """``forward``'s signs and tau for one bank; bit j of ``masks[i]`` set means x[i, j] = +1.
 
@@ -307,7 +291,7 @@ def apply_learning(
     if eval_self.tau != tau_other:
         return net
     updated = learn(net.weights, x, eval_self.sigmas, eval_self.tau, True, rule, net.params.l)
-    return TpmNetwork(net.params, updated.astype(np.int32))
+    return TpmNetwork(net.params, updated)
 
 
 def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams:

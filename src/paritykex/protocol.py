@@ -36,12 +36,10 @@ import logging
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
-import numpy as np
-
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from .keycodec import KEY_BYTES, SessionKey, extract_key, serialize_weights
 from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, forward_planes, learn_planes
-from .rng import MASK64, RngState, input_masks, next_word, next_words
+from .rng import MASK64, RngState, input_masks, mask_signs, next_word, next_words
 
 logger = logging.getLogger(__name__)
 
@@ -217,9 +215,7 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
         h.update(int(auth_id).to_bytes(8, "big", signed=True))
         if state.pending is not None and sent is not None:
             h.update(int(sent.frame_id).to_bytes(8, "big"))
-            n = state.net.params.n
-            signs = [[1 if mask >> j & 1 else -1 for j in range(n)] for mask in state.pending.inputs]
-            h.update(np.array(signs, dtype=np.int32).tobytes())
+            h.update(mask_signs(state.pending.inputs, state.net.params.n).tobytes())
     else:
         # the cached reply is left out: it changes only when last_seen_id does
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))

@@ -112,10 +112,13 @@ def input_masks(s0: int, s1: int, k: int, n: int) -> tuple[list[int], int, int]:
     return masks, s0, s1
 
 
-def draw_input_masks(state: RngState, k: int, n: int) -> tuple[list[int], RngState]:
-    """``draw_inputs`` as k n-bit masks: bit j of mask i is set where entry (i, j) is +1."""
-    masks, s0, s1 = input_masks(state.s0, state.s1, k, n)
-    return masks, RngState(s0, s1)
+def mask_signs(masks: Sequence[int], n: int) -> np.ndarray:
+    """The int32 +-1 matrix of n-bit ``masks``, one row a mask: entry (i, j) is +1 where bit j
+    of ``masks[i]`` is set."""
+    width = -(-n // 8)
+    raw = np.frombuffer(b"".join([mask.to_bytes(width, "little") for mask in masks]), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.astype(np.int32) * 2 - 1
 
 
 def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
@@ -126,8 +129,8 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     """
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
-    masks, state = draw_input_masks(state, k, n)
-    return np.array([[m >> j & 1 for j in range(n)] for m in masks], dtype=np.int32) * 2 - 1, state
+    masks, s0, s1 = input_masks(state.s0, state.s1, k, n)
+    return mask_signs(masks, n), RngState(s0, s1)
 
 
 # --- lane-wise generator ------------------------------------------------------

@@ -113,7 +113,7 @@ def test_initial_norm_matches_sampled_norms():
     norms = []
     for _ in range(10_000):
         net, rng = init_network(params, rng)
-        w = net.active_weights[0].astype(float)
+        w = net.weights[0].astype(float)
         norms.append(math.sqrt(float(w @ w) / 100))
     assert abs(np.mean(norms) - initial_norm(3)) / initial_norm(3) < 0.01
 

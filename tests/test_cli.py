@@ -94,6 +94,19 @@ def test_usage_error_on_negative_cap(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []  # no CSV written
 
 
+@pytest.mark.parametrize("mode", ["--listen", "--connect"])
+def test_usage_error_on_port_out_of_range(monkeypatch, capsys, mode):
+    # port 70000 died with an OverflowError traceback from bind/sendto
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["exchange", mode, "127.0.0.1:70000", "--seed", SEED])
+    assert excinfo.value.code == 2
+    assert "0-65535" in capsys.readouterr().err
+
+
 def test_udp_mode_requires_explicit_seed(capsys):
     code = main(["exchange", "--listen", "127.0.0.1:39999"])
     assert code == 2

@@ -9,10 +9,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ROWS = {
     "rng.next_word", "rng.input_masks",
-    "network.forward_planes", "network.learn_planes", "protocol.sync_probe",
+    "network.init", "network.forward_planes", "network.learn_planes", "protocol.sync_probe",
     "frames.encode_frame.syn", "frames.encode_frame.ack", "frames.decode_frame.syn", "frames.decode_frame.ack",
     "protocol.sender_advance", "protocol.receiver_advance",
-    "channel.send_and_poll", "channel.poll_empty",
+    "channel.send_and_poll", "channel.poll_empty", "keycodec.key_material",
 }
 
 

@@ -22,7 +22,8 @@ from paritykex.network import (
     learn_planes,
     order_params,
 )
-from paritykex.rng import draw_input_masks, draw_inputs, seed_from_bytes, seed_lanes
+from paritykex.protocol import SenderState, state_digest
+from paritykex.rng import draw_inputs, input_masks, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -59,6 +60,23 @@ def test_network_rejects_non_integer_weights():
     # a float bank passed the bound check and failed later, in serialize_weights
     with pytest.raises(ValueError, match="integer"):
         TpmNetwork(TpmParams(k=3, n=32, l=3), np.full((3, 32), 1.5))
+
+
+def test_network_stores_a_read_only_int32_copy():
+    # the bank kept the caller's array: it made that array read-only, and an int64 bank
+    # hashed to another state digest than the same int32 bank
+    params = TpmParams(k=3, n=8, l=3)
+    values = np.random.default_rng(19).integers(-3, 4, size=(3, 8))
+    digests = set()
+    for dtype in (np.int64, np.int32, np.int8):
+        w = values.astype(dtype)
+        net = TpmNetwork(params, w)
+        assert net.weights.dtype == np.int32 and not net.weights.flags.writeable
+        assert w.flags.writeable
+        w[0, 0] = 3 if w[0, 0] != 3 else -3
+        assert np.array_equal(net.weights, values)
+        digests.add(state_digest(SenderState(net)))
+    assert len(digests) == 1
 
 
 def test_init_depth_zero_gives_zero_weight():
@@ -145,7 +163,7 @@ def test_evaluate_tau_is_product_of_recomputed_signs():
         prod = 1
         for i in range(3):
             total = sum(
-                int(net.active_weights[i, j]) * int(inputs[i, j]) for j in range(17)
+                int(net.weights[i, j]) * int(inputs[i, j]) for j in range(17)
             )
             sign = 1 if total > 0 else -1
             assert ev.sigmas[i] == sign
@@ -187,7 +205,7 @@ def test_random_walk_clamps_at_bound():
     ev = evaluate(net, x)
     assert ev.sigmas[0] == 1 and ev.tau == 1
     updated = apply_learning(net, x, ev, 1, "random_walk")
-    assert updated.active_weights[0, 0] == 1
+    assert updated.weights[0, 0] == 1
 
 
 def test_hebbian_hand_computed():
@@ -196,7 +214,7 @@ def test_hebbian_hand_computed():
     ev = evaluate(net, x)
     assert ev.sigmas[0] == -1 and ev.tau == -1
     updated = apply_learning(net, x, ev, -1, "hebbian")
-    assert list(updated.active_weights[0]) == [-1, 1]
+    assert list(updated.weights[0]) == [-1, 1]
 
 
 def test_anti_hebbian_direction():
@@ -204,7 +222,7 @@ def test_anti_hebbian_direction():
     x = np.array([[1, -1]])
     ev = evaluate(net, x)
     updated = apply_learning(net, x, ev, -1, "anti_hebbian")
-    assert list(updated.active_weights[0]) == [1, -1]
+    assert list(updated.weights[0]) == [1, -1]
 
 
 def test_update_gate_only_matching_units():
@@ -219,7 +237,7 @@ def test_update_gate_only_matching_units():
         updated = apply_learning(net, inputs, ev, ev.tau, "random_walk")
         for i in range(3):
             row_moved = not np.array_equal(
-                updated.active_weights[i], net.active_weights[i]
+                updated.weights[i], net.weights[i]
             )
             if ev.sigmas[i] != ev.tau:
                 assert not row_moved
@@ -357,7 +375,7 @@ def test_random_walk_marginal_stays_uniform():
             net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, "random_walk")
             net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, "random_walk")
         if step >= 500 and step % 20 == 0:
-            counts += np.bincount(net_a.active_weights.ravel() + 2, minlength=5)
+            counts += np.bincount(net_a.weights.ravel() + 2, minlength=5)
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 0.2) < 0.05), freq
 
@@ -372,7 +390,7 @@ def test_hebbian_overweights_boundaries():
         ev = evaluate(net, inputs)
         net = apply_learning(net, inputs, ev, ev.tau, "hebbian")
         if step >= 500:
-            counts += np.bincount(net.active_weights.ravel() + 1, minlength=3)
+            counts += np.bincount(net.weights.ravel() + 1, minlength=3)
     freq = counts / counts.sum()
     assert freq[0] > 1 / 3 and freq[2] > 1 / 3, freq
 
@@ -407,8 +425,8 @@ def test_order_params_matches_bruteforce():
     net_b, rng = init_network(params, rng)
     for unit in range(2):
         op = order_params(net_a, net_b, unit)
-        wa = [int(v) for v in net_a.active_weights[unit]]
-        wb = [int(v) for v in net_b.active_weights[unit]]
+        wa = [int(v) for v in net_a.weights[unit]]
+        wb = [int(v) for v in net_b.weights[unit]]
         q_a = sum(v * v for v in wa) / 32
         q_b = sum(v * v for v in wb) / 32
         r = sum(x * y for x, y in zip(wa, wb)) / 32
@@ -462,6 +480,11 @@ PLANE_SHAPES = [(k, n, l) for k in (1, 3, 4) for n in (1, 7, 8, 13, 32, 33, 64)
                 for l in (1, 2, 3, 5, 64, 127)]
 
 
+def _of_planes(params, planes):
+    """A bank held as ``planes`` only, every unit checked against the bound."""
+    return TpmNetwork._of_planes(params, planes, None, planes)
+
+
 def masks_of(x):
     """The n-bit input masks of a (k, n) +-1 matrix: bit j of mask i set where x[i, j] = +1."""
     return [sum(1 << j for j, v in enumerate(row) if v > 0) for row in x.tolist()]
@@ -501,7 +524,7 @@ def test_plane_kernel_matches_the_array_kernel():
     for k, n, l in PLANE_SHAPES:
         params = TpmParams(k, n, l)
         for w, x in cross_check_banks(gen, k, n, l):
-            net = TpmNetwork.from_planes(params, TpmNetwork(params, w).planes)
+            net = _of_planes(params, TpmNetwork(params, w).planes)
             masks = masks_of(x)
             _, sigmas, tau = forward(w, x)
             assert forward_planes(net, masks) == (sigmas.tolist(), int(tau))
@@ -521,7 +544,7 @@ def test_plane_kernel_tracks_the_array_kernel_over_long_runs(rule):
         net, rng = init_network(params, seed_from_bytes(b"plane-long-run-0"))
         w = net.weights
         for _ in range(300):
-            masks, _ = draw_input_masks(rng, k, n)
+            masks = input_masks(rng.s0, rng.s1, k, n)[0]
             x, rng = draw_inputs(rng, k, n)
             assert masks == masks_of(x)
             _, sigmas, tau = forward(w, x)
@@ -530,11 +553,13 @@ def test_plane_kernel_tracks_the_array_kernel_over_long_runs(rule):
             assert np.array_equal(net.weights, w)
 
 
-@pytest.mark.parametrize("k, n, l", PLANE_SHAPES[::5])
+# PLANE_SHAPES has no l = 0: depth-0 banks have no planes at all
+@pytest.mark.parametrize("k, n, l", PLANE_SHAPES[::5] + [(1, 1, 0), (3, 13, 0), (2, 64, 0), (3, 7, 1),
+                                                          (2, 13, 3), (4, 33, 127)])
 def test_weights_round_trip_through_planes(k, n, l):
     params = TpmParams(k, n, l)
     w = np.random.default_rng(k * 1000 + n * 10 + l).integers(-l, l + 1, size=(k, n), dtype=np.int32)
-    back = TpmNetwork.from_planes(params, TpmNetwork(params, w.copy()).planes)
+    back = _of_planes(params, TpmNetwork(params, w.copy()).planes)
     assert len(back.planes) == k and {len(unit) for unit in back.planes} == {(2 * l).bit_length()}
     assert back.weights.dtype == np.int32 and not back.weights.flags.writeable
     assert np.array_equal(back.weights, w)
@@ -556,11 +581,11 @@ def bank_holding(l, value):
 def test_plane_bank_above_the_bound_is_rejected(l):
     params = TpmParams(2, 5, l)
     depth = (2 * l).bit_length()
-    assert TpmNetwork.from_planes(params, bank_holding(l, 2 * l)).weights[1, 3] == l
-    assert TpmNetwork.from_planes(params, bank_holding(l, 0)).weights[1, 3] == -l
+    assert _of_planes(params, bank_holding(l, 2 * l)).weights[1, 3] == l
+    assert _of_planes(params, bank_holding(l, 0)).weights[1, 3] == -l
     for value in (2 * l + 1, (1 << depth) - 1):
         with pytest.raises(ValueError, match="bound"):
-            TpmNetwork.from_planes(params, bank_holding(l, value))
+            _of_planes(params, bank_holding(l, value))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
@@ -580,7 +605,7 @@ def test_learning_rejects_a_moved_unit_above_the_bound(l):
         else:
             assert learn_planes(net, [0, 0], [1, 1], 1, "random_walk").weights[1, 3] == l
     # at +l itself the unit moves and stays clamped
-    net = TpmNetwork.from_planes(params, bank_holding(l, 2 * l))
+    net = _of_planes(params, bank_holding(l, 2 * l))
     assert learn_planes(net, [full, full], [1, 1], 1, "random_walk").weights[1, 3] == l
 
 
@@ -591,11 +616,14 @@ def test_learned_banks_carry_the_unit_data_a_fresh_bank_computes(rule):
     for k, n, l in PLANE_SHAPES:
         params = TpmParams(k, n, l)
         net, rng = init_network(params, seed_from_bytes(b"unit-data-run-00"))
+        s0, s1 = rng.s0, rng.s1
         for _ in range(300):
-            masks, rng = draw_input_masks(rng, k, n)
+            masks, s0, s1 = input_masks(s0, s1, k, n)
             net = learn_planes(net, masks, *forward_planes(net, masks), rule)
-        fresh = TpmNetwork(params, net.weights)
+        fresh = _of_planes(params, net.planes)
         assert net.unit_data == fresh.unit_data, (k, n, l)
+        # l*n - sum_b 2^b |P_b| = -sum(w): the constants agree with the bank the probe bytes decode to
+        assert [constant for constant, _ in net.unit_data] == (-net.weights.sum(axis=1)).tolist()
         width = -(-n // 8)
         for unit, (constant, probe) in zip(fresh.planes, fresh.unit_data):
             assert constant == l * n - sum(plane.bit_count() << b for b, plane in enumerate(unit))

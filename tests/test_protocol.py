@@ -56,7 +56,7 @@ def test_sync_test_roundtrip():
     probe = probe_of(net)
     assert len(probe) == 16
     assert probe == probe_of(TpmNetwork(params, net.weights.copy()))
-    assert probe == probe_of(TpmNetwork.from_planes(params, net.planes))
+    assert probe == probe_of(TpmNetwork._of_planes(params, net.planes, None, net.planes))
     # the probe is a digest, not the weights under a public constant
     assert bytes(a ^ b for a, b in zip(probe, b"SYNC-TEST-VECTOR")) != serialize_weights(net)[:16]
 
@@ -235,13 +235,13 @@ def test_sender_start_emits_syn_and_timer():
 def test_sender_ack_applies_learning_and_opens_next_round():
     cfg = config()
     state, rng, syn = build_sender(cfg)
-    before = state.net.active_weights.copy()
+    before = state.net.weights.copy()
     ack = Frame(syn.frame_id, AckSyn(tau=syn.payload.tau))
     state2, actions, _ = sender_advance(state, FrameArrived(ack), cfg, rng)
     assert state2.iterations == 1
     assert any(isinstance(a, SendFrame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
-    moved = not np.array_equal(state2.net.active_weights, before)
+    moved = not np.array_equal(state2.net.weights, before)
     pending = state.pending
     assert moved == (pending.tau in pending.sigmas)
 

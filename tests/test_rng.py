@@ -9,10 +9,10 @@ from paritykex.rng import (
     MASK64,
     ZERO_SEED_STATE,
     RngState,
-    draw_input_masks,
     draw_inputs,
     draw_inputs_lanes,
     input_masks,
+    mask_signs,
     next_bytes,
     next_word,
     next_word_lanes,
@@ -252,6 +252,18 @@ def test_seed_words_give_the_masks_drawn_from_the_seed(k, n):
     for seed in seeds:
         s0, s1 = int.from_bytes(seed[:8], "big"), int.from_bytes(seed[8:], "big")
         masks, t0, t1 = input_masks(s0, s1, k, n)
-        drawn, state = draw_input_masks(seed_from_bytes(seed), k, n)
-        assert masks == drawn and (t0, t1) == (state.s0, state.s1), seed
+        state = seed_from_bytes(seed)
+        drawn, u0, u1 = input_masks(state.s0, state.s1, k, n)
+        x, state = draw_inputs(state, k, n)
+        assert masks == drawn and (t0, t1) == (u0, u1) == (state.s0, state.s1), seed
+        assert masks == [sum(1 << j for j, v in enumerate(row) if v > 0) for row in x.tolist()], seed
         assert all(0 <= mask < 1 << n for mask in masks)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 13, 33, 64])
+def test_mask_signs_read_bit_j_of_each_mask(n):
+    gen = np.random.default_rng(n)
+    masks = [0, (1 << n) - 1] + [int.from_bytes(gen.bytes(8), "little") >> (64 - n) for _ in range(5)]
+    signs = mask_signs(masks, n)
+    assert signs.dtype == np.int32 and signs.shape == (len(masks), n)
+    assert signs.tolist() == [[1 if mask >> j & 1 else -1 for j in range(n)] for mask in masks]

@@ -3,13 +3,16 @@
     python3 tools/layer_bench.py [--repeat 9] [--number 2000]
 
 The rows are the layer rows of ROADMAP aim 1 at k=3, n=32, l=3 (random_walk):
-the generator word and the SYN seed's input masks; ``forward_planes``,
+the generator word and the SYN seed's input masks; ``init_network`` with the
+new bank's first ``planes`` and ``unit_data`` read; ``forward_planes``,
 ``learn_planes`` and ``sync_probe`` on one bank; ``encode_frame`` and
 ``decode_frame`` of a SYN and an ACK; one ``sender_advance`` step (an ACK in,
 the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
 one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
-empty queue.  Every input is built from ``SEED``; each call repeats the same
-work, and a row is the median over ``--repeat`` timings of ``--number`` calls.
+empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes.
+Every input is built from ``SEED``; each call repeats the same work (the two
+rows that read a bank's first-read caches build a new bank each call), and a
+row is the median over ``--repeat`` timings of ``--number`` calls.
 The package is imported from this checkout's ``src``.
 """
 
@@ -30,7 +33,7 @@ K, N, L, RULE, SEED = 3, 32, 3, "random_walk", 18
 
 def layer_calls() -> dict:
     """Name -> zero-argument callable doing one call of that layer on fixed inputs."""
-    from paritykex import channel, frames, network, protocol, rng
+    from paritykex import channel, frames, keycodec, network, protocol, rng
 
     params = network.TpmParams(K, N, L)
     cfg = protocol.ProtocolConfig(params, ssc=b"layer-bench-ssc!", rsc=b"layer-bench-rsc!",
@@ -53,6 +56,15 @@ def layer_calls() -> dict:
     syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
     link = channel.SimulatedLink()
 
+    def init_bank():
+        bank, _ = network.init_network(params, state)
+        return bank.planes, bank.unit_data
+
+    def key_material():
+        # a bank as learn_planes leaves it: planes and unit_data, no weights read yet
+        bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data, ())
+        return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
+
     def send_and_poll():
         link.send("a", syn_wire, 0)
         return link.poll("b", 0)
@@ -60,6 +72,7 @@ def layer_calls() -> dict:
     return {
         "rng.next_word": lambda: rng.next_word(state),
         "rng.input_masks": lambda: rng.input_masks(s0, s1, K, N),
+        "network.init": init_bank,
         "network.forward_planes": lambda: network.forward_planes(net, masks),
         "network.learn_planes": lambda: network.learn_planes(net, masks, sigmas, tau, RULE),
         "protocol.sync_probe": lambda: protocol.sync_probe(net, seed_bytes, syn.frame_id),
@@ -73,6 +86,7 @@ def layer_calls() -> dict:
             receiver, protocol.FrameArrived(peer_syn), cfg, state),
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
+        "keycodec.key_material": key_material,
     }
 
 
