@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .analysis import check_point, run_attack_trials, run_sync_trials, write_sweep_csv
 from .channel import ChannelConfig, UdpTransport
@@ -184,7 +185,8 @@ def _run_exchange(args: argparse.Namespace) -> int:
 
 def _run_points(args: argparse.Namespace, error: str | None, points, mode, run, default_out) -> int:
     """Shared body of sweep and attack: reject a usage ``error`` or a bad point before any
-    runs, then print ``run(seed, *point)``'s line per ``(label, n, l)`` point and write CSV."""
+    runs, then print ``run(seed, *point)``'s line per ``(label, n, l)`` point, with the point's
+    wall time and trials/s, and write CSV."""
     seed, generated = _seed_bytes(args.seed)
     if generated:
         print(f"master seed: {seed.hex()}")
@@ -198,9 +200,11 @@ def _run_points(args: argparse.Namespace, error: str | None, points, mode, run, 
         return 2
     results = []
     for point in points:
+        start = time.perf_counter()
         result, line = run(seed, *point)
+        wall = time.perf_counter() - start
         results.append(result)
-        print(line)
+        print(f"{line} wall {wall:.3f}s {result.trials / wall:.1f} trials/s")
     out = args.out or _out_path(default_out)
     try:
         write_sweep_csv(results, out)

@@ -21,6 +21,7 @@ from .network import TpmNetwork
 
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
+HKDF_MAX_BYTES = 255 * 32  # RFC 5869: L <= 255 * HashLen
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,10 @@ def serialize_weights(net: TpmNetwork) -> bytes:
 
 def hkdf_sha256(ikm: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     """HKDF with SHA-256 (RFC 5869): extract a pseudorandom key, then expand it to ``length`` bytes."""
+    if not 0 <= length <= HKDF_MAX_BYTES:
+        raise ValueError(
+            f"HKDF-SHA256 output length must be in [0, 255*32 = {HKDF_MAX_BYTES}] bytes (RFC 5869), got {length}"
+        )
     prk = hmac.new(salt, ikm, hashlib.sha256).digest()
     okm = block = b""
     for counter in range(1, -(-length // 32) + 1):

@@ -199,7 +199,8 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     h = hashlib.sha256()
     h.update(type(state).__name__.encode())
     h.update(state.phase.encode())
-    h.update(state.net.weights.tobytes())
+    # int32 values hash as little-endian bytes, whatever the host's byte order
+    h.update(state.net.weights.astype("<i4", copy=False).tobytes())
     # the fixed zero word and the -1 where a timer was once hashed keep earlier digests' bytes
     for number in (state.iterations, 0, -1):
         h.update(int(number).to_bytes(8, "big", signed=True))
@@ -215,7 +216,7 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
         h.update(int(auth_id).to_bytes(8, "big", signed=True))
         if state.pending is not None and sent is not None:
             h.update(int(sent.frame_id).to_bytes(8, "big"))
-            h.update(mask_signs(state.pending.inputs, state.net.params.n).tobytes())
+            h.update(mask_signs(state.pending.inputs, state.net.params.n).astype("<i4", copy=False).tobytes())
     else:
         # the cached reply is left out: it changes only when last_seen_id does
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))

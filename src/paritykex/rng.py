@@ -10,10 +10,11 @@ Both sides of an exchange must derive bit-identical input matrices from a
 All operations are pure: they return the advanced state instead of
 mutating it.
 
-The ``*_lanes`` functions run the same generator for many independent
-seeds at once, one lane per seed.  Their state is a (2, T) ``uint64`` array
-whose rows are s0 and s1; lane t yields exactly the words, inputs and
-draws the scalar functions yield for its seed.
+``draw_inputs_lanes`` draws one step's inputs for many independent lanes
+at once.  Each lane keeps its state as a plain ``(s0, s1)`` pair of ints and
+runs the same scalar recurrence, so lane t yields exactly the inputs
+``draw_inputs`` yields from its state; only the mapping of all lanes' words
+to +-1 entries is one array call.
 """
 
 from __future__ import annotations
@@ -133,41 +134,21 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     return mask_signs(masks, n), RngState(s0, s1)
 
 
-# --- lane-wise generator ------------------------------------------------------
+# --- lane-wise draw -------------------------------------------------------------
 
 
-def seed_lanes(seeds: Sequence[bytes]) -> np.ndarray:
-    """Lane-wise ``seed_from_bytes``: a (2, T) uint64 state, one lane per seed."""
-    states = [seed_from_bytes(seed) for seed in seeds]
-    return np.array([[st.s0 for st in states], [st.s1 for st in states]], dtype=np.uint64)
-
-
-def next_word_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-wise ``next_word``: (T words, new state).
-
-    Array arithmetic wraps modulo 2^64 silently; rows of a (2, 1) state stay
-    1-element arrays, never numpy scalars, which would warn on the wrap.
-    """
-    s0, s1 = state
-    t = s0 ^ (s0 << np.uint64(23))
-    t ^= t >> np.uint64(17)
-    t ^= s1 ^ (s1 >> np.uint64(26))
-    return s1 + t, np.stack((s1, t))
-
-
-def next_words_lanes(state: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-wise ``next_words``: a (T, count) array of consecutive words."""
-    words = np.empty((state.shape[1], count), dtype=np.uint64)
-    for i in range(count):
-        words[:, i], state = next_word_lanes(state)
-    return words, state
-
-
-def draw_inputs_lanes(state: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-wise ``draw_inputs``: a (T, k, n) array of +-1 entries, same bit order."""
+def draw_inputs_lanes(
+    states: Sequence[tuple[int, int]], k: int, n: int
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Lane-wise ``draw_inputs`` over ``(s0, s1)`` word pairs, one a lane: a (T, k, n) array
+    of +-1 entries, same bit order, and the pairs after the draw."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
-    total = k * n
-    words, state = next_words_lanes(state, -(-total // 64))
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
-    return (bits[:, :total].astype(np.int32) * 2 - 1).reshape(-1, k, n), state
+    count, words, after = -(-k * n // 64), [], []
+    for s0, s1 in states:
+        drawn, s0, s1 = _steps(s0, s1, count)
+        words += drawn
+        after.append((s0, s1))
+    raw = np.array(words, dtype="<u8").view(np.uint8).reshape(len(after), 8 * count)
+    bits = np.unpackbits(raw, axis=1, count=k * n, bitorder="little")
+    return (bits.astype(np.int32) * 2 - 1).reshape(-1, k, n), after

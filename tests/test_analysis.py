@@ -195,7 +195,7 @@ def no_trial_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(analysis, "seed_lanes", no_work)
+    monkeypatch.setattr(analysis, "seed_from_bytes", no_work)
     monkeypatch.setattr(analysis, "run_exchange", no_work)
 
 

@@ -1,5 +1,6 @@
 """Command-line harness: exit codes, outputs, reproducibility."""
 
+import re
 import socket
 import subprocess
 import sys
@@ -175,6 +176,18 @@ def test_attack_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[9] != ""  # attacker_success column populated
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--vary", "l", "--from", "1", "--to", "2", "--trials", "3", "--n", "16"],
+    ["attack", "--n", "16", "--l-values", "1,2", "--trials", "3", "--cap", "2000"],
+])
+def test_sweep_and_attack_print_each_points_wall_time_and_rate(args, tmp_path, capsys):
+    assert main(args + ["--seed", SEED, "--out", str(tmp_path / "out.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    timed = [re.search(r" wall \d+\.\d{3}s (\d+\.\d) trials/s$", line) for line in lines[:2]]
+    assert all(timed) and all(float(match[1]) > 0 for match in timed), lines
+    assert lines[2].startswith("wrote ")
 
 
 def test_vectors_outputs_golden_content(tmp_path, capsys):

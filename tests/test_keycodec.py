@@ -96,6 +96,19 @@ def test_hkdf_rfc5869_vectors(ikm, salt, info, okm):
     assert hkdf_sha256(ikm, salt, info, len(okm) // 2).hex() == okm
 
 
+@pytest.mark.parametrize("length", [-1, 255 * 32 + 1])
+def test_hkdf_rejects_a_length_outside_rfc5869(length):
+    # a negative length returned b"" and 8161 bytes died in bytes([256])
+    with pytest.raises(ValueError, match="255\\*32 = 8160"):
+        hkdf_sha256(b"ikm", b"salt", b"info", length)
+
+
+def test_hkdf_reaches_the_rfc5869_limit():
+    okm = hkdf_sha256(b"ikm", b"salt", b"info", 255 * 32)
+    assert len(okm) == 8160 and okm[:42] == hkdf_sha256(b"ikm", b"salt", b"info", 42)
+    assert hkdf_sha256(b"ikm", b"salt", b"info", 0) == b""
+
+
 def test_extract_key_changes_with_every_byte_and_the_iv():
     material = bytes(range(96))
     key = extract_key(material, 3)

@@ -1,4 +1,5 @@
-"""tools/layer_bench.py: one JSON line with a median for every layer row of a protocol round."""
+"""tools/layer_bench.py: one JSON line with a median for every layer row of a protocol round
+and of the lockstep trial engine."""
 
 import json
 import os
@@ -13,6 +14,7 @@ ROWS = {
     "frames.encode_frame.syn", "frames.encode_frame.ack", "frames.decode_frame.syn", "frames.decode_frame.ack",
     "protocol.sender_advance", "protocol.receiver_advance",
     "channel.send_and_poll", "channel.poll_empty", "keycodec.key_material",
+    "rng.draw_inputs_lanes.4", "rng.draw_inputs_lanes.16", "analysis.lockstep_step",
 }
 
 

@@ -1,5 +1,6 @@
 """Endpoint state machines: flow, integrity gating, certification, replay."""
 
+import dataclasses
 from typing import get_args
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from support import config, drive, fresh
 
+from paritykex import protocol
 from paritykex.channel import ChannelConfig
 from paritykex.exchange import derive_seed, run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
@@ -264,6 +266,18 @@ def test_sender_ignores_stale_ids():
     assert state_digest(state2) == digest
     assert actions == ()
     assert rng2 == rng
+
+
+def test_state_digest_hashes_little_endian_int32(monkeypatch):
+    # a big-endian host holds int32 arrays as '>i4'; the digest must hash the same bytes there
+    state, _, _ = build_sender(config())
+    assert state.pending is not None  # the pending masks' signs are hashed too
+    digest = state_digest(state)
+    swapped = TpmNetwork(state.net.params, state.net.weights)
+    swapped.__dict__["weights"] = state.net.weights.astype(">i4")
+    signs = protocol.mask_signs
+    monkeypatch.setattr(protocol, "mask_signs", lambda masks, n: signs(masks, n).astype(">i4"))
+    assert state_digest(dataclasses.replace(state, net=swapped)) == digest
 
 
 def test_sender_fin_extracts_key_and_sends_auth():

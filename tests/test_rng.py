@@ -1,7 +1,5 @@
 """Generator conformance: frozen vectors, layout, bit order, distribution."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,8 @@ from paritykex.rng import (
     mask_signs,
     next_bytes,
     next_word,
-    next_word_lanes,
     next_words,
     seed_from_bytes,
-    seed_lanes,
 )
 
 M = (1 << 64) - 1
@@ -182,7 +178,7 @@ def test_words_fit_64_bits():
         assert 0 <= word <= MASK64
 
 
-# --- lane-wise generator --------------------------------------------------------
+# --- lane-wise draw --------------------------------------------------------------
 
 # the all-zero seed (remapped), all-ones words, and seeds drawn at random,
 # about half of whose state words have the high bit set
@@ -191,57 +187,17 @@ LANE_SEEDS = [bytes(16), b"\xff" * 16, bytes.fromhex("80" + "00" * 7 + "80" + "0
 ]
 
 
-def test_seed_lanes_layout_and_zero_remap():
-    state = seed_lanes(LANE_SEEDS)
-    assert state.dtype == np.uint64 and state.shape == (2, len(LANE_SEEDS))
-    for lane, seed in enumerate(LANE_SEEDS):
-        scalar = seed_from_bytes(seed)
-        assert (int(state[0, lane]), int(state[1, lane])) == (scalar.s0, scalar.s1)
-    assert (int(state[0, 0]), int(state[1, 0])) == ZERO_SEED_STATE
-
-
-def test_word_lanes_match_next_word():
-    state = seed_lanes(LANE_SEEDS)
-    scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
-    wrapped = high_bit = 0
-    for _ in range(64):
-        high_bit += sum(st.s0 >> 63 for st in scalars)
-        words, state = next_word_lanes(state)
-        for lane, st in enumerate(scalars):
-            word, scalars[lane] = next_word(st)
-            wrapped += word < st.s1  # the 64-bit sum s1 + t overflowed
-            assert int(words[lane]) == word
-            assert (int(state[0, lane]), int(state[1, lane])) == (scalars[lane].s0, scalars[lane].s1)
-    assert wrapped > 100 and high_bit > 100
-
-
 @pytest.mark.parametrize("k,n", [(3, 32), (1, 1), (3, 50), (2, 64), (5, 27)])
 def test_input_lanes_match_draw_inputs(k, n):
-    state = seed_lanes(LANE_SEEDS)
     scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
+    states = [(st.s0, st.s1) for st in scalars]
     for _ in range(5):
-        inputs, state = draw_inputs_lanes(state, k, n)
-        assert inputs.shape == (len(LANE_SEEDS), k, n)
+        inputs, states = draw_inputs_lanes(states, k, n)
+        assert inputs.shape == (len(LANE_SEEDS), k, n) and inputs.dtype == np.int32
         for lane, st in enumerate(scalars):
             expected, scalars[lane] = draw_inputs(st, k, n)
             assert np.array_equal(inputs[lane], expected)
-    assert [(int(a), int(b)) for a, b in state.T] == [(st.s0, st.s1) for st in scalars]
-
-
-def test_single_lane_stays_an_array_and_wraps_silently():
-    seed = b"\xff" * 16
-    scalar = seed_from_bytes(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy scalars would warn on the 64-bit wrap
-        state = seed_lanes([seed])
-        for _ in range(200):
-            words, state = next_word_lanes(state)
-            word, scalar = next_word(scalar)
-            assert isinstance(words, np.ndarray) and words.shape == (1,)
-            assert int(words[0]) == word
-        inputs, state = draw_inputs_lanes(state, 3, 32)
-    expected, _ = draw_inputs(scalar, 3, 32)
-    assert np.array_equal(inputs[0], expected)
+    assert states == [(st.s0, st.s1) for st in scalars]
 
 
 @pytest.mark.parametrize("k, n", [(3, 32), (1, 1), (3, 7), (5, 13), (4, 33), (2, 64)])

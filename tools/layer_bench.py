@@ -10,6 +10,10 @@ new bank's first ``planes`` and ``unit_data`` read; ``forward_planes``,
 the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
 one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
 empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes.
+The lockstep trial engine's rows: ``draw_inputs_lanes`` at 4 and at 16 lanes
+(the listener's and the sweep's trials a call) and one whole step of the
+(3, 4, 3, 32) listener stack (banks, lanes, k, n) as ``_lockstep_trials``
+runs it: the lane draw, ``forward``, ``learn`` and the match comparison.
 Every input is built from ``SEED``; each call repeats the same work (the two
 rows that read a bank's first-read caches build a new bank each call), and a
 row is the median over ``--repeat`` timings of ``--number`` calls.
@@ -25,6 +29,8 @@ import statistics
 import sys
 import timeit
 
+import numpy as np
+
 from bench_record import machine_info
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,7 +39,7 @@ K, N, L, RULE, SEED = 3, 32, 3, "random_walk", 18
 
 def layer_calls() -> dict:
     """Name -> zero-argument callable doing one call of that layer on fixed inputs."""
-    from paritykex import channel, frames, keycodec, network, protocol, rng
+    from paritykex import analysis, channel, frames, keycodec, network, protocol, rng
 
     params = network.TpmParams(K, N, L)
     cfg = protocol.ProtocolConfig(params, ssc=b"layer-bench-ssc!", rsc=b"layer-bench-rsc!",
@@ -65,6 +71,24 @@ def layer_calls() -> dict:
         bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data, ())
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
+    master = SEED.to_bytes(16, "big")
+    lanes = [rng.seed_from_bytes(analysis.derive_seed(master, f"lane-{t}")) for t in range(16)]
+    lane_states = [(st.s0, st.s1) for st in lanes]
+    listener_states = lane_states[:4]
+
+    def lane_banks(st):
+        for _ in range(3):  # A, B and E, drawn one after another from the lane's generator
+            bank, st = network.init_network(params, st)
+            yield bank.weights
+
+    stack = np.stack([list(lane_banks(st)) for st in lanes[:4]], axis=1)  # (banks, lanes, k, n)
+
+    def lockstep_step():
+        x, _ = rng.draw_inputs_lanes(listener_states, K, N)
+        _, sigmas, taus = network.forward(stack, x)
+        learned = network.learn(stack, x, sigmas, taus[0], taus[0] == taus[1], RULE, L)
+        return (learned[1:] == learned[0]).all(axis=(2, 3))
+
     def send_and_poll():
         link.send("a", syn_wire, 0)
         return link.poll("b", 0)
@@ -87,6 +111,9 @@ def layer_calls() -> dict:
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
+        "rng.draw_inputs_lanes.4": lambda: rng.draw_inputs_lanes(listener_states, K, N),
+        "rng.draw_inputs_lanes.16": lambda: rng.draw_inputs_lanes(lane_states, K, N),
+        "analysis.lockstep_step": lockstep_step,
     }
 
 
