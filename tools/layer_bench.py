@@ -39,7 +39,7 @@ K, N, L, RULE, SEED = 3, 32, 3, "random_walk", 18
 
 def layer_calls() -> dict:
     """Name -> zero-argument callable doing one call of that layer on fixed inputs."""
-    from paritykex import analysis, channel, frames, keycodec, network, protocol, rng
+    from paritykex import channel, exchange, frames, keycodec, network, protocol, rng
 
     params = network.TpmParams(K, N, L)
     cfg = protocol.ProtocolConfig(params, ssc=b"layer-bench-ssc!", rsc=b"layer-bench-rsc!",
@@ -72,7 +72,7 @@ def layer_calls() -> dict:
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
     master = SEED.to_bytes(16, "big")
-    lanes = [rng.seed_from_bytes(analysis.derive_seed(master, f"lane-{t}")) for t in range(16)]
+    lanes = [rng.seed_from_bytes(exchange.derive_seed(master, f"lane-{t}")) for t in range(16)]
     lane_states = [(st.s0, st.s1) for st in lanes]
     listener_states = lane_states[:4]
 
