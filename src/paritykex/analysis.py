@@ -13,9 +13,8 @@ The trial runners own everything stochastic: each trial derives its own
 seed from the master seed, so sweeps are bit-reproducible.  The bare
 (direct-mode) trials of one call, and the listener trials, run in lockstep:
 the banks of all T trials are held as one (banks, T, k, n) array with one
-lane per trial, each lane drawing from its own scalar generator, every bank
-of every lane takes its step in one kernel call, and a trial leaves the
-batch when it ends.
+lane per trial and a lane-wise generator, every bank of every lane takes its
+step in one kernel call, and a trial leaves the batch when it ends.
 Each lane draws exactly what a scalar trial from the same seed draws, so
 the counts are those of ``run_single_trial`` and of the scalar
 ``evaluate``/``apply_learning`` loop, trial for trial.
@@ -27,7 +26,6 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass
-from itertools import compress
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -41,11 +39,12 @@ from .network import (
     evaluate,
     forward,
     init_network,
+    init_network_lanes,
     is_synchronized,
     learn,
 )
 from .protocol import ProtocolConfig
-from .rng import draw_inputs, draw_inputs_lanes, seed_from_bytes
+from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
 
@@ -206,12 +205,12 @@ def _lockstep_trials(
 ) -> list[list[Optional[int]]]:
     """Run one bare mutual-learning trial per seed, all in lockstep.
 
-    Lane t draws networks A and B (and, with ``listener``, E) with
-    ``init_network`` and then each step's inputs from the generator seeded
-    with ``seeds[t]``, as a scalar trial does.  Each lane keeps that generator
-    as its (s0, s1) words and runs the scalar recurrence on them, and one
-    ``draw_inputs_lanes`` call turns all lanes' words into the step's (lanes,
-    k, n) inputs.  The banks are one (banks, lanes, k, n) stack, and a step is
+    Lane t draws networks A and B (and, with ``listener``, E) and then each
+    step's inputs from the generator seeded with ``seeds[t]``, as a scalar
+    trial does: ``seed_lanes`` holds the lanes' generators, per lane up to
+    ``PER_LANE_MAX`` lanes and packed beyond, and ``init_network_lanes`` and
+    ``draw_inputs_lanes`` draw for every lane in one call each.  Lanes leave
+    with ``keep_lanes``.  The banks are one (banks, lanes, k, n) stack, and a step is
     one ``forward`` and one ``learn`` call, the kernel of the scalar
     ``evaluate``/``apply_learning``, on all of it: when A and B announce the
     same output, every bank learns toward A's output, so the passive
@@ -225,14 +224,10 @@ def _lockstep_trials(
     matches have happened, checked after every step.
     """
     p = params
+    state = seed_lanes(seeds)
     w = np.empty((3 if listener else 2, len(seeds), p.k, p.n), dtype=np.int32)  # A, B, E
-    states = []  # each lane's generator as its (s0, s1) words
-    for lane, seed in enumerate(seeds):
-        rng = seed_from_bytes(seed)
-        for bank in w:
-            net, rng = init_network(p, rng)
-            bank[lane] = net.weights
-        states.append((rng.s0, rng.s1))
+    for bank in w:
+        bank[...], state = init_network_lanes(p, state)
     times = np.full((len(w) - 1, len(seeds)), -1)  # rows: (A, B) and (E, A)
     waiting = times < 0  # times[:, lanes] < 0, kept in step with the lanes
     lanes = np.arange(len(seeds))  # trial index of each lane still in the batch
@@ -246,10 +241,10 @@ def _lockstep_trials(
                 waiting &= ~first
                 keep = waiting.any(axis=0)
                 w, waiting, lanes = w[:, keep], waiting[:, keep], lanes[keep]
-                states = list(compress(states, keep))
+                state = keep_lanes(state, keep)
         if iterations >= iteration_cap or not lanes.size:
             break
-        x, states = draw_inputs_lanes(states, p.k, p.n)
+        x, state = draw_inputs_lanes(state, p.k, p.n)
         _, sigmas, tau = forward(w, x)
         w = learn(w, x, sigmas, tau[0], tau[0] == tau[1], rule, p.l)
         iterations += 1

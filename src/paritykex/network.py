@@ -17,7 +17,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .rng import RngState, next_words
+from .rng import LaneStates, RngState, next_words, next_words_lanes
 
 LearningRule = Literal["hebbian", "anti_hebbian", "random_walk"]
 LEARNING_RULES: tuple[LearningRule, ...] = ("hebbian", "anti_hebbian", "random_walk")
@@ -153,6 +153,15 @@ def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState
     words, rng = next_words(rng, p.k * p.n)
     flat = np.array([word % span - p.l for word in words], dtype=np.int32)
     return TpmNetwork(params, flat.reshape(p.k, p.n)), rng
+
+
+def init_network_lanes(params: TpmParams, state: LaneStates) -> tuple[np.ndarray, LaneStates]:
+    """Lane-wise ``init_network``: a (lanes, k, n) weight array; lane t holds the weights
+    ``init_network`` draws from lane t's state."""
+    p = params
+    words, state = next_words_lanes(state, p.k * p.n)
+    flat = (words % np.uint64(2 * p.l + 1)).astype(np.int32) - p.l
+    return flat.reshape(-1, p.k, p.n), state
 
 
 def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:

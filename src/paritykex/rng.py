@@ -10,17 +10,22 @@ Both sides of an exchange must derive bit-identical input matrices from a
 All operations are pure: they return the advanced state instead of
 mutating it.
 
-``draw_inputs_lanes`` draws one step's inputs for many independent lanes
-at once.  Each lane keeps its state as a plain ``(s0, s1)`` pair of ints and
-runs the same scalar recurrence, so lane t yields exactly the inputs
-``draw_inputs`` yields from its state; only the mapping of all lanes' words
-to +-1 entries is one array call.
+The ``*_lanes`` functions run the same generator for many independent
+seeds at once, one lane per seed; lane t yields exactly the words, inputs
+and draws the scalar functions yield for its seed.  Up to ``PER_LANE_MAX``
+lanes, each lane keeps a plain ``(s0, s1)`` pair of ints and runs ``_steps``;
+more lanes are held as a (2, lanes) ``uint64`` array and step together as two
+ints that pack every lane's s0 and s1, so a step's cost hardly grows with the
+lane count.  Either way, turning all lanes' words into +-1 entries is one
+array call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -134,21 +139,71 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     return mask_signs(masks, n), RngState(s0, s1)
 
 
-# --- lane-wise draw -------------------------------------------------------------
+# --- lane-wise generator ---------------------------------------------------------
+
+# Up to this many lanes, each lane steps its own (s0, s1) pair with ``_steps``;
+# more lanes step together on packed ints.  The perfbench sweep-depth (16 lanes)
+# and attack-listener (4 lanes) workloads run the per-lane form (ROADMAP direction 4).
+PER_LANE_MAX = 16
+
+# Either form of a lane-wise state: a list of (s0, s1) pairs, one a lane, or a
+# (2, lanes) uint64 array whose rows are s0 and s1.
+LaneStates = Union[list[tuple[int, int]], np.ndarray]
 
 
-def draw_inputs_lanes(
-    states: Sequence[tuple[int, int]], k: int, n: int
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Lane-wise ``draw_inputs`` over ``(s0, s1)`` word pairs, one a lane: a (T, k, n) array
-    of +-1 entries, same bit order, and the pairs after the draw."""
+def seed_lanes(seeds: Sequence[bytes]) -> LaneStates:
+    """Lane-wise ``seed_from_bytes``, one lane per seed: (s0, s1) pairs up to ``PER_LANE_MAX``
+    lanes, a (2, lanes) array beyond."""
+    pairs = [(st.s0, st.s1) for st in map(seed_from_bytes, seeds)]
+    return pairs if len(pairs) <= PER_LANE_MAX else np.array(pairs, "<u8").T.copy()
+
+
+def keep_lanes(state: LaneStates, keep: np.ndarray) -> LaneStates:
+    """The lanes where the boolean array ``keep`` is set, in order."""
+    return state[:, keep] if isinstance(state, np.ndarray) else list(compress(state, keep))
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_masks(lanes: int) -> tuple[int, ...]:
+    """For ``lanes`` packed 64-bit lanes: the bits of each lane kept after << 23, >> 17 and
+    >> 26, its low 63 bits and its top bit."""
+    each = lambda mask: int.from_bytes(mask.to_bytes(8, "little") * lanes, "little")
+    return each(MASK64 ^ ((1 << 23) - 1)), each(MASK64 >> 17), each(MASK64 >> 26), each(MASK64 >> 1), each(1 << 63)
+
+
+def next_words_lanes(state: LaneStates, count: int) -> tuple[np.ndarray, LaneStates]:
+    """Lane-wise ``next_words``: a (lanes, count) uint64 array, row t lane t's next words.
+
+    An array state steps as two ints that hold every lane's s0 and s1, lane t in bits
+    64t..64t+63, so a step costs the same few int operations whatever the lane count.
+    """
+    if not isinstance(state, np.ndarray):
+        words, after = [], []
+        for s0, s1 in state:
+            drawn, s0, s1 = _steps(s0, s1, count)
+            words += drawn
+            after.append((s0, s1))
+        return np.array(words, "<u8").reshape(len(after), count), after
+    lanes = state.shape[1]
+    keep23, keep17, keep26, low, top = _lane_masks(lanes)
+    s0, s1 = (int.from_bytes(row.tobytes(), "little") for row in state)
+    words = []
+    for _ in range(count):  # the recurrence of _steps, masked so that no bit crosses into the next lane
+        t = s0 ^ ((s0 << 23) & keep23)
+        t ^= (t >> 17) & keep17
+        t ^= s1 ^ ((s1 >> 26) & keep26)
+        words.append(((s1 & low) + (t & low)) ^ ((s1 ^ t) & top))  # s1 + t, no carry out of a lane
+        s0, s1 = s1, t
+    raw = np.frombuffer(b"".join([word.to_bytes(8 * lanes, "little") for word in words + [s0, s1]]), "<u8")
+    raw = raw.reshape(count + 2, lanes)
+    return raw[:count].T, raw[count:]
+
+
+def draw_inputs_lanes(state: LaneStates, k: int, n: int) -> tuple[np.ndarray, LaneStates]:
+    """Lane-wise ``draw_inputs``: a (lanes, k, n) array of +-1 entries, same bit order."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be at least 1")
-    count, words, after = -(-k * n // 64), [], []
-    for s0, s1 in states:
-        drawn, s0, s1 = _steps(s0, s1, count)
-        words += drawn
-        after.append((s0, s1))
-    raw = np.array(words, dtype="<u8").view(np.uint8).reshape(len(after), 8 * count)
+    words, state = next_words_lanes(state, -(-k * n // 64))
+    raw = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(raw, axis=1, count=k * n, bitorder="little")
-    return (bits.astype(np.int32) * 2 - 1).reshape(-1, k, n), after
+    return (bits.astype(np.int32) * 2 - 1).reshape(-1, k, n), state

@@ -195,7 +195,7 @@ def no_trial_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(analysis, "seed_from_bytes", no_work)
+    monkeypatch.setattr(analysis, "seed_lanes", no_work)
     monkeypatch.setattr(analysis, "run_exchange", no_work)
 
 
@@ -259,12 +259,14 @@ def listener_oracle(params, rule, seed, cap):
 
 
 # (params, trials, cap): trials of very different lengths, some cut at the cap,
-# banks that start equal (l=0, every weight 0) and a batch of one trial
+# banks that start equal (l=0, every weight 0), a batch of one trial, and more
+# trials than PER_LANE_MAX, whose lanes step together on packed ints
 ENGINE_CASES = [
     (TpmParams(3, 16, 2), 12, 150),
     (TpmParams(2, 8, 1), 10, 10**4),
     (TpmParams(3, 16, 0), 3, 50),
     (TpmParams(3, 16, 2), 1, 10**4),
+    (TpmParams(3, 16, 2), 24, 150),
 ]
 
 

@@ -14,7 +14,8 @@ ROWS = {
     "frames.encode_frame.syn", "frames.encode_frame.ack", "frames.decode_frame.syn", "frames.decode_frame.ack",
     "protocol.sender_advance", "protocol.receiver_advance",
     "channel.send_and_poll", "channel.poll_empty", "keycodec.key_material",
-    "rng.draw_inputs_lanes.4", "rng.draw_inputs_lanes.16", "analysis.lockstep_step",
+    "rng.draw_inputs_lanes.4", "rng.draw_inputs_lanes.16", "rng.draw_inputs_lanes.500",
+    "analysis.lockstep_step",
 }
 
 

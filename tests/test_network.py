@@ -16,13 +16,14 @@ from paritykex.network import (
     forward,
     forward_planes,
     init_network,
+    init_network_lanes,
     is_synchronized,
     learn,
     learn_planes,
     order_params,
 )
 from paritykex.protocol import SenderState, state_digest
-from paritykex.rng import draw_inputs, input_masks, seed_from_bytes
+from paritykex.rng import PER_LANE_MAX, draw_inputs, input_masks, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -98,6 +99,23 @@ def test_init_returns_advanced_state():
     net2, rng2 = init_network(params, rng1)
     assert rng1 != rng0 and rng2 != rng1
     assert not np.array_equal(net1.weights, net2.weights)
+
+
+@pytest.mark.parametrize("k,n,l", [(3, 32, 3), (2, 5, 0), (1, 7, 127), (4, 16, 1)])
+def test_init_lanes_match_init_network(k, n, l):
+    params = TpmParams(k=k, n=n, l=l)
+    seeds = [bytes(16), b"\xff" * 16] + [np.random.default_rng(i).bytes(16) for i in range(20)]
+    for count in (4, len(seeds)):  # lanes held as (s0, s1) pairs, then as a (2, lanes) array
+        state = seed_lanes(seeds[:count])
+        scalars = [seed_from_bytes(seed) for seed in seeds[:count]]
+        for _ in range(2):  # consecutive networks, as a trial draws them
+            banks, state = init_network_lanes(params, state)
+            assert banks.shape == (count, k, n)
+            for lane, rng in enumerate(scalars):
+                net, scalars[lane] = init_network(params, rng)
+                assert np.array_equal(banks[lane], net.weights)
+        pairs = [(st.s0, st.s1) for st in scalars]
+        assert (state if count <= PER_LANE_MAX else list(zip(*state.tolist()))) == pairs
 
 
 def test_init_weights_within_bound():

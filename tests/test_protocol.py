@@ -277,7 +277,12 @@ def test_state_digest_hashes_little_endian_int32(monkeypatch):
     swapped.__dict__["weights"] = state.net.weights.astype(">i4")
     signs = protocol.mask_signs
     monkeypatch.setattr(protocol, "mask_signs", lambda masks, n: signs(masks, n).astype(">i4"))
-    assert state_digest(dataclasses.replace(state, net=swapped)) == digest
+    replaced = dataclasses.replace(state, net=swapped)
+    # the digest reads the big-endian arrays, whose native bytes differ from the little-endian ones
+    assert replaced.net.weights.dtype.byteorder == ">" and np.array_equal(replaced.net.weights, state.net.weights)
+    assert replaced.net.weights.tobytes() != state.net.weights.tobytes()
+    assert protocol.mask_signs(replaced.pending.inputs, replaced.net.params.n).dtype.byteorder == ">"
+    assert state_digest(replaced) == digest
 
 
 def test_sender_fin_extracts_key_and_sends_auth():

@@ -1,20 +1,26 @@
 """Generator conformance: frozen vectors, layout, bit order, distribution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from paritykex.rng import (
     MASK64,
+    PER_LANE_MAX,
     ZERO_SEED_STATE,
     RngState,
     draw_inputs,
     draw_inputs_lanes,
     input_masks,
+    keep_lanes,
     mask_signs,
     next_bytes,
     next_word,
     next_words,
+    next_words_lanes,
     seed_from_bytes,
+    seed_lanes,
 )
 
 M = (1 << 64) - 1
@@ -178,7 +184,7 @@ def test_words_fit_64_bits():
         assert 0 <= word <= MASK64
 
 
-# --- lane-wise draw --------------------------------------------------------------
+# --- lane-wise generator --------------------------------------------------------
 
 # the all-zero seed (remapped), all-ones words, and seeds drawn at random,
 # about half of whose state words have the high bit set
@@ -187,17 +193,71 @@ LANE_SEEDS = [bytes(16), b"\xff" * 16, bytes.fromhex("80" + "00" * 7 + "80" + "0
 ]
 
 
+def lane_pairs(state):
+    """Each lane's (s0, s1), whichever form ``state`` has."""
+    return list(zip(*state.tolist())) if isinstance(state, np.ndarray) else list(state)
+
+
+def both_forms(seeds):
+    """The lanes of ``seeds`` in both forms: (s0, s1) pairs and a (2, lanes) uint64 array."""
+    pairs = [(st.s0, st.s1) for st in map(seed_from_bytes, seeds)]
+    return [pairs, np.array(pairs, dtype=np.uint64).T]
+
+
+def test_seed_lanes_layout_and_zero_remap():
+    few = LANE_SEEDS[:PER_LANE_MAX]
+    assert seed_lanes(few) == [(st.s0, st.s1) for st in map(seed_from_bytes, few)]
+    state = seed_lanes(LANE_SEEDS)  # more lanes than PER_LANE_MAX: rows s0 and s1
+    assert state.dtype == np.uint64 and state.shape == (2, len(LANE_SEEDS))
+    assert lane_pairs(state) == [(st.s0, st.s1) for st in map(seed_from_bytes, LANE_SEEDS)]
+    assert lane_pairs(state)[0] == ZERO_SEED_STATE
+    keep = np.arange(len(LANE_SEEDS)) % 3 != 1
+    for form in both_forms(LANE_SEEDS):
+        assert lane_pairs(keep_lanes(form, keep)) == [pair for pair, kept in zip(lane_pairs(form), keep) if kept]
+
+
+def test_word_lanes_match_next_word():
+    for state in both_forms(LANE_SEEDS):
+        scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
+        wrapped = high_bit = 0
+        for _ in range(64):
+            high_bit += sum(st.s0 >> 63 for st in scalars)
+            words, state = next_words_lanes(state, 1)
+            assert words.shape == (len(LANE_SEEDS), 1)
+            for lane, st in enumerate(scalars):
+                word, scalars[lane] = next_word(st)
+                wrapped += word < st.s1  # the 64-bit sum s1 + t overflowed
+                assert int(words[lane, 0]) == word
+            assert lane_pairs(state) == [(st.s0, st.s1) for st in scalars]
+        assert wrapped > 100 and high_bit > 100
+
+
 @pytest.mark.parametrize("k,n", [(3, 32), (1, 1), (3, 50), (2, 64), (5, 27)])
 def test_input_lanes_match_draw_inputs(k, n):
-    scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
-    states = [(st.s0, st.s1) for st in scalars]
-    for _ in range(5):
-        inputs, states = draw_inputs_lanes(states, k, n)
-        assert inputs.shape == (len(LANE_SEEDS), k, n) and inputs.dtype == np.int32
-        for lane, st in enumerate(scalars):
-            expected, scalars[lane] = draw_inputs(st, k, n)
-            assert np.array_equal(inputs[lane], expected)
-    assert states == [(st.s0, st.s1) for st in scalars]
+    for state in both_forms(LANE_SEEDS):
+        scalars = [seed_from_bytes(seed) for seed in LANE_SEEDS]
+        for _ in range(5):
+            inputs, state = draw_inputs_lanes(state, k, n)
+            assert inputs.shape == (len(LANE_SEEDS), k, n) and inputs.dtype == np.int32
+            for lane, st in enumerate(scalars):
+                expected, scalars[lane] = draw_inputs(st, k, n)
+                assert np.array_equal(inputs[lane], expected)
+        assert lane_pairs(state) == [(st.s0, st.s1) for st in scalars]
+
+
+def test_single_lane_stays_an_array_and_wraps_silently():
+    for state in both_forms([b"\xff" * 16]):
+        scalar = seed_from_bytes(b"\xff" * 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy scalar would warn on a 64-bit wrap
+            for _ in range(200):
+                words, state = next_words_lanes(state, 1)
+                word, scalar = next_word(scalar)
+                assert isinstance(words, np.ndarray) and words.shape == (1, 1)
+                assert int(words[0, 0]) == word
+            inputs, state = draw_inputs_lanes(state, 3, 32)
+        expected, _ = draw_inputs(scalar, 3, 32)
+        assert np.array_equal(inputs[0], expected)
 
 
 @pytest.mark.parametrize("k, n", [(3, 32), (1, 1), (3, 7), (5, 13), (4, 33), (2, 64)])

@@ -11,9 +11,11 @@ the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
 one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
 empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes.
 The lockstep trial engine's rows: ``draw_inputs_lanes`` at 4 and at 16 lanes
-(the listener's and the sweep's trials a call) and one whole step of the
-(3, 4, 3, 32) listener stack (banks, lanes, k, n) as ``_lockstep_trials``
-runs it: the lane draw, ``forward``, ``learn`` and the match comparison.
+(the listener's and the sweep's trials a call in perfbench, both drawn per
+lane) and at 500 (criterion 7's trials a call, drawn packed), and one whole
+step of the (3, 4, 3, 32) listener stack (banks, lanes, k, n) as
+``_lockstep_trials`` runs it: the lane draw, ``forward``, ``learn`` and the
+match comparison.
 Every input is built from ``SEED``; each call repeats the same work (the two
 rows that read a bank's first-read caches build a new bank each call), and a
 row is the median over ``--repeat`` timings of ``--number`` calls.
@@ -72,19 +74,16 @@ def layer_calls() -> dict:
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
     master = SEED.to_bytes(16, "big")
-    lanes = [rng.seed_from_bytes(exchange.derive_seed(master, f"lane-{t}")) for t in range(16)]
-    lane_states = [(st.s0, st.s1) for st in lanes]
-    listener_states = lane_states[:4]
-
-    def lane_banks(st):
-        for _ in range(3):  # A, B and E, drawn one after another from the lane's generator
-            bank, st = network.init_network(params, st)
-            yield bank.weights
-
-    stack = np.stack([list(lane_banks(st)) for st in lanes[:4]], axis=1)  # (banks, lanes, k, n)
+    lane_seeds = [exchange.derive_seed(master, f"lane-{t}") for t in range(500)]
+    lane_states = {count: rng.seed_lanes(lane_seeds[:count]) for count in (4, 16, 500)}
+    stack, generators = [], lane_states[4]
+    for _ in range(3):  # A, B and E, drawn one after another from each lane's generator
+        bank, generators = network.init_network_lanes(params, generators)
+        stack.append(bank)
+    stack = np.stack(stack)  # (banks, lanes, k, n)
 
     def lockstep_step():
-        x, _ = rng.draw_inputs_lanes(listener_states, K, N)
+        x, _ = rng.draw_inputs_lanes(lane_states[4], K, N)
         _, sigmas, taus = network.forward(stack, x)
         learned = network.learn(stack, x, sigmas, taus[0], taus[0] == taus[1], RULE, L)
         return (learned[1:] == learned[0]).all(axis=(2, 3))
@@ -111,8 +110,9 @@ def layer_calls() -> dict:
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
-        "rng.draw_inputs_lanes.4": lambda: rng.draw_inputs_lanes(listener_states, K, N),
-        "rng.draw_inputs_lanes.16": lambda: rng.draw_inputs_lanes(lane_states, K, N),
+        "rng.draw_inputs_lanes.4": lambda: rng.draw_inputs_lanes(lane_states[4], K, N),
+        "rng.draw_inputs_lanes.16": lambda: rng.draw_inputs_lanes(lane_states[16], K, N),
+        "rng.draw_inputs_lanes.500": lambda: rng.draw_inputs_lanes(lane_states[500], K, N),
         "analysis.lockstep_step": lockstep_step,
     }
 
