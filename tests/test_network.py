@@ -23,7 +23,7 @@ from paritykex.network import (
     order_params,
 )
 from paritykex.protocol import SenderState, state_digest
-from paritykex.rng import PER_LANE_MAX, draw_inputs, input_masks, seed_from_bytes, seed_lanes
+from paritykex.rng import MASK64, PER_LANE_MAX, draw_inputs, input_masks, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -105,7 +105,7 @@ def test_init_returns_advanced_state():
 def test_init_lanes_match_init_network(k, n, l):
     params = TpmParams(k=k, n=n, l=l)
     seeds = [bytes(16), b"\xff" * 16] + [np.random.default_rng(i).bytes(16) for i in range(20)]
-    for count in (4, len(seeds)):  # lanes held as (s0, s1) pairs, then as a (2, lanes) array
+    for count in (4, len(seeds)):  # lanes held as (s0, s1) pairs, then as PackedLanes
         state = seed_lanes(seeds[:count])
         scalars = [seed_from_bytes(seed) for seed in seeds[:count]]
         for _ in range(2):  # consecutive networks, as a trial draws them
@@ -114,8 +114,9 @@ def test_init_lanes_match_init_network(k, n, l):
             for lane, rng in enumerate(scalars):
                 net, scalars[lane] = init_network(params, rng)
                 assert np.array_equal(banks[lane], net.weights)
-        pairs = [(st.s0, st.s1) for st in scalars]
-        assert (state if count <= PER_LANE_MAX else list(zip(*state.tolist()))) == pairs
+        if count > PER_LANE_MAX:
+            state = [(state.s0 >> 64 * t & MASK64, state.s1 >> 64 * t & MASK64) for t in range(state.lanes)]
+        assert state == [(st.s0, st.s1) for st in scalars]
 
 
 def test_init_weights_within_bound():

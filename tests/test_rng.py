@@ -9,6 +9,7 @@ from paritykex.rng import (
     MASK64,
     PER_LANE_MAX,
     ZERO_SEED_STATE,
+    PackedLanes,
     RngState,
     draw_inputs,
     draw_inputs_lanes,
@@ -195,25 +196,29 @@ LANE_SEEDS = [bytes(16), b"\xff" * 16, bytes.fromhex("80" + "00" * 7 + "80" + "0
 
 def lane_pairs(state):
     """Each lane's (s0, s1), whichever form ``state`` has."""
-    return list(zip(*state.tolist())) if isinstance(state, np.ndarray) else list(state)
+    if not isinstance(state, PackedLanes):
+        return list(state)
+    return [(state.s0 >> 64 * t & MASK64, state.s1 >> 64 * t & MASK64) for t in range(state.lanes)]
 
 
 def both_forms(seeds):
-    """The lanes of ``seeds`` in both forms: (s0, s1) pairs and a (2, lanes) uint64 array."""
+    """The lanes of ``seeds`` in both forms: (s0, s1) pairs and ``PackedLanes``."""
     pairs = [(st.s0, st.s1) for st in map(seed_from_bytes, seeds)]
-    return [pairs, np.array(pairs, dtype=np.uint64).T]
+    pack = lambda words: sum(word << 64 * t for t, word in enumerate(words))
+    return [pairs, PackedLanes(pack([s0 for s0, _ in pairs]), pack([s1 for _, s1 in pairs]), len(pairs))]
 
 
 def test_seed_lanes_layout_and_zero_remap():
     few = LANE_SEEDS[:PER_LANE_MAX]
     assert seed_lanes(few) == [(st.s0, st.s1) for st in map(seed_from_bytes, few)]
-    state = seed_lanes(LANE_SEEDS)  # more lanes than PER_LANE_MAX: rows s0 and s1
-    assert state.dtype == np.uint64 and state.shape == (2, len(LANE_SEEDS))
+    state = seed_lanes(LANE_SEEDS)  # more lanes than PER_LANE_MAX: packed, lane t in bits 64t..64t+63
+    assert state == both_forms(LANE_SEEDS)[1] and state.lanes == len(LANE_SEEDS)
     assert lane_pairs(state) == [(st.s0, st.s1) for st in map(seed_from_bytes, LANE_SEEDS)]
     assert lane_pairs(state)[0] == ZERO_SEED_STATE
     keep = np.arange(len(LANE_SEEDS)) % 3 != 1
-    for form in both_forms(LANE_SEEDS):
-        assert lane_pairs(keep_lanes(form, keep)) == [pair for pair, kept in zip(lane_pairs(form), keep) if kept]
+    kept_seeds = [seed for seed, kept in zip(LANE_SEEDS, keep) if kept]
+    for form, expected in zip(both_forms(LANE_SEEDS), both_forms(kept_seeds)):
+        assert keep_lanes(form, keep) == expected
 
 
 def test_word_lanes_match_next_word():
