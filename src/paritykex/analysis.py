@@ -13,8 +13,8 @@ The trial runners own everything stochastic: each trial derives its own
 seed from the master seed, so sweeps are bit-reproducible.  The bare
 (direct-mode) trials of one call, and the listener trials, run in lockstep:
 the banks of all T trials are held as one (banks, T, k, n) array with one
-lane per trial and a lane-wise generator, every bank of every lane takes its
-step in one kernel call, and a trial leaves the batch when it ends.
+lane per trial and a lane-wise generator, every bank of every lane takes
+its step in one kernel call, and a trial leaves the batch when it ends.
 Each lane draws exactly what a scalar trial from the same seed draws, so
 the counts are those of ``run_single_trial`` and of the scalar
 ``evaluate``/``apply_learning`` loop, trial for trial.
@@ -208,13 +208,13 @@ def _lockstep_trials(
     Lane t draws networks A and B (and, with ``listener``, E) and then each
     step's inputs from the generator seeded with ``seeds[t]``, as a scalar
     trial does: ``seed_lanes`` holds the lanes' generators, per lane up to
-    ``PER_LANE_MAX`` lanes and packed beyond, and ``init_network_lanes`` and
-    ``draw_inputs_lanes`` draw for every lane in one call each.  Lanes leave
-    with ``keep_lanes``.  The banks are one (banks, lanes, k, n) stack, and a step is
-    one ``forward`` and one ``learn`` call, the kernel of the scalar
-    ``evaluate``/``apply_learning``, on all of it: when A and B announce the
-    same output, every bank learns toward A's output, so the passive
-    listener E adopts it as its own.
+    ``PER_LANE_MAX`` lanes and packed beyond, ``init_network_lanes`` and
+    ``draw_inputs_lanes`` draw for every lane in one call each, and lanes
+    leave with ``keep_lanes``.  The banks are one (banks, lanes, k, n)
+    stack, and a step is one ``forward`` and one ``learn`` call, the kernel
+    of the scalar ``evaluate``/``apply_learning``, on all of it: when A and
+    B announce the same output, every bank learns toward A's output, so the
+    passive listener E adopts it as its own.
 
     Returns, per trial, the step count at which A first matched B and, with
     a listener, a second list with the one at which E first matched A; None

@@ -138,7 +138,7 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
     return mask_signs(masks, n), RngState(s0, s1)
 
 
-# --- lane-wise generator ---------------------------------------------------------
+# --- lane-wise generator ------------------------------------------------------
 
 # Up to this many lanes, each lane steps its own (s0, s1) pair with ``_steps``;
 # beyond, the lanes step together as ``PackedLanes``.  Per lane is as fast at 4
