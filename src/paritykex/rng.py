@@ -143,8 +143,9 @@ def draw_inputs(state: RngState, k: int, n: int) -> tuple[np.ndarray, RngState]:
 # Up to this many lanes, each lane steps its own (s0, s1) pair with ``_steps``;
 # beyond, the lanes step together as ``PackedLanes``.  Per lane is as fast at 4
 # lanes and faster below.  Packing would more than halve a 16-lane draw, but then
-# perfbench's sweep-depth (16 lanes a call) would end its first round near the
-# 0.1 s that its test_run_prints_one_result_line needs (ROADMAP direction 4).
+# perfbench's sweep-depth (16 lanes a call) would, on the fastest runs, end its
+# first round below the 0.1 s its test_run_prints_one_result_line needs
+# (ROADMAP direction 4).
 PER_LANE_MAX = 16
 
 
