@@ -66,10 +66,8 @@ from .network import (
 from .protocol import (
     DeliverKey,
     Fail,
-    FrameArrived,
     ProtocolConfig,
     ReceiverState,
-    SendFrame,
     SenderState,
     SetTimer,
     Start,

@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Literal, Optional
 
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
-from .frames import FrameError, decode_frame, encode_frame
+from .frames import Frame, FrameError, decode_frame, encode_frame
 from .keycodec import SessionKey
 from .network import init_network
 from .protocol import (
@@ -26,10 +26,8 @@ from .protocol import (
     DeliverKey,
     Event,
     Fail,
-    FrameArrived,
     ProtocolConfig,
     ReceiverState,
-    SendFrame,
     SenderState,
     SetTimer,
     Start,
@@ -83,8 +81,8 @@ class Endpoint:
         """
         self.state, actions, self.rng = self.advance(self.state, event, self.cfg, self.rng)
         for action in actions:
-            if isinstance(action, SendFrame):
-                self.send(encode_frame(action.frame), now)
+            if isinstance(action, Frame):
+                self.send(encode_frame(action), now)
             elif isinstance(action, SetTimer):
                 self.deadline = now + action.ticks
             elif isinstance(action, DeliverKey):
@@ -99,7 +97,7 @@ class Endpoint:
             frame = decode_frame(datagram)
         except FrameError:
             return False
-        self.feed(FrameArrived(frame), now)
+        self.feed(frame, now)
         return True
 
     def expire(self, now: float) -> None:

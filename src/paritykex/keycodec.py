@@ -34,8 +34,8 @@ class SessionKey:
     def __post_init__(self) -> None:
         if len(self.key) != KEY_BYTES:
             raise ValueError("session key must be 16 bytes")
-        if self.iv < 0:
-            raise ValueError("group index must be non-negative")
+        if not 0 <= self.iv <= 0xFF:
+            raise ValueError(f"group index {self.iv} outside [0, 255]: FIN_SYN carries it in one byte")
 
 
 def encode_weight(w: int) -> int:

@@ -1,10 +1,11 @@
 """Sender and receiver state machines for key generation and certification.
 
 Both machines are pure transition functions: ``(state, event, config, rng)
--> (state, actions, rng)``.  They never touch a transport; the host routes
-SendFrame actions onto a channel and feeds FrameArrived / TimerFired events
-back in.  That keeps every run replayable and lets tests assert that
-replayed frames change nothing.
+-> (state, actions, rng)``.  A Frame is both an event and an action: the
+host sends each Frame action onto a channel and feeds each arriving Frame,
+like a TimerFired, back in.  The machines never touch a transport, which
+keeps every run replayable and lets tests assert that replayed frames
+change nothing.
 
 Retransmission is stop-and-wait (RFC 1350): on a timeout the sender re-sends
 the frame it last sent, unchanged.  The receiver answers a repeat of the last
@@ -93,17 +94,7 @@ class TimerFired:
     """The host's retransmission timer expired."""
 
 
-@dataclass(frozen=True)
-class FrameArrived:
-    frame: Frame
-
-
-Event = Union[Start, TimerFired, FrameArrived]
-
-
-@dataclass(frozen=True)
-class SendFrame:
-    frame: Frame
+Event = Union[Start, TimerFired, Frame]
 
 
 @dataclass(frozen=True)
@@ -121,7 +112,7 @@ class Fail:
     reason: str
 
 
-Action = Union[SendFrame, SetTimer, DeliverKey, Fail]
+Action = Union[Frame, SetTimer, DeliverKey, Fail]
 
 
 # --- endpoint states ----------------------------------------------------
@@ -248,7 +239,7 @@ def _sender_new_round(
         sent=frame,
         rounds=state.rounds + 1,
     )
-    return state, (SendFrame(frame), SetTimer(cfg.timeout_ticks)), rng
+    return state, (frame, SetTimer(cfg.timeout_ticks)), rng
 
 
 def sender_advance(
@@ -279,9 +270,9 @@ def sender_advance(
         # rounds counts every SYN sent, re-sends included
         rounds = state.rounds + isinstance(sent.payload, Syn)
         state = _evolve(state, attempts=state.attempts + 1, rounds=rounds)
-        return state, (SendFrame(sent), SetTimer(cfg.timeout_ticks)), rng
+        return state, (sent, SetTimer(cfg.timeout_ticks)), rng
 
-    frame = event.frame
+    frame = event
     payload = frame.payload
     if frame.frame_id != sent.frame_id:
         logger.debug("sender: stale frame id %d ignored", frame.frame_id)
@@ -309,7 +300,7 @@ def sender_advance(
                 pending=None,
                 sent=auth,
             )
-            return state, (SendFrame(auth), SetTimer(cfg.timeout_ticks)), rng
+            return state, (auth, SetTimer(cfg.timeout_ticks)), rng
         logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
         return state, (), rng
 
@@ -346,17 +337,15 @@ def receiver_advance(
     state: ReceiverState, event: Event, cfg: ProtocolConfig, rng: RngState
 ) -> tuple[ReceiverState, tuple[Action, ...], RngState]:
     """Advance the receiver; it is purely reactive (no timers of its own)."""
-    if state.phase == "failed":
-        return state, (), rng
-    if not isinstance(event, FrameArrived):
+    if state.phase == "failed" or not isinstance(event, Frame):
         return state, (), rng
 
-    frame = event.frame
+    frame = event
     payload = frame.payload
     if frame.frame_id == state.last_seen_id:
         # a re-sent frame whose reply was lost: answer it again, change nothing
         assert state.reply is not None
-        return state, (SendFrame(state.reply),), rng
+        return state, (state.reply,), rng
     if not integrity_check(frame, state.last_seen_id):
         logger.debug("receiver: stale frame id %d ignored", frame.frame_id)
         return state, (), rng
@@ -375,7 +364,7 @@ def receiver_advance(
             net, iterations, reply = _receiver_learning_reply(state, frame, payload, cfg)
         state = _evolve(state, net=net, iterations=iterations, phase=phase, session=session,
                         last_seen_id=frame.frame_id, reply=reply)
-        return state, (SendFrame(reply),), rng
+        return state, (reply,), rng
 
     if isinstance(payload, Auth):
         if state.phase != "certifying":
@@ -390,7 +379,7 @@ def receiver_advance(
         session = state.session
         reply = Frame(frame.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, frame.frame_id)))
         state = _evolve(state, phase="established", last_seen_id=frame.frame_id, reply=reply)
-        return state, (SendFrame(reply), DeliverKey(session)), rng
+        return state, (reply, DeliverKey(session)), rng
 
     logger.debug("receiver: %s ignored", type(payload).__name__)
     return state, (), rng

@@ -2,8 +2,9 @@
 
 from paritykex.channel import ChannelConfig, SimulatedLink
 from paritykex.exchange import Endpoint, derive_seed, run_over_link
+from paritykex.frames import Frame
 from paritykex.network import TpmParams
-from paritykex.protocol import FrameArrived, ProtocolConfig, SendFrame
+from paritykex.protocol import ProtocolConfig, sender_advance, state_digest
 
 
 def config(l=2, n=32, **kw):
@@ -39,11 +40,31 @@ class RecordingEndpoint(Endpoint):
         self.peer = None
 
     def feed(self, event, now):
-        if self.on_delivery is not None and isinstance(event, FrameArrived):
-            self.on_delivery(self, event.frame)
+        if self.on_delivery is not None and isinstance(event, Frame):
+            self.on_delivery(self, event)
         actions = super().feed(event, now)
-        self.wire.extend((self.name, a.frame) for a in actions if isinstance(a, SendFrame))
+        self.wire.extend((self.name, a) for a in actions if isinstance(a, Frame))
         return actions
+
+
+def replay_is_inert(endpoint, frame):
+    """Deliver ``frame`` to ``endpoint``'s state, then deliver it again.
+
+    When the first delivery was accepted (it acted), assert that the repeat
+    changes neither the state nor the generator and that it only makes the
+    receiver send its replies again, and return True; return False when the
+    first delivery did nothing.  Neither delivery touches the endpoint.
+    """
+    state, advance, cfg, rng = endpoint.state, endpoint.advance, endpoint.cfg, endpoint.rng
+    new_state, actions, new_rng = advance(state, frame, cfg, rng)
+    if not actions:
+        return False
+    replayed, actions2, rng2 = advance(new_state, frame, cfg, new_rng)
+    replies = tuple(a for a in actions if isinstance(a, Frame))
+    assert state_digest(replayed) == state_digest(new_state)
+    assert actions2 == (() if advance is sender_advance else replies)
+    assert rng2 == new_rng
+    return True
 
 
 def drive(cfg, master_seed, channel=ChannelConfig(), cap=8000, receiver_cfg=None,

@@ -12,8 +12,9 @@ from paritykex.exchange import (
     run_exchange,
     run_udp,
 )
+from paritykex.frames import FinSyn, Frame, encode_frame
 from paritykex.network import TpmParams
-from paritykex.protocol import ProtocolConfig
+from paritykex.protocol import ProtocolConfig, SetTimer, Start
 
 
 def config(l=2, n=32, **kw):
@@ -111,6 +112,36 @@ def test_a_settled_endpoint_keeps_no_deadline():
             if phase is not None:
                 assert endpoint.state.phase == phase
                 assert endpoint.deadline is None
+
+
+def test_endpoint_sends_frames_encoded_and_sets_its_deadline():
+    # one endpoint against a recording send: every Frame action leaves as its
+    # encoding, SetTimer counts from the step's tick, and a datagram that does
+    # not decode is dropped without touching the machine
+    cfg = config()
+    sent = []
+    host = Endpoint("sender", cfg, b"host-test-seed-0",
+                    lambda datagram, now: sent.append((datagram, now)))
+
+    actions = host.feed(Start(), 3)
+    assert len(sent) == 1
+    assert sent == [(encode_frame(a), 3) for a in actions if isinstance(a, Frame)]
+    assert [a.ticks for a in actions if isinstance(a, SetTimer)] == [cfg.timeout_ticks]
+    assert host.deadline == 3 + cfg.timeout_ticks
+    syn = host.state.sent
+
+    wire = encode_frame(syn)
+    undecodable = (b"", wire[:-1], bytes([wire[0] ^ 1]) + wire[1:], wire[:-1] + bytes([wire[-1] ^ 1]))
+    for datagram in undecodable:
+        state = host.state
+        assert host.receive(datagram, 7) is False
+        assert host.state is state and host.deadline == 3 + cfg.timeout_ticks and len(sent) == 1
+
+    # a FIN_SYN answering the SYN: the AUTH leaves encoded and the timer restarts from tick 9
+    assert host.receive(encode_frame(Frame(syn.frame_id, FinSyn(iv=2))), 9) is True
+    assert host.state.phase == "certifying"
+    assert sent[1:] == [(encode_frame(host.state.sent), 9)]
+    assert host.deadline == 9 + cfg.timeout_ticks
 
 
 def test_liveness_under_plain_loss():

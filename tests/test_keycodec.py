@@ -129,6 +129,11 @@ def test_extract_key_range_checked():
 def test_session_key_validation():
     with pytest.raises(ValueError):
         SessionKey(key=bytes(8), iv=0)
+    # FIN_SYN carries the group index in one byte, and extract_key salts with bytes([iv])
+    for iv in (-1, 256, 300):
+        with pytest.raises(ValueError):
+            SessionKey(key=bytes(16), iv=iv)
+    assert SessionKey(key=bytes(16), iv=255).iv == 255
 
 
 def test_hidden_output_equal_for_synchronized_nets():

@@ -6,7 +6,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from support import config, drive, fresh
+from support import config, drive, fresh, replay_is_inert
 
 from paritykex import protocol
 from paritykex.channel import ChannelConfig
@@ -19,10 +19,8 @@ from paritykex.protocol import (
     SENDER_AUTH,
     DeliverKey,
     Fail,
-    FrameArrived,
     Phase,
     ProtocolConfig,
-    SendFrame,
     Start,
     TimerFired,
     auth_code,
@@ -220,7 +218,7 @@ def test_wire_observer_learns_no_key_or_code():
 def build_sender(cfg, seed=b"sender-unit-test"):
     state, rng = fresh("sender", cfg, seed)
     state, actions, rng = sender_advance(state, Start(), cfg, rng)
-    frame = next(a.frame for a in actions if isinstance(a, SendFrame))
+    frame = next(a for a in actions if isinstance(a, Frame))
     return state, rng, frame
 
 
@@ -239,9 +237,9 @@ def test_sender_ack_applies_learning_and_opens_next_round():
     state, rng, syn = build_sender(cfg)
     before = state.net.weights.copy()
     ack = Frame(syn.frame_id, AckSyn(tau=syn.payload.tau))
-    state2, actions, _ = sender_advance(state, FrameArrived(ack), cfg, rng)
+    state2, actions, _ = sender_advance(state, ack, cfg, rng)
     assert state2.iterations == 1
-    assert any(isinstance(a, SendFrame) for a in actions)
+    assert any(isinstance(a, Frame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
     moved = not np.array_equal(state2.net.weights, before)
     pending = state.pending
@@ -252,7 +250,7 @@ def test_sender_nak_keeps_weights():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     nak = Frame(syn.frame_id, NakSyn(tau=-syn.payload.tau))
-    state2, actions, _ = sender_advance(state, FrameArrived(nak), cfg, rng)
+    state2, actions, _ = sender_advance(state, nak, cfg, rng)
     assert np.array_equal(state2.net.weights, state.net.weights)
     assert state2.rounds == state.rounds + 1
 
@@ -262,7 +260,7 @@ def test_sender_ignores_stale_ids():
     state, rng, syn = build_sender(cfg)
     stale = Frame(syn.frame_id + 1, AckSyn(tau=1))
     digest = state_digest(state)
-    state2, actions, rng2 = sender_advance(state, FrameArrived(stale), cfg, rng)
+    state2, actions, rng2 = sender_advance(state, stale, cfg, rng)
     assert state_digest(state2) == digest
     assert actions == ()
     assert rng2 == rng
@@ -289,11 +287,11 @@ def test_sender_fin_extracts_key_and_sends_auth():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=4))
-    state2, actions, _ = sender_advance(state, FrameArrived(fin), cfg, rng)
+    state2, actions, _ = sender_advance(state, fin, cfg, rng)
     assert state2.phase == "certifying"
     expected = extract_key(serialize_weights(state.net), 4)
     assert state2.session == expected
-    auth = next(a.frame for a in actions if isinstance(a, SendFrame))
+    auth = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(auth.payload, Auth)
     assert auth.payload.ek_code == auth_code(cfg.ssc, SENDER_AUTH, expected, auth.frame_id)
 
@@ -304,7 +302,7 @@ def test_sender_accepts_any_iv_byte():
     state, rng, syn = build_sender(cfg)
     for iv in (6, 255):
         fin = Frame(syn.frame_id, FinSyn(iv=iv))
-        state2, actions, _ = sender_advance(state, FrameArrived(fin), cfg, rng)
+        state2, actions, _ = sender_advance(state, fin, cfg, rng)
         assert state2.phase == "certifying"
         assert state2.session == extract_key(serialize_weights(state.net), iv)
 
@@ -315,7 +313,7 @@ def test_sender_timeout_retries_then_fails():
     for expected_attempts in (2, 3):
         state, actions, rng = sender_advance(state, TimerFired(), cfg, rng)
         assert state.attempts == expected_attempts
-        assert any(isinstance(a, SendFrame) for a in actions)
+        assert any(isinstance(a, Frame) for a in actions)
     state, actions, rng = sender_advance(state, TimerFired(), cfg, rng)
     assert state.phase == "failed"
     assert any(isinstance(a, Fail) for a in actions)
@@ -326,15 +324,15 @@ def test_sender_timeout_resends_the_same_frame():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
-    assert encode_frame(actions[0].frame) == encode_frame(syn)
+    assert encode_frame(actions[0]) == encode_frame(syn)
     assert (resent.rounds, resent.attempts, rng2) == (state.rounds + 1, 2, rng)
 
     fin = Frame(syn.frame_id, FinSyn(iv=2))
-    state, actions, rng = sender_advance(resent, FrameArrived(fin), cfg, rng2)
-    auth = actions[0].frame
+    state, actions, rng = sender_advance(resent, fin, cfg, rng2)
+    auth = actions[0]
     resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
     assert isinstance(auth.payload, Auth)
-    assert encode_frame(actions[0].frame) == encode_frame(auth)
+    assert encode_frame(actions[0]) == encode_frame(auth)
     assert (resent.rounds, resent.attempts, rng2) == (state.rounds, 2, rng)
 
 
@@ -342,12 +340,12 @@ def test_sender_auth_reply_verification():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=0))
-    state, actions, rng = sender_advance(state, FrameArrived(fin), cfg, rng)
-    auth = next(a.frame for a in actions if isinstance(a, SendFrame))
+    state, actions, rng = sender_advance(state, fin, cfg, rng)
+    auth = next(a for a in actions if isinstance(a, Frame))
     session = state.session
 
     good = Frame(auth.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id)))
-    done, actions, _ = sender_advance(state, FrameArrived(good), cfg, rng)
+    done, actions, _ = sender_advance(state, good, cfg, rng)
     assert done.phase == "established"
     assert any(isinstance(a, DeliverKey) for a in actions)
 
@@ -357,7 +355,7 @@ def test_sender_auth_reply_verification():
                                   (cfg.ssc, SENDER_AUTH, auth.frame_id),
                                   (cfg.rsc, RECEIVER_AUTH, auth.frame_id + 1)):
         bad = Frame(auth.frame_id, Auth(auth_code(code, label, session, frame_id)))
-        failed, actions, _ = sender_advance(state, FrameArrived(bad), cfg, rng)
+        failed, actions, _ = sender_advance(state, bad, cfg, rng)
         assert failed.phase == "failed"
         assert actions == (Fail("peer certification failed"),)
 
@@ -367,7 +365,7 @@ def receiver_with_syn(cfg, seed=b"receiver-unittes"):
     rstate, rrng = fresh("receiver", cfg, seed)
     sstate, srng = fresh("sender", cfg, b"peer-sender-seed")
     sstate, actions, srng = sender_advance(sstate, Start(), cfg, srng)
-    syn = next(a.frame for a in actions if isinstance(a, SendFrame))
+    syn = next(a for a in actions if isinstance(a, Frame))
     return rstate, rrng, sstate, syn
 
 
@@ -377,8 +375,8 @@ def test_receiver_tau_mismatch_naks_without_update():
     inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     flipped = Frame(syn.frame_id, Syn(syn.payload.seed, -ev.tau, syn.payload.ek_st))
-    state2, actions, _ = receiver_advance(rstate, FrameArrived(flipped), cfg, rrng)
-    reply = next(a.frame for a in actions if isinstance(a, SendFrame))
+    state2, actions, _ = receiver_advance(rstate, flipped, cfg, rrng)
+    reply = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(reply.payload, NakSyn)
     assert reply.frame_id == syn.frame_id
     assert np.array_equal(state2.net.weights, rstate.net.weights)
@@ -391,8 +389,8 @@ def test_receiver_tau_match_acks_and_learns():
     inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     agreeing = Frame(syn.frame_id, Syn(syn.payload.seed, ev.tau, syn.payload.ek_st))
-    state2, actions, _ = receiver_advance(rstate, FrameArrived(agreeing), cfg, rrng)
-    reply = next(a.frame for a in actions if isinstance(a, SendFrame))
+    state2, actions, _ = receiver_advance(rstate, agreeing, cfg, rrng)
+    reply = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(reply.payload, AckSyn)
     assert reply.frame_id == syn.frame_id
     assert state2.iterations == 1
@@ -403,11 +401,11 @@ def test_receiver_replay_rejected():
     # a repeat changes nothing and gets only the reply already sent
     cfg = config()
     rstate, rrng, sstate, syn = receiver_with_syn(cfg)
-    state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
+    state2, actions, rng2 = receiver_advance(rstate, syn, cfg, rrng)
     digest = state_digest(state2)
-    state3, actions3, rng3 = receiver_advance(state2, FrameArrived(syn), cfg, rng2)
+    state3, actions3, rng3 = receiver_advance(state2, syn, cfg, rng2)
     assert state_digest(state3) == digest
-    assert actions3 == actions and isinstance(actions3[0], SendFrame)
+    assert actions3 == actions and isinstance(actions3[0], Frame)
     assert rng3 == rng2
 
 
@@ -420,10 +418,10 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
     syn = synced_syn(rstate.net, 3)
-    state2, actions, rng2 = receiver_advance(rstate, FrameArrived(syn), cfg, rrng)
+    state2, actions, rng2 = receiver_advance(rstate, syn, cfg, rrng)
     assert state2.phase == "certifying"
     assert state2.session is not None
-    fin = next(a.frame for a in actions if isinstance(a, SendFrame))
+    fin = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(fin.payload, FinSyn)
     assert fin.payload.iv == state2.session.iv
     assert 0 <= fin.payload.iv < 6
@@ -433,8 +431,8 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     # a repeat of SYN 3 (say FIN was lost) gets the identical FIN_SYN and no
     # new draw; a synced SYN with a new id, after the offer, is ignored
     digest = state_digest(state2)
-    for repeat, expected in ((syn, (SendFrame(fin),)), (synced_syn(rstate.net, 4), ())):
-        state3, actions3, rng3 = receiver_advance(state2, FrameArrived(repeat), cfg, rng2)
+    for repeat, expected in ((syn, (fin,)), (synced_syn(rstate.net, 4), ())):
+        state3, actions3, rng3 = receiver_advance(state2, repeat, cfg, rng2)
         assert actions3 == expected
         assert state_digest(state3) == digest
         assert rng3 == rng2
@@ -443,13 +441,13 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 def test_receiver_auth_verification_and_rejection():
     cfg = config()
     rstate, rrng, _, _ = receiver_with_syn(cfg)
-    state, actions, rng = receiver_advance(rstate, FrameArrived(synced_syn(rstate.net, 3)), cfg, rrng)
+    state, actions, rng = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg, rrng)
     session = state.session
 
     good = Frame(5, Auth(auth_code(cfg.ssc, SENDER_AUTH, session, 5)))
-    est, actions, rng2 = receiver_advance(state, FrameArrived(good), cfg, rng)
+    est, actions, rng2 = receiver_advance(state, good, cfg, rng)
     assert est.phase == "established"
-    reply = next(a.frame for a in actions if isinstance(a, SendFrame))
+    reply = next(a for a in actions if isinstance(a, Frame))
     assert reply.frame_id == 5
     assert reply.payload.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
     assert any(isinstance(a, DeliverKey) for a in actions)
@@ -458,7 +456,7 @@ def test_receiver_auth_verification_and_rejection():
     # code, or the right code bound to another frame id
     for bad in (auth_code(b"wrong-secret-00!", SENDER_AUTH, session, 5),
                 auth_code(cfg.ssc, SENDER_AUTH, session, 4)):
-        rej, actions, _ = receiver_advance(state, FrameArrived(Frame(5, Auth(bad))), cfg, rng)
+        rej, actions, _ = receiver_advance(state, Frame(5, Auth(bad)), cfg, rng)
         assert rej.phase == "failed"
         assert rej.session is None
         assert rej.cert_failures == 1
@@ -470,7 +468,7 @@ def test_receiver_ignores_auth_without_offer():
     rstate, rrng, _, _ = receiver_with_syn(cfg)
     auth = Frame(9, Auth(bytes(16)))
     digest = state_digest(rstate)
-    state2, actions, rng2 = receiver_advance(rstate, FrameArrived(auth), cfg, rrng)
+    state2, actions, rng2 = receiver_advance(rstate, auth, cfg, rrng)
     assert state_digest(state2) == digest
     assert actions == ()
     assert rng2 == rrng
@@ -480,12 +478,12 @@ def test_sender_ignores_nak_during_certification():
     cfg = config()
     state, rng, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=1))
-    state, actions, rng = sender_advance(state, FrameArrived(fin), cfg, rng)
-    auth = next(a.frame for a in actions if isinstance(a, SendFrame))
+    state, actions, rng = sender_advance(state, fin, cfg, rng)
+    auth = next(a for a in actions if isinstance(a, Frame))
     assert state.phase == "certifying"
     digest = state_digest(state)
     nak = Frame(auth.frame_id, NakSyn(tau=1))
-    state2, actions, _ = sender_advance(state, FrameArrived(nak), cfg, rng)
+    state2, actions, _ = sender_advance(state, nak, cfg, rng)
     assert state_digest(state2) == digest
     assert actions == ()
 
@@ -496,30 +494,18 @@ def test_established_sender_ignores_everything():
     assert outcome.established
     state = outcome.sender
     digest = state_digest(state)
-    for event in (TimerFired(), FrameArrived(Frame(999999, AckSyn(tau=1)))):
+    for event in (TimerFired(), Frame(999999, AckSyn(tau=1))):
         state2, actions, _ = sender_advance(state, event, cfg, seed_from_bytes(b"x" * 16))
         assert state_digest(state2) == digest
         assert actions == ()
 
 
 def test_replay_every_delivered_frame_changes_nothing():
-    cfg = config(l=1, n=16)
-
-    def replay(endpoint, frame):
-        state, advance, endpoint_cfg, rng = (
-            endpoint.state, endpoint.advance, endpoint.cfg, endpoint.rng
-        )
-        # process, then re-deliver against the new state
-        new_state, actions, new_rng = advance(state, FrameArrived(frame), endpoint_cfg, rng)
-        replayed, actions2, rng2 = advance(new_state, FrameArrived(frame), endpoint_cfg, new_rng)
-        if actions:  # frame was accepted: a replay changes nothing; the receiver re-sends
-            replies = tuple(a for a in actions if isinstance(a, SendFrame))
-            assert state_digest(replayed) == state_digest(new_state)
-            assert actions2 == (() if advance is sender_advance else replies)
-            assert rng2 == new_rng
-
-    outcome, _ = drive(cfg, b"replay-check-00!", on_delivery=replay)
+    checked = []
+    outcome, _ = drive(config(l=1, n=16), b"replay-check-00!",
+                       on_delivery=lambda endpoint, frame: checked.append(replay_is_inert(endpoint, frame)))
     assert outcome.sender.phase == "established"
+    assert any(checked)
 
 
 @pytest.mark.parametrize("l, rule, channel", [
@@ -535,7 +521,7 @@ def test_transitions_are_pure_and_banks_stay_valid(l, rule, channel):
     def check(endpoint, frame):
         state = endpoint.state
         digest = state_digest(state)
-        new_state, _, _ = endpoint.advance(state, FrameArrived(frame), endpoint.cfg, endpoint.rng)
+        new_state, _, _ = endpoint.advance(state, frame, endpoint.cfg, endpoint.rng)
         assert state_digest(state) == digest
         for w in (state.net.weights, new_state.net.weights):
             assert w.dtype == np.int32 and not w.flags.writeable and w.shape == (3, 32)

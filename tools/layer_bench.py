@@ -103,10 +103,8 @@ def layer_calls() -> dict:
         "frames.encode_frame.ack": lambda: frames.encode_frame(ack),
         "frames.decode_frame.syn": lambda: frames.decode_frame(syn_wire),
         "frames.decode_frame.ack": lambda: frames.decode_frame(ack_wire),
-        "protocol.sender_advance": lambda: protocol.sender_advance(
-            sender, protocol.FrameArrived(ack), cfg, sender_rng),
-        "protocol.receiver_advance": lambda: protocol.receiver_advance(
-            receiver, protocol.FrameArrived(peer_syn), cfg, state),
+        "protocol.sender_advance": lambda: protocol.sender_advance(sender, ack, cfg, sender_rng),
+        "protocol.receiver_advance": lambda: protocol.receiver_advance(receiver, peer_syn, cfg, state),
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
