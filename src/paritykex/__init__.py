@@ -64,8 +64,6 @@ from .network import (
     order_params,
 )
 from .protocol import (
-    DeliverKey,
-    Fail,
     ProtocolConfig,
     ReceiverState,
     SenderState,

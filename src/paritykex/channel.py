@@ -122,7 +122,8 @@ class UdpTransport:
     """One endpoint of a datagram socket pair.
 
     send() may be called from any thread; receive() blocks up to its
-    timeout.  A listening endpoint learns its peer from the first datagram.
+    timeout.  A listening endpoint learns its peer from the first datagram;
+    then, like a connecting one, it drops datagrams from other addresses.
     """
 
     def __init__(
@@ -132,6 +133,8 @@ class UdpTransport:
     ):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(local)
+        if remote is not None:  # numeric, as recvfrom reports the peer
+            remote = socket.getaddrinfo(*remote, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
         self._remote = remote
 
     @property
@@ -144,7 +147,7 @@ class UdpTransport:
         self._sock.sendto(data, self._remote)
 
     def receive(self, timeout: float) -> Optional[bytes]:
-        """Next datagram, or None on timeout."""
+        """Next datagram from the peer, or None on timeout or on a datagram from another address."""
         self._sock.settimeout(timeout)
         try:
             data, addr = self._sock.recvfrom(65536)
@@ -152,6 +155,8 @@ class UdpTransport:
             return None
         if self._remote is None:
             self._remote = addr
+        elif addr != self._remote:
+            return None
         return data
 
     def close(self) -> None:

@@ -2,6 +2,7 @@
 
 An ``Endpoint`` runs the state machine of either role: it sends frames
 through a ``send`` callable and keeps the retransmission deadline in ticks.
+The key and the failure reason stay in the machine's state.
 ``run_over_link`` moves two endpoints across a SimulatedLink in a
 deterministic tick loop; ``run_exchange`` builds them from a master seed and
 is the engine behind the protocol-mode trial runner, the acceptance tests and
@@ -18,14 +19,12 @@ from functools import partial
 from typing import Callable, Literal, Optional
 
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
-from .frames import Frame, FrameError, decode_frame, encode_frame
+from .frames import FrameError, decode_frame, encode_frame
 from .keycodec import SessionKey
 from .network import init_network
 from .protocol import (
     Action,
-    DeliverKey,
     Event,
-    Fail,
     ProtocolConfig,
     ReceiverState,
     SenderState,
@@ -46,9 +45,9 @@ def derive_seed(master_seed: bytes, label: str) -> bytes:
 
 
 class Endpoint:
-    """One side of an exchange: state machine, generator, timer and result.
+    """One side of an exchange: state machine and retransmission timer.
 
-    ``seed`` draws the network, then drives the generator the machine uses.
+    ``seed`` draws the network, then drives the generator the state holds.
     ``send(datagram, now)`` carries every encoded frame away; ``now`` is the
     current tick, which a link uses and a socket ignores.  ``run_over_link``
     sets ``send`` itself, so endpoints bound for a link are built without it.
@@ -56,39 +55,36 @@ class Endpoint:
 
     def __init__(self, role: Role, cfg: ProtocolConfig, seed: bytes,
                  send: Optional[Callable[[bytes, float], None]] = None):
-        net, self.rng = init_network(cfg.params, seed_from_bytes(seed))
+        net, rng = init_network(cfg.params, seed_from_bytes(seed))
         if role == "sender":
-            self.state = SenderState(net=net)
+            self.state = SenderState(net, rng)
             self.advance = sender_advance
         else:
-            self.state = ReceiverState(net=net)
+            self.state = ReceiverState(net, rng)
             self.advance = receiver_advance
         self.cfg = cfg
         self.send = send
         self.deadline: Optional[float] = None
-        self.key: Optional[SessionKey] = None
-        self.fail_reason: Optional[str] = None
 
     @property
     def settled(self) -> bool:
         return self.state.phase in ("established", "failed")
 
-    def feed(self, event: Event, now: float) -> tuple[Action, ...]:
-        """Advance the machine by one event and carry out its actions.
+    @property
+    def key(self) -> Optional[SessionKey]:
+        """The session key once the exchange is established, else None."""
+        return self.state.session if self.state.phase == "established" else None
 
-        A machine settles on the step that delivers its key or fails, and a settled
-        one sets no timer, so those two actions clear the deadline.
-        """
-        self.state, actions, self.rng = self.advance(self.state, event, self.cfg, self.rng)
+    def feed(self, event: Event, now: float) -> tuple[Action, ...]:
+        """Advance the machine by one event, send its frames and arm its timer; a settled one has no deadline."""
+        self.state, actions = self.advance(self.state, event, self.cfg)
         for action in actions:
-            if isinstance(action, Frame):
-                self.send(encode_frame(action), now)
-            elif isinstance(action, SetTimer):
+            if isinstance(action, SetTimer):
                 self.deadline = now + action.ticks
-            elif isinstance(action, DeliverKey):
-                self.key, self.deadline = action.session, None
-            elif isinstance(action, Fail):
-                self.fail_reason, self.deadline = action.reason, None
+            else:
+                self.send(encode_frame(action), now)
+        if self.settled:
+            self.deadline = None
         return actions
 
     def receive(self, datagram: bytes, now: float) -> bool:
@@ -161,7 +157,7 @@ def run_over_link(
 
     return ExchangeOutcome(
         established=sender.state.phase == receiver.state.phase == "established",
-        fail_reason=sender.fail_reason or receiver.fail_reason,
+        fail_reason=sender.state.fail_reason or receiver.state.fail_reason,
         sender_key=sender.key,
         receiver_key=receiver.key,
         rounds=sender.state.rounds,
@@ -205,7 +201,7 @@ def run_udp(
 ):
     """Run one endpoint over UDP until it settles; a tick is ``tick_ms`` ms.
 
-    Returns the final state, the delivered key and the failure reason.
+    Returns the final state, the established key and the failure reason.
     """
     if not tick_ms > 0:
         raise ValueError(f"tick_ms must be positive, got {tick_ms}")
@@ -219,8 +215,7 @@ def run_udp(
         host.feed(Start(), now())
     while not host.settled:
         if time.monotonic() - t0 > overall_timeout:
-            host.fail_reason = host.fail_reason or "overall timeout"
-            break
+            return host.state, None, "overall timeout"
         wait = 0.05
         if host.deadline is not None:
             wait = max(0.0, min(wait, (host.deadline - now()) * tick_ms / 1000.0))
@@ -228,4 +223,4 @@ def run_udp(
         if datagram is not None:
             host.receive(datagram, now())
         host.expire(now())
-    return host.state, host.key, host.fail_reason
+    return host.state, host.key, host.state.fail_reason

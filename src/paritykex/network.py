@@ -11,6 +11,7 @@ sharing anything.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Optional
@@ -26,6 +27,13 @@ LEARNING_RULES: tuple[LearningRule, ...] = ("hebbian", "anti_hebbian", "random_w
 MAX_DEPTH = 127
 
 
+def plain_int(value, name: str) -> int:
+    """``value`` as a Python int; a numpy integer passes, a bool, float or other type is a ValueError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class TpmParams:
     """Public architecture parameters.
@@ -39,6 +47,9 @@ class TpmParams:
     l: int
 
     def __post_init__(self) -> None:
+        # plain ints: a float, a bool or a numpy integer crashed mid-run, not here
+        for name in ("k", "n", "l"):
+            object.__setattr__(self, name, plain_int(getattr(self, name), name))
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be at least 1")
         if self.l < 0:

@@ -1,11 +1,12 @@
 """Sender and receiver state machines for key generation and certification.
 
-Both machines are pure transition functions: ``(state, event, config, rng)
--> (state, actions, rng)``.  A Frame is both an event and an action: the
-host sends each Frame action onto a channel and feeds each arriving Frame,
-like a TimerFired, back in.  The machines never touch a transport, which
-keeps every run replayable and lets tests assert that replayed frames
-change nothing.
+Both machines are pure transition functions, ``(state, event, config) ->
+(state, actions)``, whose state holds the generator, the key and the
+failure reason.  A Frame is both an event and an action: the host sends
+each Frame action onto a channel and feeds each arriving Frame, like a
+TimerFired, back in.  The machines never touch a transport, which keeps
+every run replayable and lets tests assert that replayed frames change
+nothing.
 
 Retransmission is stop-and-wait (RFC 1350): on a timeout the sender re-sends
 the frame it last sent, unchanged.  The receiver answers a repeat of the last
@@ -24,9 +25,9 @@ learns on agreement (ACK_SYN) or not (NAK_SYN).
 
 Certification: the sender proves itself first by sending AUTH with an HMAC
 of the session key under its secret code; the receiver verifies, proves
-itself back the same way under its own code, and both sides deliver the
-key.  Equal banks give equal keys, so a rejected AUTH can only mean the
-codes differ, and it fails the run.
+itself back the same way under its own code, and both sides settle as
+established.  Equal banks give equal keys, so a rejected AUTH can only mean
+the codes differ, and it fails the run.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Literal, Optional, Union
 
 from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
 from .keycodec import KEY_BYTES, SessionKey, extract_key, serialize_weights
-from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, forward_planes, learn_planes
+from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, plain_int
+from .network import forward_planes, learn_planes
 from .rng import MASK64, RngState, input_masks, mask_signs, next_word, next_words
 
 logger = logging.getLogger(__name__)
@@ -66,10 +68,12 @@ class ProtocolConfig:
             raise ValueError("secret codes must be 16 bytes")
         if self.rule not in LEARNING_RULES:
             raise ValueError(f"unknown learning rule: {self.rule!r}")
-        if self.timeout_ticks < 1:
-            raise ValueError("timeout_ticks must be at least 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        # an inf timeout never fired and a nan one ended the run at tick 0
+        for name in ("timeout_ticks", "max_attempts"):
+            value = plain_int(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         if self.params.l < 1:
             raise ValueError("synaptic depth l must be at least 1 for a key exchange")
         if self.params.k * self.params.n < KEY_BYTES:
@@ -102,17 +106,7 @@ class SetTimer:
     ticks: int
 
 
-@dataclass(frozen=True)
-class DeliverKey:
-    session: SessionKey
-
-
-@dataclass(frozen=True)
-class Fail:
-    reason: str
-
-
-Action = Union[Frame, SetTimer, DeliverKey, Fail]
+Action = Union[Frame, SetTimer]
 
 
 # --- endpoint states ----------------------------------------------------
@@ -130,6 +124,7 @@ class PendingRound:
 @dataclass(frozen=True, eq=False)
 class SenderState:
     net: TpmNetwork
+    rng: RngState
     phase: Phase = "idle"
     next_id: int = 0
     attempts: int = 0
@@ -138,17 +133,20 @@ class SenderState:
     sent: Optional[Frame] = None
     rounds: int = 0
     iterations: int = 0
+    fail_reason: Optional[str] = None
 
 
 @dataclass(frozen=True, eq=False)
 class ReceiverState:
     net: TpmNetwork
+    rng: RngState
     phase: Phase = "idle"
     last_seen_id: int = -1
     reply: Optional[Frame] = None
     session: Optional[SessionKey] = None
     cert_failures: int = 0
     iterations: int = 0
+    fail_reason: Optional[str] = None
 
 
 def _evolve(state, **changes):
@@ -186,7 +184,7 @@ def auth_code(code: bytes, label: bytes, session: SessionKey, frame_id: int) -> 
 
 
 def state_digest(state: Union[SenderState, ReceiverState]) -> str:
-    """Canonical hash of an endpoint state, for replay-immunity checks."""
+    """Canonical hash of an endpoint state without its generator or failure reason, for replay checks."""
     h = hashlib.sha256()
     h.update(type(state).__name__.encode())
     h.update(state.phase.encode())
@@ -218,12 +216,11 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
 # --- sender --------------------------------------------------------------
 
 
-def _sender_new_round(
-    state: SenderState, cfg: ProtocolConfig, rng: RngState, net: TpmNetwork, iterations: int
-) -> tuple[SenderState, tuple[Action, ...], RngState]:
+def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
+                      iterations: int) -> tuple[SenderState, tuple[Action, ...]]:
     """Open a round on ``net``, the bank after the last round's learning step, if any."""
     frame_id = state.next_id
-    (s0, s1), rng = next_words(rng, 2)
+    (s0, s1), rng = next_words(state.rng, 2)
     seed = (s0 << 64 | s1).to_bytes(16, "big")
     inputs = input_masks(s0, s1, cfg.params.k, cfg.params.n)[0]
     sigmas, tau = forward_planes(net, inputs)
@@ -231,6 +228,7 @@ def _sender_new_round(
     state = _evolve(
         state,
         net=net,
+        rng=rng,
         iterations=iterations,
         phase="synchronizing",
         next_id=frame_id + 1,
@@ -239,44 +237,39 @@ def _sender_new_round(
         sent=frame,
         rounds=state.rounds + 1,
     )
-    return state, (frame, SetTimer(cfg.timeout_ticks)), rng
+    return state, (frame, SetTimer(cfg.timeout_ticks))
 
 
-def sender_advance(
-    state: SenderState, event: Event, cfg: ProtocolConfig, rng: RngState
-) -> tuple[SenderState, tuple[Action, ...], RngState]:
+def sender_advance(state: SenderState, event: Event,
+                   cfg: ProtocolConfig) -> tuple[SenderState, tuple[Action, ...]]:
     """Advance the sender; see the module docstring for the flow."""
     if state.phase in ("established", "failed"):
-        return state, (), rng
+        return state, ()
 
     if isinstance(event, Start):
         if state.phase != "idle":
             logger.debug("sender: Start ignored in phase %s", state.phase)
-            return state, (), rng
-        return _sender_new_round(state, cfg, rng, state.net, state.iterations)
+            return state, ()
+        return _sender_new_round(state, cfg, state.net, state.iterations)
 
     sent = state.sent
     if sent is None:
         logger.debug("sender: %s ignored before Start", type(event).__name__)
-        return state, (), rng
+        return state, ()
 
     if isinstance(event, TimerFired):
         if state.attempts >= cfg.max_attempts:
-            return (
-                _evolve(state, phase="failed"),
-                (Fail("attempts exceeded"),),
-                rng,
-            )
+            return _evolve(state, phase="failed", fail_reason="attempts exceeded"), ()
         # rounds counts every SYN sent, re-sends included
         rounds = state.rounds + isinstance(sent.payload, Syn)
         state = _evolve(state, attempts=state.attempts + 1, rounds=rounds)
-        return state, (sent, SetTimer(cfg.timeout_ticks)), rng
+        return state, (sent, SetTimer(cfg.timeout_ticks))
 
     frame = event
     payload = frame.payload
     if frame.frame_id != sent.frame_id:
         logger.debug("sender: stale frame id %d ignored", frame.frame_id)
-        return state, (), rng
+        return state, ()
 
     if state.phase == "synchronizing":
         pending = state.pending
@@ -284,9 +277,9 @@ def sender_advance(
         if isinstance(payload, AckSyn):
             # peer agreed and learned; learn toward the common output
             net = learn_planes(state.net, pending.inputs, pending.sigmas, pending.tau, cfg.rule)
-            return _sender_new_round(state, cfg, rng, net, state.iterations + 1)
+            return _sender_new_round(state, cfg, net, state.iterations + 1)
         if isinstance(payload, NakSyn):
-            return _sender_new_round(state, cfg, rng, state.net, state.iterations)
+            return _sender_new_round(state, cfg, state.net, state.iterations)
         if isinstance(payload, FinSyn):
             session = extract_key(serialize_weights(state.net), payload.iv)
             frame_id = state.next_id
@@ -300,21 +293,18 @@ def sender_advance(
                 pending=None,
                 sent=auth,
             )
-            return state, (auth, SetTimer(cfg.timeout_ticks)), rng
+            return state, (auth, SetTimer(cfg.timeout_ticks))
         logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
-        return state, (), rng
+        return state, ()
 
     if isinstance(payload, Auth):
         assert state.session is not None
         expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)
         if hmac.compare_digest(payload.ek_code, expected):
-            session = state.session
-            state = _evolve(state, phase="established", attempts=0)
-            return state, (DeliverKey(session),), rng
-        state = _evolve(state, phase="failed")
-        return state, (Fail("peer certification failed"),), rng
+            return _evolve(state, phase="established", attempts=0), ()
+        return _evolve(state, phase="failed", fail_reason="peer certification failed"), ()
     logger.debug("sender: %s ignored while certifying", type(payload).__name__)
-    return state, (), rng
+    return state, ()
 
 
 # --- receiver ------------------------------------------------------------
@@ -333,28 +323,27 @@ def _receiver_learning_reply(
     return state.net, state.iterations, Frame(frame.frame_id, NakSyn(tau))
 
 
-def receiver_advance(
-    state: ReceiverState, event: Event, cfg: ProtocolConfig, rng: RngState
-) -> tuple[ReceiverState, tuple[Action, ...], RngState]:
+def receiver_advance(state: ReceiverState, event: Event,
+                     cfg: ProtocolConfig) -> tuple[ReceiverState, tuple[Action, ...]]:
     """Advance the receiver; it is purely reactive (no timers of its own)."""
     if state.phase == "failed" or not isinstance(event, Frame):
-        return state, (), rng
+        return state, ()
 
     frame = event
     payload = frame.payload
     if frame.frame_id == state.last_seen_id:
         # a re-sent frame whose reply was lost: answer it again, change nothing
         assert state.reply is not None
-        return state, (state.reply,), rng
+        return state, (state.reply,)
     if not integrity_check(frame, state.last_seen_id):
         logger.debug("receiver: stale frame id %d ignored", frame.frame_id)
-        return state, (), rng
+        return state, ()
 
     if isinstance(payload, Syn):
         if state.session is not None:
             logger.debug("receiver: SYN ignored after a key offer")
-            return state, (), rng
-        net, iterations, session, phase = state.net, state.iterations, None, "synchronizing"
+            return state, ()
+        net, rng, iterations, session, phase = state.net, state.rng, state.iterations, None, "synchronizing"
         if sync_probe(net, payload.seed, frame.frame_id) == payload.ek_st:
             word, rng = next_word(rng)
             iv = word % (cfg.params.k * cfg.params.n // KEY_BYTES)
@@ -362,24 +351,23 @@ def receiver_advance(
             reply = Frame(frame.frame_id, FinSyn(iv))
         else:
             net, iterations, reply = _receiver_learning_reply(state, frame, payload, cfg)
-        state = _evolve(state, net=net, iterations=iterations, phase=phase, session=session,
-                        last_seen_id=frame.frame_id, reply=reply)
-        return state, (reply,), rng
+        state = _evolve(state, net=net, rng=rng, iterations=iterations, phase=phase,
+                        session=session, last_seen_id=frame.frame_id, reply=reply)
+        return state, (reply,)
 
     if isinstance(payload, Auth):
         if state.phase != "certifying":
             logger.debug("receiver: AUTH ignored in phase %s", state.phase)
-            return state, (), rng
+            return state, ()
         assert state.session is not None
         expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, frame.frame_id)
         if not hmac.compare_digest(payload.ek_code, expected):
-            state = _evolve(state, phase="failed", session=None, cert_failures=1,
-                            last_seen_id=frame.frame_id)
-            return state, (Fail("peer certification failed"),), rng
-        session = state.session
-        reply = Frame(frame.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, frame.frame_id)))
+            state = _evolve(state, phase="failed", fail_reason="peer certification failed",
+                            session=None, cert_failures=1, last_seen_id=frame.frame_id)
+            return state, ()
+        reply = Frame(frame.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)))
         state = _evolve(state, phase="established", last_seen_id=frame.frame_id, reply=reply)
-        return state, (reply, DeliverKey(session)), rng
+        return state, (reply,)
 
     logger.debug("receiver: %s ignored", type(payload).__name__)
-    return state, (), rng
+    return state, ()

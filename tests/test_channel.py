@@ -1,5 +1,6 @@
 """Simulated link impairments, accounting, and the UDP binding."""
 
+import socket
 import threading
 
 import pytest
@@ -155,6 +156,22 @@ def test_udp_loopback_roundtrip():
     assert client.receive(timeout=0.05) is None
     server.close()
     client.close()
+
+
+def test_udp_receive_drops_datagrams_from_other_addresses():
+    # a valid SYN with frame id 10**6 from a third socket once pushed a receiver's
+    # last seen id past every real SYN, and the exchange failed
+    third = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    with UdpTransport(("127.0.0.1", 0)) as server, \
+            UdpTransport(("127.0.0.1", 0), remote=("localhost", server.local_address[1])) as client:
+        client.send(b"first")
+        assert server.receive(timeout=5.0) == b"first"  # the listener learns its peer
+        for target, peer in ((server, client), (client, server)):
+            third.sendto(b"forged", target.local_address)
+            peer.send(b"real")
+            assert target.receive(timeout=5.0) is None
+            assert target.receive(timeout=5.0) == b"real"
+    third.close()
 
 
 def test_poll_of_an_empty_queue_still_rejects_an_unknown_endpoint():

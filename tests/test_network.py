@@ -22,7 +22,8 @@ from paritykex.network import (
     learn_planes,
     order_params,
 )
-from paritykex.protocol import SenderState, state_digest
+from paritykex.exchange import run_exchange
+from paritykex.protocol import ProtocolConfig, SenderState, state_digest
 from paritykex.rng import MASK64, PER_LANE_MAX, draw_inputs, input_masks, seed_from_bytes, seed_lanes
 
 
@@ -44,6 +45,23 @@ def test_params_validation():
         TpmParams(k=1, n=1, l=128)
     with pytest.raises(ValueError):
         TpmParams(k=1, n=1, l=-1)
+    # each of these was accepted, then crashed inside run_exchange
+    for bad in ((3.0, 32, 3), (3, 32, 3.0), (True, 32, 3), (3, "32", 3)):
+        with pytest.raises(ValueError, match="integer"):
+            TpmParams(*bad)
+
+
+def test_numpy_integer_params_are_plain_ints_and_give_the_same_key():
+    # numpy int64 params overflowed in init_network
+    params = TpmParams(np.int64(3), np.int64(32), np.int64(3))
+    assert params == TpmParams(3, 32, 3)
+    assert all(type(v) is int for v in (params.k, params.n, params.l))
+    codes = dict(ssc=b"sender-secret-0!", rsc=b"receiv-secret-0!")
+    outcomes = [run_exchange(ProtocolConfig(p, **codes), b"numpy-int-seed-0")
+                for p in (params, TpmParams(3, 32, 3))]
+    assert outcomes[0].established
+    assert outcomes[0].sender_key == outcomes[1].sender_key
+    assert outcomes[0].rounds == outcomes[1].rounds
 
 
 def test_network_rejects_weights_beyond_the_bound_at_dtype_extremes():
@@ -75,7 +93,7 @@ def test_network_stores_a_read_only_int32_copy():
         assert w.flags.writeable
         w[0, 0] = 3 if w[0, 0] != 3 else -3
         assert np.array_equal(net.weights, values)
-        digests.add(state_digest(SenderState(net)))
+        digests.add(state_digest(SenderState(net, seed_from_bytes(bytes(16)))))
     assert len(digests) == 1
 
 

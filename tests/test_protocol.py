@@ -17,8 +17,6 @@ from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
 from paritykex.protocol import (
     RECEIVER_AUTH,
     SENDER_AUTH,
-    DeliverKey,
-    Fail,
     Phase,
     ProtocolConfig,
     Start,
@@ -114,6 +112,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(params=TpmParams(k=1, n=4, l=1), ssc=b"sender-secret-0!",
                        rsc=b"receiv-secret-0!")
+    # an inf timeout made a lossy run loop forever, a nan one ended it at tick 0 with no reason
+    for bad in (dict(timeout_ticks=float("inf")), dict(timeout_ticks=float("nan")),
+                dict(timeout_ticks=16.0), dict(max_attempts=float("inf")), dict(max_attempts=True)):
+        with pytest.raises(ValueError, match="integer"):
+            config(**bad)
+    assert type(config(timeout_ticks=np.int64(16), max_attempts=np.int32(3)).max_attempts) is int
 
 
 def test_config_rejects_unknown_rule():
@@ -216,15 +220,14 @@ def test_wire_observer_learns_no_key_or_code():
 
 
 def build_sender(cfg, seed=b"sender-unit-test"):
-    state, rng = fresh("sender", cfg, seed)
-    state, actions, rng = sender_advance(state, Start(), cfg, rng)
+    state, actions = sender_advance(fresh("sender", cfg, seed), Start(), cfg)
     frame = next(a for a in actions if isinstance(a, Frame))
-    return state, rng, frame
+    return state, frame
 
 
 def test_sender_start_emits_syn_and_timer():
     cfg = config()
-    state, rng, frame = build_sender(cfg)
+    state, frame = build_sender(cfg)
     assert state.phase == "synchronizing"
     assert isinstance(frame.payload, Syn)
     assert frame.frame_id == 0
@@ -234,10 +237,10 @@ def test_sender_start_emits_syn_and_timer():
 
 def test_sender_ack_applies_learning_and_opens_next_round():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     before = state.net.weights.copy()
     ack = Frame(syn.frame_id, AckSyn(tau=syn.payload.tau))
-    state2, actions, _ = sender_advance(state, ack, cfg, rng)
+    state2, actions = sender_advance(state, ack, cfg)
     assert state2.iterations == 1
     assert any(isinstance(a, Frame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
@@ -248,27 +251,27 @@ def test_sender_ack_applies_learning_and_opens_next_round():
 
 def test_sender_nak_keeps_weights():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     nak = Frame(syn.frame_id, NakSyn(tau=-syn.payload.tau))
-    state2, actions, _ = sender_advance(state, nak, cfg, rng)
+    state2, actions = sender_advance(state, nak, cfg)
     assert np.array_equal(state2.net.weights, state.net.weights)
     assert state2.rounds == state.rounds + 1
 
 
 def test_sender_ignores_stale_ids():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     stale = Frame(syn.frame_id + 1, AckSyn(tau=1))
     digest = state_digest(state)
-    state2, actions, rng2 = sender_advance(state, stale, cfg, rng)
+    state2, actions = sender_advance(state, stale, cfg)
     assert state_digest(state2) == digest
     assert actions == ()
-    assert rng2 == rng
+    assert state2.rng == state.rng
 
 
 def test_state_digest_hashes_little_endian_int32(monkeypatch):
     # a big-endian host holds int32 arrays as '>i4'; the digest must hash the same bytes there
-    state, _, _ = build_sender(config())
+    state, _ = build_sender(config())
     assert state.pending is not None  # the pending masks' signs are hashed too
     digest = state_digest(state)
     swapped = TpmNetwork(state.net.params, state.net.weights)
@@ -285,9 +288,9 @@ def test_state_digest_hashes_little_endian_int32(monkeypatch):
 
 def test_sender_fin_extracts_key_and_sends_auth():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=4))
-    state2, actions, _ = sender_advance(state, fin, cfg, rng)
+    state2, actions = sender_advance(state, fin, cfg)
     assert state2.phase == "certifying"
     expected = extract_key(serialize_weights(state.net), 4)
     assert state2.session == expected
@@ -299,55 +302,57 @@ def test_sender_fin_extracts_key_and_sends_auth():
 def test_sender_accepts_any_iv_byte():
     # the group index only salts the key, so every byte value is a valid one
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     for iv in (6, 255):
         fin = Frame(syn.frame_id, FinSyn(iv=iv))
-        state2, actions, _ = sender_advance(state, fin, cfg, rng)
+        state2, actions = sender_advance(state, fin, cfg)
         assert state2.phase == "certifying"
         assert state2.session == extract_key(serialize_weights(state.net), iv)
 
 
 def test_sender_timeout_retries_then_fails():
     cfg = config(max_attempts=3)
-    state, rng, _ = build_sender(cfg)
+    state, _ = build_sender(cfg)
     for expected_attempts in (2, 3):
-        state, actions, rng = sender_advance(state, TimerFired(), cfg, rng)
+        state, actions = sender_advance(state, TimerFired(), cfg)
         assert state.attempts == expected_attempts
+        assert state.fail_reason is None
         assert any(isinstance(a, Frame) for a in actions)
-    state, actions, rng = sender_advance(state, TimerFired(), cfg, rng)
+    state, actions = sender_advance(state, TimerFired(), cfg)
     assert state.phase == "failed"
-    assert any(isinstance(a, Fail) for a in actions)
+    assert state.fail_reason == "attempts exceeded"
+    assert actions == ()
 
 
 def test_sender_timeout_resends_the_same_frame():
     # a re-sent SYN is a round sent again, a re-sent AUTH is not; neither draws
     cfg = config()
-    state, rng, syn = build_sender(cfg)
-    resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
+    state, syn = build_sender(cfg)
+    resent, actions = sender_advance(state, TimerFired(), cfg)
     assert encode_frame(actions[0]) == encode_frame(syn)
-    assert (resent.rounds, resent.attempts, rng2) == (state.rounds + 1, 2, rng)
+    assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds + 1, 2, state.rng)
 
     fin = Frame(syn.frame_id, FinSyn(iv=2))
-    state, actions, rng = sender_advance(resent, fin, cfg, rng2)
+    state, actions = sender_advance(resent, fin, cfg)
     auth = actions[0]
-    resent, actions, rng2 = sender_advance(state, TimerFired(), cfg, rng)
+    resent, actions = sender_advance(state, TimerFired(), cfg)
     assert isinstance(auth.payload, Auth)
     assert encode_frame(actions[0]) == encode_frame(auth)
-    assert (resent.rounds, resent.attempts, rng2) == (state.rounds, 2, rng)
+    assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds, 2, state.rng)
 
 
 def test_sender_auth_reply_verification():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=0))
-    state, actions, rng = sender_advance(state, fin, cfg, rng)
+    state, actions = sender_advance(state, fin, cfg)
     auth = next(a for a in actions if isinstance(a, Frame))
     session = state.session
 
     good = Frame(auth.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id)))
-    done, actions, _ = sender_advance(state, good, cfg, rng)
+    done, actions = sender_advance(state, good, cfg)
     assert done.phase == "established"
-    assert any(isinstance(a, DeliverKey) for a in actions)
+    assert (done.session, done.fail_reason, actions) == (session, None, ())
 
     # a wrong code, the sender's own AUTH reflected back, or a reply bound
     # to another frame id all fail
@@ -355,27 +360,27 @@ def test_sender_auth_reply_verification():
                                   (cfg.ssc, SENDER_AUTH, auth.frame_id),
                                   (cfg.rsc, RECEIVER_AUTH, auth.frame_id + 1)):
         bad = Frame(auth.frame_id, Auth(auth_code(code, label, session, frame_id)))
-        failed, actions, _ = sender_advance(state, bad, cfg, rng)
+        failed, actions = sender_advance(state, bad, cfg)
         assert failed.phase == "failed"
-        assert actions == (Fail("peer certification failed"),)
+        assert failed.fail_reason == "peer certification failed"
+        assert actions == ()
 
 
 def receiver_with_syn(cfg, seed=b"receiver-unittes"):
     """A receiver plus a SYN crafted from a fresh sender round."""
-    rstate, rrng = fresh("receiver", cfg, seed)
-    sstate, srng = fresh("sender", cfg, b"peer-sender-seed")
-    sstate, actions, srng = sender_advance(sstate, Start(), cfg, srng)
+    rstate = fresh("receiver", cfg, seed)
+    sstate, actions = sender_advance(fresh("sender", cfg, b"peer-sender-seed"), Start(), cfg)
     syn = next(a for a in actions if isinstance(a, Frame))
-    return rstate, rrng, sstate, syn
+    return rstate, sstate, syn
 
 
 def test_receiver_tau_mismatch_naks_without_update():
     cfg = config()
-    rstate, rrng, sstate, syn = receiver_with_syn(cfg)
+    rstate, sstate, syn = receiver_with_syn(cfg)
     inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     flipped = Frame(syn.frame_id, Syn(syn.payload.seed, -ev.tau, syn.payload.ek_st))
-    state2, actions, _ = receiver_advance(rstate, flipped, cfg, rrng)
+    state2, actions = receiver_advance(rstate, flipped, cfg)
     reply = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(reply.payload, NakSyn)
     assert reply.frame_id == syn.frame_id
@@ -385,11 +390,11 @@ def test_receiver_tau_mismatch_naks_without_update():
 
 def test_receiver_tau_match_acks_and_learns():
     cfg = config()
-    rstate, rrng, sstate, syn = receiver_with_syn(cfg)
+    rstate, sstate, syn = receiver_with_syn(cfg)
     inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     agreeing = Frame(syn.frame_id, Syn(syn.payload.seed, ev.tau, syn.payload.ek_st))
-    state2, actions, _ = receiver_advance(rstate, agreeing, cfg, rrng)
+    state2, actions = receiver_advance(rstate, agreeing, cfg)
     reply = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(reply.payload, AckSyn)
     assert reply.frame_id == syn.frame_id
@@ -400,13 +405,13 @@ def test_receiver_tau_match_acks_and_learns():
 def test_receiver_replay_rejected():
     # a repeat changes nothing and gets only the reply already sent
     cfg = config()
-    rstate, rrng, sstate, syn = receiver_with_syn(cfg)
-    state2, actions, rng2 = receiver_advance(rstate, syn, cfg, rrng)
+    rstate, sstate, syn = receiver_with_syn(cfg)
+    state2, actions = receiver_advance(rstate, syn, cfg)
     digest = state_digest(state2)
-    state3, actions3, rng3 = receiver_advance(state2, syn, cfg, rng2)
+    state3, actions3 = receiver_advance(state2, syn, cfg)
     assert state_digest(state3) == digest
     assert actions3 == actions and isinstance(actions3[0], Frame)
-    assert rng3 == rng2
+    assert state3.rng == state2.rng
 
 
 def synced_syn(net, frame_id):
@@ -416,9 +421,9 @@ def synced_syn(net, frame_id):
 
 def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
-    rstate, rrng, _, _ = receiver_with_syn(cfg)
+    rstate, _, _ = receiver_with_syn(cfg)
     syn = synced_syn(rstate.net, 3)
-    state2, actions, rng2 = receiver_advance(rstate, syn, cfg, rrng)
+    state2, actions = receiver_advance(rstate, syn, cfg)
     assert state2.phase == "certifying"
     assert state2.session is not None
     fin = next(a for a in actions if isinstance(a, Frame))
@@ -426,64 +431,65 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     assert fin.payload.iv == state2.session.iv
     assert 0 <= fin.payload.iv < 6
     assert state2.session == extract_key(serialize_weights(rstate.net), fin.payload.iv)
-    assert rng2 != rrng  # consumed a word picking the group
+    assert state2.rng != rstate.rng  # consumed a word picking the group
 
     # a repeat of SYN 3 (say FIN was lost) gets the identical FIN_SYN and no
     # new draw; a synced SYN with a new id, after the offer, is ignored
     digest = state_digest(state2)
     for repeat, expected in ((syn, (fin,)), (synced_syn(rstate.net, 4), ())):
-        state3, actions3, rng3 = receiver_advance(state2, repeat, cfg, rng2)
+        state3, actions3 = receiver_advance(state2, repeat, cfg)
         assert actions3 == expected
         assert state_digest(state3) == digest
-        assert rng3 == rng2
+        assert state3.rng == state2.rng
 
 
 def test_receiver_auth_verification_and_rejection():
     cfg = config()
-    rstate, rrng, _, _ = receiver_with_syn(cfg)
-    state, actions, rng = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg, rrng)
+    rstate, _, _ = receiver_with_syn(cfg)
+    state, actions = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg)
     session = state.session
 
     good = Frame(5, Auth(auth_code(cfg.ssc, SENDER_AUTH, session, 5)))
-    est, actions, rng2 = receiver_advance(state, good, cfg, rng)
+    est, actions = receiver_advance(state, good, cfg)
     assert est.phase == "established"
-    reply = next(a for a in actions if isinstance(a, Frame))
+    assert (est.session, est.fail_reason) == (session, None)
+    (reply,) = actions
     assert reply.frame_id == 5
     assert reply.payload.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
-    assert any(isinstance(a, DeliverKey) for a in actions)
 
     # equal banks give equal keys, so one rejected AUTH is final: a wrong
     # code, or the right code bound to another frame id
     for bad in (auth_code(b"wrong-secret-00!", SENDER_AUTH, session, 5),
                 auth_code(cfg.ssc, SENDER_AUTH, session, 4)):
-        rej, actions, _ = receiver_advance(state, Frame(5, Auth(bad)), cfg, rng)
+        rej, actions = receiver_advance(state, Frame(5, Auth(bad)), cfg)
         assert rej.phase == "failed"
+        assert rej.fail_reason == "peer certification failed"
         assert rej.session is None
         assert rej.cert_failures == 1
-        assert actions == (Fail("peer certification failed"),)
+        assert actions == ()
 
 
 def test_receiver_ignores_auth_without_offer():
     cfg = config()
-    rstate, rrng, _, _ = receiver_with_syn(cfg)
+    rstate, _, _ = receiver_with_syn(cfg)
     auth = Frame(9, Auth(bytes(16)))
     digest = state_digest(rstate)
-    state2, actions, rng2 = receiver_advance(rstate, auth, cfg, rrng)
+    state2, actions = receiver_advance(rstate, auth, cfg)
     assert state_digest(state2) == digest
     assert actions == ()
-    assert rng2 == rrng
+    assert state2.rng == rstate.rng
 
 
 def test_sender_ignores_nak_during_certification():
     cfg = config()
-    state, rng, syn = build_sender(cfg)
+    state, syn = build_sender(cfg)
     fin = Frame(syn.frame_id, FinSyn(iv=1))
-    state, actions, rng = sender_advance(state, fin, cfg, rng)
+    state, actions = sender_advance(state, fin, cfg)
     auth = next(a for a in actions if isinstance(a, Frame))
     assert state.phase == "certifying"
     digest = state_digest(state)
     nak = Frame(auth.frame_id, NakSyn(tau=1))
-    state2, actions, _ = sender_advance(state, nak, cfg, rng)
+    state2, actions = sender_advance(state, nak, cfg)
     assert state_digest(state2) == digest
     assert actions == ()
 
@@ -495,7 +501,7 @@ def test_established_sender_ignores_everything():
     state = outcome.sender
     digest = state_digest(state)
     for event in (TimerFired(), Frame(999999, AckSyn(tau=1))):
-        state2, actions, _ = sender_advance(state, event, cfg, seed_from_bytes(b"x" * 16))
+        state2, actions = sender_advance(state, event, cfg)
         assert state_digest(state2) == digest
         assert actions == ()
 
@@ -521,7 +527,7 @@ def test_transitions_are_pure_and_banks_stay_valid(l, rule, channel):
     def check(endpoint, frame):
         state = endpoint.state
         digest = state_digest(state)
-        new_state, _, _ = endpoint.advance(state, frame, endpoint.cfg, endpoint.rng)
+        new_state, _ = endpoint.advance(state, frame, endpoint.cfg)
         assert state_digest(state) == digest
         for w in (state.net.weights, new_state.net.weights):
             assert w.dtype == np.int32 and not w.flags.writeable and w.shape == (3, 32)

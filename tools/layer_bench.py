@@ -54,13 +54,13 @@ def layer_calls() -> dict:
     masks = rng.input_masks(s0, s1, K, N)[0]
     sigmas, tau = network.forward_planes(net, masks)
 
-    sender, _, sender_rng = protocol.sender_advance(protocol.SenderState(net), protocol.Start(), cfg, state)
+    sender, _ = protocol.sender_advance(protocol.SenderState(net, state), protocol.Start(), cfg)
     syn = sender.sent
     ack = frames.Frame(syn.frame_id, frames.AckSyn(sender.pending.tau))
     # the receiver's SYN carries the receiver's own output, so the step learns and ACKs
     peer_tau = network.forward_planes(peer, sender.pending.inputs)[1]
     peer_syn = frames.Frame(syn.frame_id, frames.Syn(syn.payload.seed, peer_tau, syn.payload.ek_st))
-    receiver = protocol.ReceiverState(peer)
+    receiver = protocol.ReceiverState(peer, state)
     syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
     link = channel.SimulatedLink()
 
@@ -103,8 +103,8 @@ def layer_calls() -> dict:
         "frames.encode_frame.ack": lambda: frames.encode_frame(ack),
         "frames.decode_frame.syn": lambda: frames.decode_frame(syn_wire),
         "frames.decode_frame.ack": lambda: frames.decode_frame(ack_wire),
-        "protocol.sender_advance": lambda: protocol.sender_advance(sender, ack, cfg, sender_rng),
-        "protocol.receiver_advance": lambda: protocol.receiver_advance(receiver, peer_syn, cfg, state),
+        "protocol.sender_advance": lambda: protocol.sender_advance(sender, ack, cfg),
+        "protocol.receiver_advance": lambda: protocol.receiver_advance(receiver, peer_syn, cfg),
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
