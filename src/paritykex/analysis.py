@@ -42,6 +42,7 @@ from .network import (
     init_network_lanes,
     is_synchronized,
     learn,
+    plain_int,
 )
 from .protocol import ProtocolConfig
 from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, seed_from_bytes, seed_lanes
@@ -252,10 +253,13 @@ def _lockstep_trials(
 
 
 def check_point(k: int, n: int, l: int, rule: LearningRule, trials: int, iteration_cap: int,
-                mode: TrialMode = "direct") -> TpmParams:
-    """Reject a parameter point with ValueError before any trial runs."""
+                mode: TrialMode = "direct") -> tuple[TpmParams, int, int]:
+    """Reject a parameter point with ValueError before any trial runs; return its params,
+    ``trials`` and ``iteration_cap``, the last two as plain ints."""
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
+    # an inf or nan cap would run uncapped, 2.5 be reported as a mean, and trials=True run one trial
+    trials, iteration_cap = plain_int(trials, "trials"), plain_int(iteration_cap, "iteration_cap")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if iteration_cap < 0:
@@ -265,7 +269,7 @@ def check_point(k: int, n: int, l: int, rule: LearningRule, trials: int, iterati
     params = TpmParams(k=k, n=n, l=l)
     if mode == "protocol":
         _protocol_config(params, rule, bytes(16))
-    return params
+    return params, trials, iteration_cap
 
 
 def _aggregate(
@@ -328,7 +332,7 @@ def run_sync_trials(
     endpoints over a lossless simulated link and also reports the bytes on
     the wire.
     """
-    params = check_point(k, n, l, rule, trials, iteration_cap, mode)
+    params, trials, iteration_cap = check_point(k, n, l, rule, trials, iteration_cap, mode)
     if mode == "direct":
         seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
         (times,) = _lockstep_trials(params, rule, seeds, iteration_cap)
@@ -371,7 +375,7 @@ def run_attack_trials(
     that also runs the direct-mode trials, so all trials of a call run
     together and each leaves the batch when both matches have happened.
     """
-    params = check_point(k, n, l, rule, trials, iteration_cap)
+    params, trials, iteration_cap = check_point(k, n, l, rule, trials, iteration_cap)
     seeds = [derive_seed(master_seed, f"attack-{index}") for index in range(trials)]
     ab_times, e_times = _lockstep_trials(params, rule, seeds, iteration_cap, listener=True)
     return _aggregate(

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
+from .network import plain_int
+
 ENDPOINTS = ("a", "b")
 
 
@@ -33,8 +35,11 @@ class ChannelConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.latency_ticks < 0:
+        # nan would run as latency 0, 1.5 as 2, and inf deliver nothing
+        latency = plain_int(self.latency_ticks, "latency_ticks")
+        if latency < 0:
             raise ValueError("latency_ticks must be non-negative")
+        object.__setattr__(self, "latency_ticks", latency)
 
 
 @dataclass

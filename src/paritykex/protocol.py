@@ -21,7 +21,9 @@ same digest from its own bank and compares.  A match means the banks are
 equal: the receiver picks a group index, derives the session key from its
 bank salted with it, answers FIN_SYN{index} and waits for certification.
 Otherwise it derives the same inputs from the seed, compares outputs,
-learns on agreement (ACK_SYN) or not (NAK_SYN).
+learns on agreement (ACK_SYN) or not (NAK_SYN).  The SYN the sender holds
+names the round: its next frame's id is one above it, and on an ACK the
+sender learns toward its tau with the masks and signs it kept beside it.
 
 Certification: the sender proves itself first by sending AUTH with an HMAC
 of the session key under its secret code; the receiver verifies, proves
@@ -113,24 +115,19 @@ Action = Union[Frame, SetTimer]
 
 
 @dataclass(frozen=True, eq=False)
-class PendingRound:
-    """The sender's outstanding SYN round: its input masks and the unit signs and output on them."""
-
-    inputs: list[int]
-    sigmas: list[int]
-    tau: int
-
-
-@dataclass(frozen=True, eq=False)
 class SenderState:
+    """The sender's state.  ``sent`` is the frame it last sent: the next frame's id is one
+    above it.  In a round, ``sent`` is the SYN, whose tau is the output both sides learn
+    toward, and ``inputs`` and ``sigmas`` are that round's input masks and unit signs."""
+
     net: TpmNetwork
     rng: RngState
     phase: Phase = "idle"
-    next_id: int = 0
     attempts: int = 0
     session: Optional[SessionKey] = None
-    pending: Optional[PendingRound] = None
     sent: Optional[Frame] = None
+    inputs: Optional[list[int]] = None
+    sigmas: Optional[list[int]] = None
     rounds: int = 0
     iterations: int = 0
     fail_reason: Optional[str] = None
@@ -196,16 +193,16 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     if state.session is not None:
         h.update(state.session.key + bytes([state.session.iv]))
     if isinstance(state, SenderState):
-        # the outstanding frame's id enters as an AUTH id and, in a round, a SYN id: digests keep their bytes
+        # the sent frame's id enters as the next id, an AUTH id and, in a round, a SYN id: digests keep their bytes
         sent = state.sent
         auth_id = sent.frame_id if sent is not None and isinstance(sent.payload, Auth) else -1
-        h.update(int(state.next_id).to_bytes(8, "big"))
+        h.update((0 if sent is None else sent.frame_id + 1).to_bytes(8, "big"))
         h.update(int(state.attempts).to_bytes(8, "big"))
         h.update(int(state.rounds).to_bytes(8, "big"))
         h.update(int(auth_id).to_bytes(8, "big", signed=True))
-        if state.pending is not None and sent is not None:
+        if state.inputs is not None:
             h.update(int(sent.frame_id).to_bytes(8, "big"))
-            h.update(mask_signs(state.pending.inputs, state.net.params.n).astype("<i4", copy=False).tobytes())
+            h.update(mask_signs(state.inputs, state.net.params.n).astype("<i4", copy=False).tobytes())
     else:
         # the cached reply is left out: it changes only when last_seen_id does
         h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))
@@ -219,7 +216,7 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
 def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
                       iterations: int) -> tuple[SenderState, tuple[Action, ...]]:
     """Open a round on ``net``, the bank after the last round's learning step, if any."""
-    frame_id = state.next_id
+    frame_id = 0 if state.sent is None else state.sent.frame_id + 1
     (s0, s1), rng = next_words(state.rng, 2)
     seed = (s0 << 64 | s1).to_bytes(16, "big")
     inputs = input_masks(s0, s1, cfg.params.k, cfg.params.n)[0]
@@ -231,10 +228,10 @@ def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
         rng=rng,
         iterations=iterations,
         phase="synchronizing",
-        next_id=frame_id + 1,
         attempts=1,
-        pending=PendingRound(inputs, sigmas, tau),
         sent=frame,
+        inputs=inputs,
+        sigmas=sigmas,
         rounds=state.rounds + 1,
     )
     return state, (frame, SetTimer(cfg.timeout_ticks))
@@ -272,27 +269,18 @@ def sender_advance(state: SenderState, event: Event,
         return state, ()
 
     if state.phase == "synchronizing":
-        pending = state.pending
-        assert pending is not None
         if isinstance(payload, AckSyn):
-            # peer agreed and learned; learn toward the common output
-            net = learn_planes(state.net, pending.inputs, pending.sigmas, pending.tau, cfg.rule)
+            # peer agreed and learned; learn toward the common output, the SYN's tau
+            net = learn_planes(state.net, state.inputs, state.sigmas, sent.payload.tau, cfg.rule)
             return _sender_new_round(state, cfg, net, state.iterations + 1)
         if isinstance(payload, NakSyn):
             return _sender_new_round(state, cfg, state.net, state.iterations)
         if isinstance(payload, FinSyn):
             session = extract_key(serialize_weights(state.net), payload.iv)
-            frame_id = state.next_id
+            frame_id = sent.frame_id + 1
             auth = Frame(frame_id, Auth(ek_code=auth_code(cfg.ssc, SENDER_AUTH, session, frame_id)))
-            state = _evolve(
-                state,
-                phase="certifying",
-                next_id=frame_id + 1,
-                attempts=1,
-                session=session,
-                pending=None,
-                sent=auth,
-            )
+            state = _evolve(state, phase="certifying", attempts=1, session=session,
+                            sent=auth, inputs=None, sigmas=None)
             return state, (auth, SetTimer(cfg.timeout_ticks))
         logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
         return state, ()

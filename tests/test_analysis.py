@@ -206,6 +206,10 @@ def test_sync_trials_reject_bad_arguments_before_any_work(no_trial_work):
             run_sync_trials(3, 16, 2, "bogus", 2, mode, 0, b"validate-sync-00")
         with pytest.raises(ValueError, match="trials"):
             run_sync_trials(3, 16, 2, "random_walk", 0, mode, 10, b"validate-sync-00")
+        # trials=2.0 raised TypeError after the check and trials=True ran one trial
+        for trials in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="trials"):
+                run_sync_trials(3, 16, 2, "random_walk", trials, mode, 10, b"validate-sync-00")
 
 
 def test_attack_trials_reject_bad_arguments_before_any_work(no_trial_work):
@@ -213,6 +217,9 @@ def test_attack_trials_reject_bad_arguments_before_any_work(no_trial_work):
         run_attack_trials(3, 16, 2, "bogus", 2, 100, b"validate-attack0")
     with pytest.raises(ValueError, match="trials"):
         run_attack_trials(3, 16, 2, "random_walk", 0, 100, b"validate-attack0")
+    for trials in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="trials"):
+            run_attack_trials(3, 16, 2, "random_walk", trials, 100, b"validate-attack0")
 
 
 def test_runners_reject_a_negative_cap_before_any_work(no_trial_work):
@@ -222,6 +229,24 @@ def test_runners_reject_a_negative_cap_before_any_work(no_trial_work):
             run_sync_trials(3, 16, 1, "random_walk", 3, mode, -5, b"validate-sync-00")
     with pytest.raises(ValueError, match="iteration_cap"):
         run_attack_trials(3, 16, 1, "random_walk", 3, -5, b"validate-attack0")
+
+
+def test_runners_reject_a_cap_that_is_not_an_integer_before_any_work(no_trial_work):
+    # an inf or nan cap ran uncapped (an attack at l=6 never returned), and a cap of 2.5
+    # was reported as the mean of trials that never synchronized
+    for cap in (float("inf"), float("nan"), 2.5, True):
+        for mode in ("direct", "protocol"):
+            with pytest.raises(ValueError, match="iteration_cap"):
+                run_sync_trials(3, 16, 1, "random_walk", 3, mode, cap, b"validate-sync-00")
+        with pytest.raises(ValueError, match="iteration_cap"):
+            run_attack_trials(3, 32, 6, "random_walk", 1, cap, b"validate-attack0")
+
+
+def test_numpy_integer_trials_and_cap_run_as_plain_ints():
+    plain = run_sync_trials(3, 16, 1, "random_walk", 3, "direct", 40, b"validate-sync-00")
+    numpy_ints = run_sync_trials(3, 16, 1, "random_walk", np.int64(3), "direct", np.int64(40),
+                                 b"validate-sync-00")
+    assert numpy_ints == plain
 
 
 # --- lockstep engine against the scalar oracle --------------------------------------

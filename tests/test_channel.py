@@ -3,6 +3,7 @@
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from paritykex.channel import ChannelConfig, SimulatedLink, UdpTransport
@@ -133,6 +134,18 @@ def test_config_validation():
         ChannelConfig(drop_prob=1.5)
     with pytest.raises(ValueError):
         ChannelConfig(latency_ticks=-1)
+
+
+def test_latency_is_a_plain_int():
+    # nan ran as latency 0, 1.5 as 2, True as 1, and inf delivered nothing
+    for latency in (float("nan"), 1.5, True, float("inf"), "2"):
+        with pytest.raises(ValueError, match="latency_ticks"):
+            ChannelConfig(latency_ticks=latency)
+    config = ChannelConfig(latency_ticks=np.int64(2))
+    assert type(config.latency_ticks) is int and config.latency_ticks == 2
+    link = SimulatedLink(config)
+    link.send("a", b"x", now_ticks=0)
+    assert link.poll("b", now_ticks=1) == [] and link.poll("b", now_ticks=2) == [b"x"]
 
 
 def test_udp_loopback_roundtrip():

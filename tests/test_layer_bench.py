@@ -37,3 +37,25 @@ def test_layer_bench_rejects_an_empty_timing():
     command = [sys.executable, os.path.join(ROOT, "tools", "layer_bench.py"), "--number", "0"]
     out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 2 and "--number" in out.stderr
+
+
+def test_layer_bench_base_times_two_checkouts_in_alternating_pairs():
+    # this checkout against itself: every row on both sides, and a win count per pair
+    command = [sys.executable, os.path.join(ROOT, "tools", "layer_bench.py"),
+               "--base", ROOT, "--repeat", "2", "--number", "3"]
+    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["base"] == ROOT
+    assert set(record["rows"]) == set(record["base_rows"]) == set(record["won"]) == ROWS
+    assert all(value > 0 for side in ("rows", "base_rows") for value in record[side].values())
+    assert all(0 <= count <= 2 for count in record["won"].values())
+    assert (record["repeat"], record["number"]) == (2, 3)
+    assert set(record["machine"]) == {"cores", "python", "numpy", "platform"}
+
+
+def test_layer_bench_base_must_hold_the_tool(tmp_path):
+    command = [sys.executable, os.path.join(ROOT, "tools", "layer_bench.py"), "--base", str(tmp_path)]
+    out = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and "--base" in out.stderr

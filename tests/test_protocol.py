@@ -13,7 +13,7 @@ from paritykex.channel import ChannelConfig
 from paritykex.exchange import derive_seed, run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
 from paritykex.keycodec import extract_key, serialize_weights
-from paritykex.network import TpmNetwork, TpmParams, evaluate, init_network
+from paritykex.network import TpmNetwork, TpmParams, evaluate, forward_planes, init_network, learn_planes
 from paritykex.protocol import (
     RECEIVER_AUTH,
     SENDER_AUTH,
@@ -28,7 +28,7 @@ from paritykex.protocol import (
     state_digest,
     sync_probe,
 )
-from paritykex.rng import draw_inputs, seed_from_bytes
+from paritykex.rng import MASK64, draw_inputs, input_masks, seed_from_bytes
 
 
 # --- integrity and sync test -------------------------------------------------
@@ -230,8 +230,7 @@ def test_sender_start_emits_syn_and_timer():
     state, frame = build_sender(cfg)
     assert state.phase == "synchronizing"
     assert isinstance(frame.payload, Syn)
-    assert frame.frame_id == 0
-    assert state.next_id == 1
+    assert frame.frame_id == 0 and state.sent is frame
     assert state.attempts == 1
 
 
@@ -245,8 +244,7 @@ def test_sender_ack_applies_learning_and_opens_next_round():
     assert any(isinstance(a, Frame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
     moved = not np.array_equal(state2.net.weights, before)
-    pending = state.pending
-    assert moved == (pending.tau in pending.sigmas)
+    assert moved == (syn.payload.tau in state.sigmas)
 
 
 def test_sender_nak_keeps_weights():
@@ -272,7 +270,7 @@ def test_sender_ignores_stale_ids():
 def test_state_digest_hashes_little_endian_int32(monkeypatch):
     # a big-endian host holds int32 arrays as '>i4'; the digest must hash the same bytes there
     state, _ = build_sender(config())
-    assert state.pending is not None  # the pending masks' signs are hashed too
+    assert state.inputs is not None  # the round's masks' signs are hashed too
     digest = state_digest(state)
     swapped = TpmNetwork(state.net.params, state.net.weights)
     swapped.__dict__["weights"] = state.net.weights.astype(">i4")
@@ -282,7 +280,7 @@ def test_state_digest_hashes_little_endian_int32(monkeypatch):
     # the digest reads the big-endian arrays, whose native bytes differ from the little-endian ones
     assert replaced.net.weights.dtype.byteorder == ">" and np.array_equal(replaced.net.weights, state.net.weights)
     assert replaced.net.weights.tobytes() != state.net.weights.tobytes()
-    assert protocol.mask_signs(replaced.pending.inputs, replaced.net.params.n).dtype.byteorder == ">"
+    assert protocol.mask_signs(replaced.inputs, replaced.net.params.n).dtype.byteorder == ">"
     assert state_digest(replaced) == digest
 
 
@@ -325,9 +323,21 @@ def test_sender_timeout_retries_then_fails():
 
 
 def test_sender_timeout_resends_the_same_frame():
-    # a re-sent SYN is a round sent again, a re-sent AUTH is not; neither draws
+    # a re-sent SYN is a round sent again, a re-sent AUTH is not; neither draws.  Each new
+    # frame's id is one above the last, and an ACK learns with the SYN's masks, signs and tau.
     cfg = config()
     state, syn = build_sender(cfg)
+    state, (nak_round, _) = sender_advance(state, Frame(syn.frame_id, NakSyn(-syn.payload.tau)), cfg)
+    assert nak_round.frame_id == syn.frame_id + 1 and isinstance(nak_round.payload, Syn)
+    seed = int.from_bytes(nak_round.payload.seed, "big")
+    masks = input_masks(seed >> 64, seed & MASK64, cfg.params.k, cfg.params.n)[0]
+    sigmas, tau = forward_planes(state.net, masks)
+    assert tau == nak_round.payload.tau
+    learned = learn_planes(state.net, masks, sigmas, tau, cfg.rule)
+    state, (syn, _) = sender_advance(state, Frame(nak_round.frame_id, AckSyn(tau)), cfg)
+    assert syn.frame_id == nak_round.frame_id + 1 and isinstance(syn.payload, Syn)
+    assert np.array_equal(state.net.weights, learned.weights) and state.net.planes == learned.planes
+
     resent, actions = sender_advance(state, TimerFired(), cfg)
     assert encode_frame(actions[0]) == encode_frame(syn)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds + 1, 2, state.rng)
@@ -336,7 +346,7 @@ def test_sender_timeout_resends_the_same_frame():
     state, actions = sender_advance(resent, fin, cfg)
     auth = actions[0]
     resent, actions = sender_advance(state, TimerFired(), cfg)
-    assert isinstance(auth.payload, Auth)
+    assert isinstance(auth.payload, Auth) and auth.frame_id == syn.frame_id + 1
     assert encode_frame(actions[0]) == encode_frame(auth)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds, 2, state.rng)
 

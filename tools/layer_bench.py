@@ -1,6 +1,6 @@
 """Time each layer of one protocol round in isolation and print one JSON line of median µs.
 
-    python3 tools/layer_bench.py [--repeat 9] [--number 2000]
+    python3 tools/layer_bench.py [--repeat 9] [--number 2000] [--base DIR]
 
 The rows are the layer rows of ROADMAP aim 1 at k=3, n=32, l=3 (random_walk):
 the generator word and the SYN seed's input masks; ``init_network`` with the
@@ -20,6 +20,15 @@ Every input is built from ``SEED``; each call repeats the same work (the two
 rows that read a bank's first-read caches build a new bank each call), and a
 row is the median over ``--repeat`` timings of ``--number`` calls.
 The package is imported from this checkout's ``src``.
+
+A shift of the machine's speed for a whole process moves every timing in it,
+so one run's rows do not compare with another run's.  ``--base DIR`` compares
+two checkouts in pairs instead: each of the ``--repeat`` timings of a row runs
+in a fresh process, alternately with DIR's ``tools/layer_bench.py`` and with
+this checkout's, the side that runs first alternating from pair to pair.  The
+JSON line holds each side's median per row (``base_rows`` for DIR, ``rows``
+here) and, for the rows both have, the number of pairs this checkout ran
+faster (``won``).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import timeit
 
@@ -56,9 +66,9 @@ def layer_calls() -> dict:
 
     sender, _ = protocol.sender_advance(protocol.SenderState(net, state), protocol.Start(), cfg)
     syn = sender.sent
-    ack = frames.Frame(syn.frame_id, frames.AckSyn(sender.pending.tau))
+    ack = frames.Frame(syn.frame_id, frames.AckSyn(syn.payload.tau))
     # the receiver's SYN carries the receiver's own output, so the step learns and ACKs
-    peer_tau = network.forward_planes(peer, sender.pending.inputs)[1]
+    peer_tau = network.forward_planes(peer, sender.inputs)[1]
     peer_syn = frames.Frame(syn.frame_id, frames.Syn(syn.payload.seed, peer_tau, syn.payload.ek_st))
     receiver = protocol.ReceiverState(peer, state)
     syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
@@ -115,22 +125,49 @@ def layer_calls() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=9, help="timings per row; the row is their median")
-    ap.add_argument("--number", type=int, default=2000, help="calls per timing")
-    args = ap.parse_args(argv)
-    if args.repeat < 1 or args.number < 1:
-        ap.error("--repeat and --number must be at least 1")
-
+def timed_rows(repeat: int, number: int) -> dict:
+    """Each row's median µs over ``repeat`` timings of ``number`` calls, all in this process."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     rows = {}
     for name, call in layer_calls().items():
         call()  # fill the bank's first-read caches before timing
-        times = timeit.repeat(call, repeat=args.repeat, number=args.number)
-        rows[name] = round(statistics.median(times) / args.number * 1e6, 3)
+        times = timeit.repeat(call, repeat=repeat, number=number)
+        rows[name] = round(statistics.median(times) / number * 1e6, 3)
+    return rows
+
+
+def paired_rows(base: str, repeat: int, number: int) -> dict:
+    """``repeat`` alternating pairs of one-timing runs of ``base``'s tool and this one: medians and wins."""
+    tools = {"base": os.path.join(base, "tools", "layer_bench.py"), "here": os.path.abspath(__file__)}
+    runs = {"base": [], "here": []}
+    for pair in range(repeat):
+        for side in ("base", "here") if pair % 2 == 0 else ("here", "base"):
+            command = [sys.executable, tools[side], "--repeat", "1", "--number", str(number)]
+            out = subprocess.run(command, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(out.stdout)["rows"])
+    medians = {side: {name: round(statistics.median(run[name] for run in timed), 3) for name in timed[0]}
+               for side, timed in runs.items()}
+    won = {name: sum(here[name] < base[name] for base, here in zip(runs["base"], runs["here"]))
+           for name in medians["here"] if name in medians["base"]}
+    return {"base": base, "base_rows": medians["base"], "rows": medians["here"], "won": won}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=9, help="timings per row; the row is their median")
+    ap.add_argument("--number", type=int, default=2000, help="calls per timing")
+    ap.add_argument("--base", metavar="DIR", help="another checkout to time against, in alternating pairs")
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or args.number < 1:
+        ap.error("--repeat and --number must be at least 1")
+    if args.base is None:
+        record = {"rows": timed_rows(args.repeat, args.number)}
+    elif os.path.isfile(os.path.join(args.base, "tools", "layer_bench.py")):
+        record = paired_rows(args.base, args.repeat, args.number)
+    else:
+        ap.error(f"--base {args.base} holds no tools/layer_bench.py")
     print(json.dumps({
-        "unit": "us", "rows": rows, "seed": SEED,
+        "unit": "us", **record, "seed": SEED,
         "params": {"k": K, "n": N, "l": L, "rule": RULE},
         "repeat": args.repeat, "number": args.number,
         "machine": machine_info(),
