@@ -1,17 +1,17 @@
 """The datagram wire format, byte by byte.
 
 Five frame types share one layout: command nibble, 32-bit id, fixed-width
-payload, CRC-32 trailer.  Flipping any single bit is caught by the CRC;
-a frame is new only if its id is above the last one accepted.  The
-deterministic generator that both endpoints share is pinned down by the
-golden vectors at the bottom.
+body, CRC-32 trailer.  Each is one ``Frame`` subclass whose first field is
+its id, and decoding a datagram gives that message back.  Flipping any
+single bit is caught by the CRC; a frame is new only if its id is above the
+last one accepted.  The deterministic generator that both endpoints share
+is pinned down by the golden vectors at the bottom.
 """
 
 from paritykex import (
     AckSyn,
     Auth,
     FinSyn,
-    Frame,
     FrameIntegrityError,
     NakSyn,
     Syn,
@@ -23,17 +23,17 @@ from paritykex import (
 )
 
 samples = [
-    Frame(0, Syn(seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32)))),
-    Frame(1, AckSyn(tau=-1)),
-    Frame(2, NakSyn(tau=1)),
-    Frame(7, FinSyn(iv=5)),
-    Frame(8, Auth(ek_code=bytes(range(32, 48)))),
+    Syn(frame_id=0, seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32))),
+    AckSyn(frame_id=1, tau=-1),
+    NakSyn(frame_id=2, tau=1),
+    FinSyn(frame_id=7, iv=5),
+    Auth(frame_id=8, ek_code=bytes(range(32, 48))),
 ]
 
-print("frame encodings (command nibble | id | payload | crc):")
+print("frame encodings (command nibble | id | body | crc):")
 for frame in samples:
     wire = encode_frame(frame)
-    name = type(frame.payload).__name__
+    name = type(frame).__name__
     print(f"  {name:<7} id={frame.frame_id}  ->  {wire.hex()}")
     assert decode_frame(wire) == frame
 
@@ -50,10 +50,10 @@ for bit in range(len(wire) * 8):
 print(f"  {rejected}/{len(wire) * 8} corrupted copies raised the integrity error")
 
 print("\na frame is new only if its id is above the last one accepted:")
-print(f"  id 5 after high-water 4: new = {integrity_check(Frame(5, AckSyn(1)), 4)}")
-print(f"  id 5 again:              new = {integrity_check(Frame(5, AckSyn(1)), 5)}"
+print(f"  id 5 after high-water 4: new = {integrity_check(AckSyn(5, 1), 4)}")
+print(f"  id 5 again:              new = {integrity_check(AckSyn(5, 1), 5)}"
       "  (answered with the cached reply)")
-print(f"  id 3 out of order:       new = {integrity_check(Frame(3, AckSyn(1)), 5)}"
+print(f"  id 3 out of order:       new = {integrity_check(AckSyn(3, 1), 5)}"
       "  (ignored)")
 
 print("\ngenerator golden vectors (seed -> first three 64-bit words):")

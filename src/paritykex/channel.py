@@ -98,15 +98,15 @@ class SimulatedLink:
             copies = 2
             self.stats.duplicated += 1
         for copy in range(copies):
-            payload = data
+            datagram = data
             if self._rng.random() < cfg.corrupt_prob:
-                payload = self._flip_one_bit(payload)
+                datagram = self._flip_one_bit(datagram)
                 self.stats.corrupted += 1
             tick = now_ticks + cfg.latency_ticks + copy
             if self._rng.random() < cfg.reorder_prob:
                 tick += self._rng.randint(1, 3)
                 self.stats.reordered += 1
-            bisect.insort(self._queues[dest], (tick, self._seq, payload))
+            bisect.insort(self._queues[dest], (tick, self._seq, datagram))
             self._seq += 1
 
     def poll(self, endpoint: str, now_ticks: int) -> list[bytes]:

@@ -15,7 +15,7 @@ import time
 from .analysis import check_point, run_attack_trials, run_sync_trials, write_sweep_csv
 from .channel import ChannelConfig, UdpTransport
 from .exchange import derive_seed, run_exchange, run_udp
-from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
+from .frames import AckSyn, Auth, FinSyn, NakSyn, Syn, encode_frame
 from .network import LEARNING_RULES, TpmParams
 from .protocol import ProtocolConfig
 from .rng import next_words, seed_from_bytes
@@ -264,11 +264,11 @@ def _run_vectors(args: argparse.Namespace) -> int:
                 fh.write(seed.hex() + " -> " + " ".join(f"{w:016x}" for w in words) + "\n")
         frame_path = os.path.join(out_dir, "frame_vectors.txt")
         samples = [
-            Frame(0, Syn(seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32)))),
-            Frame(1, AckSyn(tau=-1)),
-            Frame(2, NakSyn(tau=1)),
-            Frame(7, FinSyn(iv=5)),
-            Frame(8, Auth(ek_code=bytes(range(32, 48)))),
+            Syn(frame_id=0, seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32))),
+            AckSyn(frame_id=1, tau=-1),
+            NakSyn(frame_id=2, tau=1),
+            FinSyn(frame_id=7, iv=5),
+            Auth(frame_id=8, ek_code=bytes(range(32, 48))),
         ]
         with open(frame_path, "w") as fh:
             fh.write("# frame codec conformance vectors\n")

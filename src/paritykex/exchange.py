@@ -21,7 +21,7 @@ from typing import Callable, Literal, Optional
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
 from .frames import FrameError, decode_frame, encode_frame
 from .keycodec import SessionKey
-from .network import init_network
+from .network import init_network, plain_int
 from .protocol import (
     Action,
     Event,
@@ -132,6 +132,10 @@ def run_over_link(
     their ``send``.  The run stops when both sides settle, either side fails,
     or the sender has opened more than ``iteration_cap`` rounds.
     """
+    # a nan or negative cap would run nothing and report no reason, and 2.5 is no round count
+    iteration_cap = plain_int(iteration_cap, "iteration_cap")
+    if iteration_cap < 0:
+        raise ValueError("iteration_cap must be non-negative")
     cfg = sender.cfg
     sender.send = partial(link.send, "a")
     receiver.send = partial(link.send, "b")
@@ -205,6 +209,9 @@ def run_udp(
     """
     if not tick_ms > 0:
         raise ValueError(f"tick_ms must be positive, got {tick_ms}")
+    # elapsed > nan is never true, so a nan timeout would leave a lone listener waiting forever
+    if not overall_timeout > 0:
+        raise ValueError(f"overall_timeout must be positive, got {overall_timeout}")
     host = Endpoint(role, cfg, seed, lambda datagram, now: transport.send(datagram))
     t0 = time.monotonic()
 

@@ -4,11 +4,12 @@ Every frame is one datagram:
 
     byte 0        command code in the high nibble, low nibble zero
     bytes 1-4     frame id, big-endian unsigned 32-bit
-    payload       fixed width per command (see the payload dataclasses)
+    body          fixed width per command (see the Frame subclasses)
     last 4 bytes  CRC-32 over everything before it (polynomial 0x04C11DB7,
                   reflected, init/final-xor 0xFFFFFFFF), big-endian
 
-tau values travel as a single byte: 0x01 for +1, 0x00 for -1.
+Each message is one ``Frame`` subclass whose first field is its id, e.g.
+``AckSyn(frame_id, tau)``.  tau travels as one byte: 0x01 for +1, 0x00 for -1.
 
 Decode order matters: frames shorter than header+CRC are a framing error,
 then the CRC is verified (so any single-bit corruption is an integrity
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Union
 
 SEED_LEN = 16
 CODE_LEN = 16
@@ -54,7 +54,22 @@ class FrameTruncatedError(FrameError):
 
 
 @dataclass(frozen=True)
-class Syn:
+class Frame:
+    """A protocol message: its monotone id.  Each command is one subclass, with its fields after the id."""
+
+    frame_id: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.frame_id <= MAX_FRAME_ID:
+            raise ValueError("frame id must fit 32 bits")
+
+    @property
+    def command(self) -> int:
+        return _COMMAND_OF_TYPE[type(self)]
+
+
+@dataclass(frozen=True)
+class Syn(Frame):
     """Synchronization round: input seed, sender output, whole-bank probe."""
 
     seed: bytes
@@ -63,36 +78,34 @@ class Syn:
 
 
 @dataclass(frozen=True)
-class FinSyn:
+class FinSyn(Frame):
     """Synchronization confirmed; iv is the group index that salts the session key."""
 
     iv: int
 
 
 @dataclass(frozen=True)
-class AckSyn:
+class AckSyn(Frame):
     """Outputs matched; the replier updated its weights."""
 
     tau: int
 
 
 @dataclass(frozen=True)
-class NakSyn:
+class NakSyn(Frame):
     """Outputs differed; no update."""
 
     tau: int
 
 
 @dataclass(frozen=True)
-class Auth:
+class Auth(Frame):
     """Certification: an HMAC of the session key under a secret code."""
 
     ek_code: bytes
 
 
-Payload = Union[Syn, FinSyn, AckSyn, NakSyn, Auth]
-
-_COMMAND_OF_PAYLOAD = {
+_COMMAND_OF_TYPE = {
     Syn: CMD_SYN,
     FinSyn: CMD_FIN_SYN,
     AckSyn: CMD_ACK_SYN,
@@ -100,8 +113,8 @@ _COMMAND_OF_PAYLOAD = {
     Auth: CMD_AUTH,
 }
 
-# payload byte width per command
-_PAYLOAD_LEN = {
+# body byte width per command
+_BODY_LEN = {
     CMD_SYN: SEED_LEN + 1 + CODE_LEN,
     CMD_FIN_SYN: 1,
     CMD_ACK_SYN: 1,
@@ -109,23 +122,7 @@ _PAYLOAD_LEN = {
     CMD_AUTH: CODE_LEN,
 }
 # whole frame byte width per command
-_FRAME_LEN = {command: _HEADER_LEN + width + _CRC_LEN for command, width in _PAYLOAD_LEN.items()}
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A protocol message: monotone id plus one typed payload."""
-
-    frame_id: int
-    payload: Payload
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.frame_id <= MAX_FRAME_ID:
-            raise ValueError("frame id must fit 32 bits")
-
-    @property
-    def command(self) -> int:
-        return _COMMAND_OF_PAYLOAD[type(self.payload)]
+_FRAME_LEN = {command: _HEADER_LEN + width + _CRC_LEN for command, width in _BODY_LEN.items()}
 
 
 def crc32(data: bytes) -> int:
@@ -151,31 +148,30 @@ def _decode_tau(b: int) -> int:
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame, appending its CRC."""
-    p = frame.payload
-    if isinstance(p, Syn):
-        if len(p.seed) != SEED_LEN or len(p.ek_st) != CODE_LEN:
+    if isinstance(frame, Syn):
+        if len(frame.seed) != SEED_LEN or len(frame.ek_st) != CODE_LEN:
             raise ValueError("SYN seed and probe must be 16 bytes each")
-        body = p.seed + _encode_tau(p.tau) + p.ek_st
-    elif isinstance(p, (AckSyn, NakSyn)):
-        body = _encode_tau(p.tau)
-    elif isinstance(p, FinSyn):
-        if not 0 <= p.iv <= 0xFF:
+        body = frame.seed + _encode_tau(frame.tau) + frame.ek_st
+    elif isinstance(frame, (AckSyn, NakSyn)):
+        body = _encode_tau(frame.tau)
+    elif isinstance(frame, FinSyn):
+        if not 0 <= frame.iv <= 0xFF:
             raise ValueError("iv must fit one byte")
-        body = bytes([p.iv])
-    elif isinstance(p, Auth):
-        if len(p.ek_code) != CODE_LEN:
+        body = bytes([frame.iv])
+    elif isinstance(frame, Auth):
+        if len(frame.ek_code) != CODE_LEN:
             raise ValueError("AUTH code must be 16 bytes")
-        body = p.ek_code
+        body = frame.ek_code
     else:
-        raise ValueError(f"unknown payload type: {type(p).__name__}")
+        raise ValueError(f"unknown frame type: {type(frame).__name__}")
 
     # the command nibble sits 36 bits up: at the top of byte 0, above the 32-bit id
-    head = (_COMMAND_OF_PAYLOAD[type(p)] << 36 | frame.frame_id).to_bytes(_HEADER_LEN, "big") + body
+    head = (_COMMAND_OF_TYPE[type(frame)] << 36 | frame.frame_id).to_bytes(_HEADER_LEN, "big") + body
     return head + crc32(head).to_bytes(_CRC_LEN, "big")
 
 
 def decode_frame(data: bytes) -> Frame:
-    """Parse and validate one datagram, reading each field once in the wire's order.
+    """Parse and validate one datagram into its message, reading each field once in the wire's order.
 
     Raises FrameTruncatedError when too short or malformed,
     FrameIntegrityError on checksum mismatch, FrameProtocolError on a
@@ -200,15 +196,12 @@ def decode_frame(data: bytes) -> Frame:
         )
 
     frame_id = int.from_bytes(data[1:_HEADER_LEN], "big")
-    payload: Payload
     if command == CMD_SYN:
-        payload = Syn(data[_HEADER_LEN:_SYN_TAU], _decode_tau(data[_SYN_TAU]), data[_SYN_TAU + 1:-_CRC_LEN])
-    elif command == CMD_ACK_SYN:
-        payload = AckSyn(_decode_tau(data[_HEADER_LEN]))
-    elif command == CMD_NAK_SYN:
-        payload = NakSyn(_decode_tau(data[_HEADER_LEN]))
-    elif command == CMD_FIN_SYN:
-        payload = FinSyn(data[_HEADER_LEN])
-    else:
-        payload = Auth(data[_HEADER_LEN:-_CRC_LEN])
-    return Frame(frame_id, payload)
+        return Syn(frame_id, data[_HEADER_LEN:_SYN_TAU], _decode_tau(data[_SYN_TAU]), data[_SYN_TAU + 1:-_CRC_LEN])
+    if command == CMD_ACK_SYN:
+        return AckSyn(frame_id, _decode_tau(data[_HEADER_LEN]))
+    if command == CMD_NAK_SYN:
+        return NakSyn(frame_id, _decode_tau(data[_HEADER_LEN]))
+    if command == CMD_FIN_SYN:
+        return FinSyn(frame_id, data[_HEADER_LEN])
+    return Auth(frame_id, data[_HEADER_LEN:-_CRC_LEN])

@@ -2,11 +2,11 @@
 
 Both machines are pure transition functions, ``(state, event, config) ->
 (state, actions)``, whose state holds the generator, the key and the
-failure reason.  A Frame is both an event and an action: the host sends
-each Frame action onto a channel and feeds each arriving Frame, like a
-TimerFired, back in.  The machines never touch a transport, which keeps
-every run replayable and lets tests assert that replayed frames change
-nothing.
+failure reason.  A Frame is both an event and an action: each message is one
+Frame subclass that carries its own id.  The host sends each frame action
+onto a channel and feeds each arriving frame, like a TimerFired, back in.
+The machines never touch a transport, which keeps every run replayable and
+lets tests assert that replayed frames change nothing.
 
 Retransmission is stop-and-wait (RFC 1350): on a timeout the sender re-sends
 the frame it last sent, unchanged.  The receiver answers a repeat of the last
@@ -66,8 +66,9 @@ class ProtocolConfig:
     max_attempts: int = 5
 
     def __post_init__(self) -> None:
-        if len(self.ssc) != KEY_BYTES or len(self.rsc) != KEY_BYTES:
-            raise ValueError("secret codes must be 16 bytes")
+        # a str code of 16 characters would synchronize and then crash the run at its first AUTH
+        if not all(isinstance(code, bytes) and len(code) == KEY_BYTES for code in (self.ssc, self.rsc)):
+            raise ValueError("secret codes must be bytes of length 16")
         if self.rule not in LEARNING_RULES:
             raise ValueError(f"unknown learning rule: {self.rule!r}")
         # an inf timeout never fired and a nan one ended the run at tick 0
@@ -195,7 +196,7 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
     if isinstance(state, SenderState):
         # the sent frame's id enters as the next id, an AUTH id and, in a round, a SYN id: digests keep their bytes
         sent = state.sent
-        auth_id = sent.frame_id if sent is not None and isinstance(sent.payload, Auth) else -1
+        auth_id = sent.frame_id if isinstance(sent, Auth) else -1
         h.update((0 if sent is None else sent.frame_id + 1).to_bytes(8, "big"))
         h.update(int(state.attempts).to_bytes(8, "big"))
         h.update(int(state.rounds).to_bytes(8, "big"))
@@ -221,7 +222,7 @@ def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
     seed = (s0 << 64 | s1).to_bytes(16, "big")
     inputs = input_masks(s0, s1, cfg.params.k, cfg.params.n)[0]
     sigmas, tau = forward_planes(net, inputs)
-    frame = Frame(frame_id, Syn(seed, tau, sync_probe(net, seed, frame_id)))
+    frame = Syn(frame_id, seed, tau, sync_probe(net, seed, frame_id))
     state = _evolve(
         state,
         net=net,
@@ -258,40 +259,38 @@ def sender_advance(state: SenderState, event: Event,
         if state.attempts >= cfg.max_attempts:
             return _evolve(state, phase="failed", fail_reason="attempts exceeded"), ()
         # rounds counts every SYN sent, re-sends included
-        rounds = state.rounds + isinstance(sent.payload, Syn)
+        rounds = state.rounds + isinstance(sent, Syn)
         state = _evolve(state, attempts=state.attempts + 1, rounds=rounds)
         return state, (sent, SetTimer(cfg.timeout_ticks))
 
-    frame = event
-    payload = frame.payload
-    if frame.frame_id != sent.frame_id:
-        logger.debug("sender: stale frame id %d ignored", frame.frame_id)
+    if event.frame_id != sent.frame_id:
+        logger.debug("sender: stale frame id %d ignored", event.frame_id)
         return state, ()
 
     if state.phase == "synchronizing":
-        if isinstance(payload, AckSyn):
+        if isinstance(event, AckSyn):
             # peer agreed and learned; learn toward the common output, the SYN's tau
-            net = learn_planes(state.net, state.inputs, state.sigmas, sent.payload.tau, cfg.rule)
+            net = learn_planes(state.net, state.inputs, state.sigmas, sent.tau, cfg.rule)
             return _sender_new_round(state, cfg, net, state.iterations + 1)
-        if isinstance(payload, NakSyn):
+        if isinstance(event, NakSyn):
             return _sender_new_round(state, cfg, state.net, state.iterations)
-        if isinstance(payload, FinSyn):
-            session = extract_key(serialize_weights(state.net), payload.iv)
+        if isinstance(event, FinSyn):
+            session = extract_key(serialize_weights(state.net), event.iv)
             frame_id = sent.frame_id + 1
-            auth = Frame(frame_id, Auth(ek_code=auth_code(cfg.ssc, SENDER_AUTH, session, frame_id)))
+            auth = Auth(frame_id, auth_code(cfg.ssc, SENDER_AUTH, session, frame_id))
             state = _evolve(state, phase="certifying", attempts=1, session=session,
                             sent=auth, inputs=None, sigmas=None)
             return state, (auth, SetTimer(cfg.timeout_ticks))
-        logger.debug("sender: %s ignored while synchronizing", type(payload).__name__)
+        logger.debug("sender: %s ignored while synchronizing", type(event).__name__)
         return state, ()
 
-    if isinstance(payload, Auth):
+    if isinstance(event, Auth):
         assert state.session is not None
-        expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)
-        if hmac.compare_digest(payload.ek_code, expected):
+        expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, event.frame_id)
+        if hmac.compare_digest(event.ek_code, expected):
             return _evolve(state, phase="established", attempts=0), ()
         return _evolve(state, phase="failed", fail_reason="peer certification failed"), ()
-    logger.debug("sender: %s ignored while certifying", type(payload).__name__)
+    logger.debug("sender: %s ignored while certifying", type(event).__name__)
     return state, ()
 
 
@@ -299,7 +298,7 @@ def sender_advance(state: SenderState, event: Event,
 
 
 def _receiver_learning_reply(
-    state: ReceiverState, frame: Frame, syn: Syn, cfg: ProtocolConfig
+    state: ReceiverState, syn: Syn, cfg: ProtocolConfig
 ) -> tuple[TpmNetwork, int, Frame]:
     """The receiver's bank and iteration count after a SYN whose probe missed, and its reply."""
     seed = int.from_bytes(syn.seed, "big")
@@ -307,8 +306,8 @@ def _receiver_learning_reply(
     sigmas, tau = forward_planes(state.net, inputs)
     if tau == syn.tau:
         net = learn_planes(state.net, inputs, sigmas, tau, cfg.rule)
-        return net, state.iterations + 1, Frame(frame.frame_id, AckSyn(tau))
-    return state.net, state.iterations, Frame(frame.frame_id, NakSyn(tau))
+        return net, state.iterations + 1, AckSyn(syn.frame_id, tau)
+    return state.net, state.iterations, NakSyn(syn.frame_id, tau)
 
 
 def receiver_advance(state: ReceiverState, event: Event,
@@ -317,45 +316,43 @@ def receiver_advance(state: ReceiverState, event: Event,
     if state.phase == "failed" or not isinstance(event, Frame):
         return state, ()
 
-    frame = event
-    payload = frame.payload
-    if frame.frame_id == state.last_seen_id:
+    if event.frame_id == state.last_seen_id:
         # a re-sent frame whose reply was lost: answer it again, change nothing
         assert state.reply is not None
         return state, (state.reply,)
-    if not integrity_check(frame, state.last_seen_id):
-        logger.debug("receiver: stale frame id %d ignored", frame.frame_id)
+    if not integrity_check(event, state.last_seen_id):
+        logger.debug("receiver: stale frame id %d ignored", event.frame_id)
         return state, ()
 
-    if isinstance(payload, Syn):
+    if isinstance(event, Syn):
         if state.session is not None:
             logger.debug("receiver: SYN ignored after a key offer")
             return state, ()
         net, rng, iterations, session, phase = state.net, state.rng, state.iterations, None, "synchronizing"
-        if sync_probe(net, payload.seed, frame.frame_id) == payload.ek_st:
+        if sync_probe(net, event.seed, event.frame_id) == event.ek_st:
             word, rng = next_word(rng)
             iv = word % (cfg.params.k * cfg.params.n // KEY_BYTES)
             session, phase = extract_key(serialize_weights(net), iv), "certifying"
-            reply = Frame(frame.frame_id, FinSyn(iv))
+            reply = FinSyn(event.frame_id, iv)
         else:
-            net, iterations, reply = _receiver_learning_reply(state, frame, payload, cfg)
+            net, iterations, reply = _receiver_learning_reply(state, event, cfg)
         state = _evolve(state, net=net, rng=rng, iterations=iterations, phase=phase,
-                        session=session, last_seen_id=frame.frame_id, reply=reply)
+                        session=session, last_seen_id=event.frame_id, reply=reply)
         return state, (reply,)
 
-    if isinstance(payload, Auth):
+    if isinstance(event, Auth):
         if state.phase != "certifying":
             logger.debug("receiver: AUTH ignored in phase %s", state.phase)
             return state, ()
         assert state.session is not None
-        expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, frame.frame_id)
-        if not hmac.compare_digest(payload.ek_code, expected):
+        expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, event.frame_id)
+        if not hmac.compare_digest(event.ek_code, expected):
             state = _evolve(state, phase="failed", fail_reason="peer certification failed",
-                            session=None, cert_failures=1, last_seen_id=frame.frame_id)
+                            session=None, cert_failures=1, last_seen_id=event.frame_id)
             return state, ()
-        reply = Frame(frame.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, state.session, frame.frame_id)))
-        state = _evolve(state, phase="established", last_seen_id=frame.frame_id, reply=reply)
+        reply = Auth(event.frame_id, auth_code(cfg.rsc, RECEIVER_AUTH, state.session, event.frame_id))
+        state = _evolve(state, phase="established", last_seen_id=event.frame_id, reply=reply)
         return state, (reply,)
 
-    logger.debug("receiver: %s ignored", type(payload).__name__)
+    logger.debug("receiver: %s ignored", type(event).__name__)
     return state, ()

@@ -405,13 +405,13 @@ def test_criterion_10_codec_exactness_and_stream_quality():
         assert decode_frame(encode_frame(frame)) == frame
 
     table = {
-        px.Syn(bytes(16), 1, bytes(16)): 0b0000,
-        px.FinSyn(0): 0b0001,
-        px.AckSyn(1): 0b0010,
-        px.NakSyn(1): 0b0011,
-        px.Auth(bytes(16)): 0b0100,
+        px.Syn(0, bytes(16), 1, bytes(16)): 0b0000,
+        px.FinSyn(0, 0): 0b0001,
+        px.AckSyn(0, 1): 0b0010,
+        px.NakSyn(0, 1): 0b0011,
+        px.Auth(0, bytes(16)): 0b0100,
     }
-    codes_ok = all(px.Frame(0, p).command == code for p, code in table.items())
+    codes_ok = all(frame.command == code for frame, code in table.items())
 
     data, _ = next_bytes(seed_from_bytes(b"CHI-SQUARE-SEED!"), 10**6)
     histogram = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from paritykex.channel import ChannelConfig, SimulatedLink, UdpTransport
-from paritykex.frames import AckSyn, Frame, FrameError, decode_frame, encode_frame
+from paritykex.frames import AckSyn, FrameError, decode_frame, encode_frame
 
 
 def test_lossless_is_fifo_exactly_once():
@@ -64,7 +64,7 @@ def test_corruption_flips_exactly_one_bit():
 
 def test_corrupted_frames_always_fail_decode():
     link = SimulatedLink(ChannelConfig(corrupt_prob=1.0, rng_seed=4))
-    wire = encode_frame(Frame(12, AckSyn(tau=1)))
+    wire = encode_frame(AckSyn(12, tau=1))
     for i in range(200):
         link.send("a", wire, i)
     delivered = link.poll("b", 10_000)

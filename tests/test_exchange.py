@@ -138,7 +138,7 @@ def test_endpoint_sends_frames_encoded_and_sets_its_deadline():
         assert host.state is state and host.deadline == 3 + cfg.timeout_ticks and len(sent) == 1
 
     # a FIN_SYN answering the SYN: the AUTH leaves encoded and the timer restarts from tick 9
-    assert host.receive(encode_frame(Frame(syn.frame_id, FinSyn(iv=2))), 9) is True
+    assert host.receive(encode_frame(FinSyn(syn.frame_id, iv=2)), 9) is True
     assert host.state.phase == "certifying"
     assert sent[1:] == [(encode_frame(host.state.sent), 9)]
     assert host.deadline == 9 + cfg.timeout_ticks
@@ -162,9 +162,24 @@ def test_liveness_under_plain_loss():
 
 
 def test_iteration_cap_stops_unfinished_runs():
-    outcome = run_exchange(config(l=5), master_seed=b"tiny-cap-run-00!", iteration_cap=5)
-    assert not outcome.established
-    assert outcome.rounds <= 6
+    # a cap of 0 still sends the first SYN; each lossless round takes one tick
+    for cap, rounds, ticks in ((0, 1, 0), (5, 6, 5)):
+        outcome = run_exchange(config(l=5), master_seed=b"tiny-cap-run-00!", iteration_cap=cap)
+        assert (outcome.established, outcome.fail_reason) == (False, None)
+        assert (outcome.rounds, outcome.ticks) == (rounds, ticks)
+
+
+@pytest.mark.parametrize("cap, match", [
+    (float("nan"), "integer"), (2.5, "integer"), (True, "integer"), (-1, "non-negative"),
+])
+def test_iteration_cap_must_be_a_non_negative_integer(cap, match):
+    # a nan or negative cap would run nothing and report no reason, and 2.5 is no round count
+    with pytest.raises(ValueError, match=match):
+        run_exchange(config(), master_seed=b"bad-cap-run-000!", iteration_cap=cap)
+    sender, receiver = (Endpoint(role, config(), bytes(16)) for role in ("sender", "receiver"))
+    with pytest.raises(ValueError, match=match):
+        run_over_link(sender, receiver, SimulatedLink(), cap)
+    assert sender.state.phase == "idle" and sender.send is None
 
 
 def test_udp_endpoints_agree_over_loopback():
@@ -213,3 +228,11 @@ def test_udp_runner_rejects_nonpositive_tick(role, tick_ms):
     # a zero tick divided by zero in the clock and a negative one ran it backwards
     with pytest.raises(ValueError, match="tick_ms"):
         run_udp(role, config(), b"udp-tick-check-0", UnusedTransport(), tick_ms)
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize("overall_timeout", [0, -1.0, float("nan")])
+def test_udp_runner_rejects_a_timeout_that_is_not_positive(role, overall_timeout):
+    # elapsed > nan is never true, so a nan timeout would leave a lone listener waiting forever
+    with pytest.raises(ValueError, match="overall_timeout"):
+        run_udp(role, config(), b"udp-tick-check-0", UnusedTransport(), overall_timeout=overall_timeout)

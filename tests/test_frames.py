@@ -1,5 +1,6 @@
 """Frame codec: command codes, round-trips, CRC and error discrimination."""
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from paritykex.frames import (
     CMD_FIN_SYN,
     CMD_NAK_SYN,
     CMD_SYN,
+    MAX_FRAME_ID,
     AckSyn,
     Auth,
     FinSyn,
@@ -38,18 +40,23 @@ def random_frame(rng: random.Random) -> Frame:
     frame_id = rng.randrange(1 << 32)
     kind = rng.randrange(5)
     if kind == 0:
-        payload = Syn(
-            seed=rng.randbytes(16), tau=rng.choice((1, -1)), ek_st=rng.randbytes(16)
-        )
-    elif kind == 1:
-        payload = FinSyn(iv=rng.randrange(256))
-    elif kind == 2:
-        payload = AckSyn(tau=rng.choice((1, -1)))
-    elif kind == 3:
-        payload = NakSyn(tau=rng.choice((1, -1)))
-    else:
-        payload = Auth(ek_code=rng.randbytes(16))
-    return Frame(frame_id, payload)
+        return Syn(frame_id, seed=rng.randbytes(16), tau=rng.choice((1, -1)), ek_st=rng.randbytes(16))
+    if kind == 1:
+        return FinSyn(frame_id, iv=rng.randrange(256))
+    if kind == 2:
+        return AckSyn(frame_id, tau=rng.choice((1, -1)))
+    if kind == 3:
+        return NakSyn(frame_id, tau=rng.choice((1, -1)))
+    return Auth(frame_id, ek_code=rng.randbytes(16))
+
+
+SAMPLES = [
+    Syn(0, seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32))),
+    FinSyn(7, iv=5),
+    AckSyn(1, tau=-1),
+    NakSyn(2, tau=1),
+    Auth(8, ek_code=bytes(range(32, 48))),
+]
 
 
 def test_command_codes_fixed():
@@ -61,28 +68,30 @@ def test_command_codes_fixed():
 
 
 def test_command_nibble_on_wire():
-    assert encode_frame(Frame(0, Syn(bytes(16), 1, bytes(16))))[0] >> 4 == 0b0000
-    assert encode_frame(Frame(0, Auth(bytes(16))))[0] >> 4 == 0b0100
-    assert encode_frame(Frame(0, FinSyn(3)))[0] >> 4 == 0b0001
+    for frame, code in zip(SAMPLES, (CMD_SYN, CMD_FIN_SYN, CMD_ACK_SYN, CMD_NAK_SYN, CMD_AUTH)):
+        assert frame.command == code
+        assert encode_frame(frame)[0] >> 4 == code
 
 
 def test_golden_syn_vector():
-    frame = Frame(0, Syn(seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32))))
+    frame = Syn(0, seed=bytes(range(16)), tau=1, ek_st=bytes(range(16, 32)))
     assert encode_frame(frame) == GOLDEN_SYN
     assert decode_frame(GOLDEN_SYN) == frame
 
 
 def test_roundtrip_randomized():
     rng = random.Random(0xC0DEC)
-    for _ in range(10_000):
-        frame = random_frame(rng)
-        assert decode_frame(encode_frame(frame)) == frame
+    for frame in SAMPLES + [random_frame(rng) for _ in range(10_000)]:
+        decoded = decode_frame(encode_frame(frame))
+        assert type(decoded) is type(frame) and decoded == frame
+    # the same fields under another command are another frame
+    assert AckSyn(3, 1) != NakSyn(3, 1)
 
 
 def test_single_bit_flip_always_integrity_error():
     rng = random.Random(5)
     frames = [random_frame(rng) for _ in range(20)]
-    frames.append(Frame(0, Syn(bytes(16), 1, bytes(16))))
+    frames.append(Syn(0, bytes(16), 1, bytes(16)))
     for frame in frames:
         wire = encode_frame(frame)
         for bit in range(len(wire) * 8):
@@ -129,21 +138,29 @@ def test_malformed_tau_byte():
 
 
 def test_frame_id_bounds():
-    with pytest.raises(ValueError):
-        Frame(1 << 32, AckSyn(tau=1))
-    with pytest.raises(ValueError):
-        Frame(-1, AckSyn(tau=1))
+    assert [field.name for field in dataclasses.fields(Frame)] == ["frame_id"]
+    for frame in SAMPLES:
+        assert dataclasses.fields(frame)[0].name == "frame_id"
+        assert dataclasses.replace(frame, frame_id=MAX_FRAME_ID).frame_id == MAX_FRAME_ID
+        for bad in (-1, 1 << 32):
+            with pytest.raises(ValueError, match="32 bits"):
+                dataclasses.replace(frame, frame_id=bad)
+    with pytest.raises(ValueError, match="32 bits"):
+        Frame(1 << 32)
 
 
 def test_payload_field_validation():
     with pytest.raises(ValueError):
-        encode_frame(Frame(0, Syn(seed=bytes(8), tau=1, ek_st=bytes(16))))
+        encode_frame(Syn(0, seed=bytes(8), tau=1, ek_st=bytes(16)))
     with pytest.raises(ValueError):
-        encode_frame(Frame(0, Auth(ek_code=bytes(4))))
+        encode_frame(Auth(0, ek_code=bytes(4)))
     with pytest.raises(ValueError):
-        encode_frame(Frame(0, Syn(seed=bytes(16), tau=0, ek_st=bytes(16))))
+        encode_frame(Syn(0, seed=bytes(16), tau=0, ek_st=bytes(16)))
     with pytest.raises(ValueError):
-        encode_frame(Frame(0, FinSyn(iv=300)))
+        encode_frame(FinSyn(0, iv=300))
+    # a bare Frame names no command, so it has no wire form
+    with pytest.raises(ValueError, match="unknown frame type"):
+        encode_frame(Frame(3))
 
 
 def _wire(command_byte: int, payload: bytes) -> bytes:
@@ -151,8 +168,8 @@ def _wire(command_byte: int, payload: bytes) -> bytes:
     return body + crc32(body).to_bytes(4, "big")
 
 
-ACK_WIRE = encode_frame(Frame(7, AckSyn(1)))
-SYN_WIRE = encode_frame(Frame(7, Syn(bytes(16), -1, bytes(16))))
+ACK_WIRE = encode_frame(AckSyn(7, 1))
+SYN_WIRE = encode_frame(Syn(7, bytes(16), -1, bytes(16)))
 
 
 @pytest.mark.parametrize("wire, error", [

@@ -35,10 +35,10 @@ from paritykex.rng import MASK64, draw_inputs, input_masks, seed_from_bytes
 
 
 def test_integrity_check_monotone():
-    frame = Frame(5, AckSyn(tau=1))
+    frame = AckSyn(5, tau=1)
     assert not integrity_check(frame, 5)
-    assert integrity_check(Frame(6, AckSyn(tau=1)), 5)
-    assert not integrity_check(Frame(3, AckSyn(tau=1)), 5)
+    assert integrity_check(AckSyn(6, tau=1), 5)
+    assert not integrity_check(AckSyn(3, tau=1), 5)
 
 
 SEED = bytes(range(16))
@@ -118,6 +118,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="integer"):
             config(**bad)
     assert type(config(timeout_ticks=np.int64(16), max_attempts=np.int32(3)).max_attempts) is int
+    # a str code of 16 characters would synchronize and then crash the run at its first AUTH
+    for codes in (dict(ssc="a" * 16), dict(rsc="b" * 16), dict(ssc=list(range(16)))):
+        with pytest.raises(ValueError, match="secret codes"):
+            config(**codes)
 
 
 def test_config_rejects_unknown_rule():
@@ -165,7 +169,7 @@ def test_lossless_exchange_full_trace():
         if "b" in sides:
             assert "a" in sides
 
-    kinds = {type(f.payload).__name__ for _, f in wire}
+    kinds = {type(f).__name__ for _, f in wire}
     assert {"Syn", "FinSyn", "Auth"} <= kinds
 
 
@@ -209,11 +213,10 @@ def test_wire_observer_learns_no_key_or_code():
         key = outcome.sender_key.key
         assert np.array_equal(outcome.sender.net.weights, outcome.receiver.net.weights), i
         for side, frame in wire:
-            payload = frame.payload
-            if isinstance(payload, Syn):
-                assert xor(payload.ek_st, b"SYNC-TEST-VECTOR") != key, i
-            if isinstance(payload, Auth):
-                assert xor(payload.ek_code, key) != (cfg.ssc if side == "a" else cfg.rsc), i
+            if isinstance(frame, Syn):
+                assert xor(frame.ek_st, b"SYNC-TEST-VECTOR") != key, i
+            if isinstance(frame, Auth):
+                assert xor(frame.ek_code, key) != (cfg.ssc if side == "a" else cfg.rsc), i
 
 
 # --- targeted transitions ------------------------------------------------------
@@ -229,7 +232,7 @@ def test_sender_start_emits_syn_and_timer():
     cfg = config()
     state, frame = build_sender(cfg)
     assert state.phase == "synchronizing"
-    assert isinstance(frame.payload, Syn)
+    assert isinstance(frame, Syn)
     assert frame.frame_id == 0 and state.sent is frame
     assert state.attempts == 1
 
@@ -238,19 +241,19 @@ def test_sender_ack_applies_learning_and_opens_next_round():
     cfg = config()
     state, syn = build_sender(cfg)
     before = state.net.weights.copy()
-    ack = Frame(syn.frame_id, AckSyn(tau=syn.payload.tau))
+    ack = AckSyn(syn.frame_id, tau=syn.tau)
     state2, actions = sender_advance(state, ack, cfg)
     assert state2.iterations == 1
     assert any(isinstance(a, Frame) for a in actions)
     # the agreed round must move at least one unit (some sigma equals tau)
     moved = not np.array_equal(state2.net.weights, before)
-    assert moved == (syn.payload.tau in state.sigmas)
+    assert moved == (syn.tau in state.sigmas)
 
 
 def test_sender_nak_keeps_weights():
     cfg = config()
     state, syn = build_sender(cfg)
-    nak = Frame(syn.frame_id, NakSyn(tau=-syn.payload.tau))
+    nak = NakSyn(syn.frame_id, tau=-syn.tau)
     state2, actions = sender_advance(state, nak, cfg)
     assert np.array_equal(state2.net.weights, state.net.weights)
     assert state2.rounds == state.rounds + 1
@@ -259,7 +262,7 @@ def test_sender_nak_keeps_weights():
 def test_sender_ignores_stale_ids():
     cfg = config()
     state, syn = build_sender(cfg)
-    stale = Frame(syn.frame_id + 1, AckSyn(tau=1))
+    stale = AckSyn(syn.frame_id + 1, tau=1)
     digest = state_digest(state)
     state2, actions = sender_advance(state, stale, cfg)
     assert state_digest(state2) == digest
@@ -287,14 +290,14 @@ def test_state_digest_hashes_little_endian_int32(monkeypatch):
 def test_sender_fin_extracts_key_and_sends_auth():
     cfg = config()
     state, syn = build_sender(cfg)
-    fin = Frame(syn.frame_id, FinSyn(iv=4))
+    fin = FinSyn(syn.frame_id, iv=4)
     state2, actions = sender_advance(state, fin, cfg)
     assert state2.phase == "certifying"
     expected = extract_key(serialize_weights(state.net), 4)
     assert state2.session == expected
     auth = next(a for a in actions if isinstance(a, Frame))
-    assert isinstance(auth.payload, Auth)
-    assert auth.payload.ek_code == auth_code(cfg.ssc, SENDER_AUTH, expected, auth.frame_id)
+    assert isinstance(auth, Auth)
+    assert auth.ek_code == auth_code(cfg.ssc, SENDER_AUTH, expected, auth.frame_id)
 
 
 def test_sender_accepts_any_iv_byte():
@@ -302,7 +305,7 @@ def test_sender_accepts_any_iv_byte():
     cfg = config()
     state, syn = build_sender(cfg)
     for iv in (6, 255):
-        fin = Frame(syn.frame_id, FinSyn(iv=iv))
+        fin = FinSyn(syn.frame_id, iv=iv)
         state2, actions = sender_advance(state, fin, cfg)
         assert state2.phase == "certifying"
         assert state2.session == extract_key(serialize_weights(state.net), iv)
@@ -327,26 +330,26 @@ def test_sender_timeout_resends_the_same_frame():
     # frame's id is one above the last, and an ACK learns with the SYN's masks, signs and tau.
     cfg = config()
     state, syn = build_sender(cfg)
-    state, (nak_round, _) = sender_advance(state, Frame(syn.frame_id, NakSyn(-syn.payload.tau)), cfg)
-    assert nak_round.frame_id == syn.frame_id + 1 and isinstance(nak_round.payload, Syn)
-    seed = int.from_bytes(nak_round.payload.seed, "big")
+    state, (nak_round, _) = sender_advance(state, NakSyn(syn.frame_id, -syn.tau), cfg)
+    assert nak_round.frame_id == syn.frame_id + 1 and isinstance(nak_round, Syn)
+    seed = int.from_bytes(nak_round.seed, "big")
     masks = input_masks(seed >> 64, seed & MASK64, cfg.params.k, cfg.params.n)[0]
     sigmas, tau = forward_planes(state.net, masks)
-    assert tau == nak_round.payload.tau
+    assert tau == nak_round.tau
     learned = learn_planes(state.net, masks, sigmas, tau, cfg.rule)
-    state, (syn, _) = sender_advance(state, Frame(nak_round.frame_id, AckSyn(tau)), cfg)
-    assert syn.frame_id == nak_round.frame_id + 1 and isinstance(syn.payload, Syn)
+    state, (syn, _) = sender_advance(state, AckSyn(nak_round.frame_id, tau), cfg)
+    assert syn.frame_id == nak_round.frame_id + 1 and isinstance(syn, Syn)
     assert np.array_equal(state.net.weights, learned.weights) and state.net.planes == learned.planes
 
     resent, actions = sender_advance(state, TimerFired(), cfg)
     assert encode_frame(actions[0]) == encode_frame(syn)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds + 1, 2, state.rng)
 
-    fin = Frame(syn.frame_id, FinSyn(iv=2))
+    fin = FinSyn(syn.frame_id, iv=2)
     state, actions = sender_advance(resent, fin, cfg)
     auth = actions[0]
     resent, actions = sender_advance(state, TimerFired(), cfg)
-    assert isinstance(auth.payload, Auth) and auth.frame_id == syn.frame_id + 1
+    assert isinstance(auth, Auth) and auth.frame_id == syn.frame_id + 1
     assert encode_frame(actions[0]) == encode_frame(auth)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds, 2, state.rng)
 
@@ -354,12 +357,12 @@ def test_sender_timeout_resends_the_same_frame():
 def test_sender_auth_reply_verification():
     cfg = config()
     state, syn = build_sender(cfg)
-    fin = Frame(syn.frame_id, FinSyn(iv=0))
+    fin = FinSyn(syn.frame_id, iv=0)
     state, actions = sender_advance(state, fin, cfg)
     auth = next(a for a in actions if isinstance(a, Frame))
     session = state.session
 
-    good = Frame(auth.frame_id, Auth(auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id)))
+    good = Auth(auth.frame_id, auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id))
     done, actions = sender_advance(state, good, cfg)
     assert done.phase == "established"
     assert (done.session, done.fail_reason, actions) == (session, None, ())
@@ -369,7 +372,7 @@ def test_sender_auth_reply_verification():
     for code, label, frame_id in ((b"tampered-code-0!", RECEIVER_AUTH, auth.frame_id),
                                   (cfg.ssc, SENDER_AUTH, auth.frame_id),
                                   (cfg.rsc, RECEIVER_AUTH, auth.frame_id + 1)):
-        bad = Frame(auth.frame_id, Auth(auth_code(code, label, session, frame_id)))
+        bad = Auth(auth.frame_id, auth_code(code, label, session, frame_id))
         failed, actions = sender_advance(state, bad, cfg)
         assert failed.phase == "failed"
         assert failed.fail_reason == "peer certification failed"
@@ -387,12 +390,12 @@ def receiver_with_syn(cfg, seed=b"receiver-unittes"):
 def test_receiver_tau_mismatch_naks_without_update():
     cfg = config()
     rstate, sstate, syn = receiver_with_syn(cfg)
-    inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
+    inputs, _ = draw_inputs(seed_from_bytes(syn.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
-    flipped = Frame(syn.frame_id, Syn(syn.payload.seed, -ev.tau, syn.payload.ek_st))
+    flipped = Syn(syn.frame_id, syn.seed, -ev.tau, syn.ek_st)
     state2, actions = receiver_advance(rstate, flipped, cfg)
     reply = next(a for a in actions if isinstance(a, Frame))
-    assert isinstance(reply.payload, NakSyn)
+    assert isinstance(reply, NakSyn)
     assert reply.frame_id == syn.frame_id
     assert np.array_equal(state2.net.weights, rstate.net.weights)
     assert state2.iterations == 0
@@ -401,12 +404,12 @@ def test_receiver_tau_mismatch_naks_without_update():
 def test_receiver_tau_match_acks_and_learns():
     cfg = config()
     rstate, sstate, syn = receiver_with_syn(cfg)
-    inputs, _ = draw_inputs(seed_from_bytes(syn.payload.seed), 3, 32)
+    inputs, _ = draw_inputs(seed_from_bytes(syn.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
-    agreeing = Frame(syn.frame_id, Syn(syn.payload.seed, ev.tau, syn.payload.ek_st))
+    agreeing = Syn(syn.frame_id, syn.seed, ev.tau, syn.ek_st)
     state2, actions = receiver_advance(rstate, agreeing, cfg)
     reply = next(a for a in actions if isinstance(a, Frame))
-    assert isinstance(reply.payload, AckSyn)
+    assert isinstance(reply, AckSyn)
     assert reply.frame_id == syn.frame_id
     assert state2.iterations == 1
     assert state2.last_seen_id == syn.frame_id
@@ -426,7 +429,7 @@ def test_receiver_replay_rejected():
 
 def synced_syn(net, frame_id):
     """A SYN whose probe matches ``net``."""
-    return Frame(frame_id, Syn(seed=bytes(16), tau=1, ek_st=sync_probe(net, bytes(16), frame_id)))
+    return Syn(frame_id, seed=bytes(16), tau=1, ek_st=sync_probe(net, bytes(16), frame_id))
 
 
 def test_receiver_synced_syn_triggers_fin_and_key():
@@ -437,10 +440,10 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     assert state2.phase == "certifying"
     assert state2.session is not None
     fin = next(a for a in actions if isinstance(a, Frame))
-    assert isinstance(fin.payload, FinSyn)
-    assert fin.payload.iv == state2.session.iv
-    assert 0 <= fin.payload.iv < 6
-    assert state2.session == extract_key(serialize_weights(rstate.net), fin.payload.iv)
+    assert isinstance(fin, FinSyn)
+    assert fin.iv == state2.session.iv
+    assert 0 <= fin.iv < 6
+    assert state2.session == extract_key(serialize_weights(rstate.net), fin.iv)
     assert state2.rng != rstate.rng  # consumed a word picking the group
 
     # a repeat of SYN 3 (say FIN was lost) gets the identical FIN_SYN and no
@@ -459,19 +462,19 @@ def test_receiver_auth_verification_and_rejection():
     state, actions = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg)
     session = state.session
 
-    good = Frame(5, Auth(auth_code(cfg.ssc, SENDER_AUTH, session, 5)))
+    good = Auth(5, auth_code(cfg.ssc, SENDER_AUTH, session, 5))
     est, actions = receiver_advance(state, good, cfg)
     assert est.phase == "established"
     assert (est.session, est.fail_reason) == (session, None)
     (reply,) = actions
     assert reply.frame_id == 5
-    assert reply.payload.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
+    assert reply.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
 
     # equal banks give equal keys, so one rejected AUTH is final: a wrong
     # code, or the right code bound to another frame id
     for bad in (auth_code(b"wrong-secret-00!", SENDER_AUTH, session, 5),
                 auth_code(cfg.ssc, SENDER_AUTH, session, 4)):
-        rej, actions = receiver_advance(state, Frame(5, Auth(bad)), cfg)
+        rej, actions = receiver_advance(state, Auth(5, bad), cfg)
         assert rej.phase == "failed"
         assert rej.fail_reason == "peer certification failed"
         assert rej.session is None
@@ -482,7 +485,7 @@ def test_receiver_auth_verification_and_rejection():
 def test_receiver_ignores_auth_without_offer():
     cfg = config()
     rstate, _, _ = receiver_with_syn(cfg)
-    auth = Frame(9, Auth(bytes(16)))
+    auth = Auth(9, bytes(16))
     digest = state_digest(rstate)
     state2, actions = receiver_advance(rstate, auth, cfg)
     assert state_digest(state2) == digest
@@ -493,12 +496,12 @@ def test_receiver_ignores_auth_without_offer():
 def test_sender_ignores_nak_during_certification():
     cfg = config()
     state, syn = build_sender(cfg)
-    fin = Frame(syn.frame_id, FinSyn(iv=1))
+    fin = FinSyn(syn.frame_id, iv=1)
     state, actions = sender_advance(state, fin, cfg)
     auth = next(a for a in actions if isinstance(a, Frame))
     assert state.phase == "certifying"
     digest = state_digest(state)
-    nak = Frame(auth.frame_id, NakSyn(tau=1))
+    nak = NakSyn(auth.frame_id, tau=1)
     state2, actions = sender_advance(state, nak, cfg)
     assert state_digest(state2) == digest
     assert actions == ()
@@ -510,7 +513,7 @@ def test_established_sender_ignores_everything():
     assert outcome.established
     state = outcome.sender
     digest = state_digest(state)
-    for event in (TimerFired(), Frame(999999, AckSyn(tau=1))):
+    for event in (TimerFired(), AckSyn(999999, tau=1)):
         state2, actions = sender_advance(state, event, cfg)
         assert state_digest(state2) == digest
         assert actions == ()

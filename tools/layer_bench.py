@@ -6,7 +6,8 @@ The rows are the layer rows of ROADMAP aim 1 at k=3, n=32, l=3 (random_walk):
 the generator word and the SYN seed's input masks; ``init_network`` with the
 new bank's first ``planes`` and ``unit_data`` read; ``forward_planes``,
 ``learn_planes`` and ``sync_probe`` on one bank; ``encode_frame`` and
-``decode_frame`` of a SYN and an ACK; one ``sender_advance`` step (an ACK in,
+``decode_frame`` of a ``Syn`` and an ``AckSyn``, each message one ``Frame``
+object that carries its id; one ``sender_advance`` step (an ACK in,
 the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
 one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
 empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes.
@@ -66,10 +67,10 @@ def layer_calls() -> dict:
 
     sender, _ = protocol.sender_advance(protocol.SenderState(net, state), protocol.Start(), cfg)
     syn = sender.sent
-    ack = frames.Frame(syn.frame_id, frames.AckSyn(syn.payload.tau))
+    ack = frames.AckSyn(syn.frame_id, syn.tau)
     # the receiver's SYN carries the receiver's own output, so the step learns and ACKs
     peer_tau = network.forward_planes(peer, sender.inputs)[1]
-    peer_syn = frames.Frame(syn.frame_id, frames.Syn(syn.payload.seed, peer_tau, syn.payload.ek_st))
+    peer_syn = frames.Syn(syn.frame_id, syn.seed, peer_tau, syn.ek_st)
     receiver = protocol.ReceiverState(peer, state)
     syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
     link = channel.SimulatedLink()
