@@ -67,7 +67,6 @@ from .protocol import (
     ProtocolConfig,
     ReceiverState,
     SenderState,
-    SetTimer,
     Start,
     TimerFired,
     integrity_check,

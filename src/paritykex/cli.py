@@ -129,6 +129,8 @@ def _run_exchange(args: argparse.Namespace) -> int:
         )
         if (args.listen or args.connect) and not args.tick_ms > 0:
             raise ValueError(f"--tick-ms must be positive, got {args.tick_ms}")
+        if args.listen and (args.corrupt_ssc or args.corrupt_rsc):
+            raise ValueError("--corrupt-ssc and --corrupt-rsc break the sender's codes: use them with --connect")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """One endpoint host for both roles, and the loops that drive it.
 
-An ``Endpoint`` runs the state machine of either role: it sends frames
-through a ``send`` callable and keeps the retransmission deadline in ticks.
+An ``Endpoint`` runs the state machine of either role: it sends each frame
+through a ``send`` callable and arms the sender's retransmission deadline.
 The key and the failure reason stay in the machine's state.
 ``run_over_link`` moves two endpoints across a SimulatedLink in a
 deterministic tick loop; ``run_exchange`` builds them from a master seed and
@@ -19,16 +19,14 @@ from functools import partial
 from typing import Callable, Literal, Optional
 
 from .channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
-from .frames import FrameError, decode_frame, encode_frame
+from .frames import Frame, FrameError, decode_frame, encode_frame
 from .keycodec import SessionKey
 from .network import init_network, plain_int
 from .protocol import (
-    Action,
     Event,
     ProtocolConfig,
     ReceiverState,
     SenderState,
-    SetTimer,
     Start,
     TimerFired,
     receiver_advance,
@@ -55,6 +53,8 @@ class Endpoint:
 
     def __init__(self, role: Role, cfg: ProtocolConfig, seed: bytes,
                  send: Optional[Callable[[bytes, float], None]] = None):
+        if role not in ("sender", "receiver"):
+            raise ValueError(f"role must be 'sender' or 'receiver', got {role!r}")
         net, rng = init_network(cfg.params, seed_from_bytes(seed))
         if role == "sender":
             self.state = SenderState(net, rng)
@@ -75,17 +75,18 @@ class Endpoint:
         """The session key once the exchange is established, else None."""
         return self.state.session if self.state.phase == "established" else None
 
-    def feed(self, event: Event, now: float) -> tuple[Action, ...]:
-        """Advance the machine by one event, send its frames and arm its timer; a settled one has no deadline."""
-        self.state, actions = self.advance(self.state, event, self.cfg)
-        for action in actions:
-            if isinstance(action, SetTimer):
-                self.deadline = now + action.ticks
-            else:
-                self.send(encode_frame(action), now)
+    def feed(self, event: Event, now: float) -> Optional[Frame]:
+        """Advance the machine by one event, then send and return its frame, if any.
+
+        A sender's frame arms its timer ``cfg.timeout_ticks`` past ``now``; a settled machine has no deadline."""
+        self.state, frame = self.advance(self.state, event, self.cfg)
+        if frame is not None:
+            self.send(encode_frame(frame), now)
+            if isinstance(self.state, SenderState):
+                self.deadline = now + self.cfg.timeout_ticks
         if self.settled:
             self.deadline = None
-        return actions
+        return frame
 
     def receive(self, datagram: bytes, now: float) -> bool:
         """Feed one datagram; False when it does not decode and is dropped."""

@@ -65,7 +65,10 @@ class Frame:
 
     @property
     def command(self) -> int:
-        return _COMMAND_OF_TYPE[type(self)]
+        try:
+            return _COMMAND_OF_TYPE[type(self)]
+        except KeyError:
+            raise ValueError(f"unknown frame type: {type(self).__name__}") from None
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Sender and receiver state machines for key generation and certification.
 
 Both machines are pure transition functions, ``(state, event, config) ->
-(state, actions)``, whose state holds the generator, the key and the
-failure reason.  A Frame is both an event and an action: each message is one
-Frame subclass that carries its own id.  The host sends each frame action
-onto a channel and feeds each arriving frame, like a TimerFired, back in.
-The machines never touch a transport, which keeps every run replayable and
-lets tests assert that replayed frames change nothing.
+(state, frame)``, whose state holds the generator, the key and the failure
+reason; each step returns the one frame it sends, or None.  The host sends
+that frame onto a channel and feeds each arriving frame, like a TimerFired,
+back in.  The machines never touch a transport, which keeps every run
+replayable and lets tests assert that replayed frames change nothing.
 
-Retransmission is stop-and-wait (RFC 1350): on a timeout the sender re-sends
-the frame it last sent, unchanged.  The receiver answers a repeat of the last
-id it accepted with the reply it already sent, changing nothing, and ignores
-lower ids; so a lost reply never makes one side learn without the other.
+Retransmission is stop-and-wait (RFC 1350): the host arms the sender's timer
+at each send, and on a timeout the sender re-sends the frame it last sent,
+unchanged.  The receiver answers a repeat of the last id it accepted with the
+reply it already sent, changing nothing, and ignores lower ids; so a lost
+reply never makes one side learn without the other.
 
 Flow per synchronization round: the sender draws a fresh input seed,
 evaluates, and sends SYN{seed, tau, probe} where the probe is a SHA-256
@@ -88,7 +88,7 @@ class ProtocolConfig:
             )
 
 
-# --- events and actions -------------------------------------------------
+# --- events --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,6 @@ class TimerFired:
 
 
 Event = Union[Start, TimerFired, Frame]
-
-
-@dataclass(frozen=True)
-class SetTimer:
-    ticks: int
-
-
-Action = Union[Frame, SetTimer]
 
 
 # --- endpoint states ----------------------------------------------------
@@ -215,7 +207,7 @@ def state_digest(state: Union[SenderState, ReceiverState]) -> str:
 
 
 def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
-                      iterations: int) -> tuple[SenderState, tuple[Action, ...]]:
+                      iterations: int) -> tuple[SenderState, Optional[Frame]]:
     """Open a round on ``net``, the bank after the last round's learning step, if any."""
     frame_id = 0 if state.sent is None else state.sent.frame_id + 1
     (s0, s1), rng = next_words(state.rng, 2)
@@ -235,37 +227,37 @@ def _sender_new_round(state: SenderState, cfg: ProtocolConfig, net: TpmNetwork,
         sigmas=sigmas,
         rounds=state.rounds + 1,
     )
-    return state, (frame, SetTimer(cfg.timeout_ticks))
+    return state, frame
 
 
 def sender_advance(state: SenderState, event: Event,
-                   cfg: ProtocolConfig) -> tuple[SenderState, tuple[Action, ...]]:
+                   cfg: ProtocolConfig) -> tuple[SenderState, Optional[Frame]]:
     """Advance the sender; see the module docstring for the flow."""
     if state.phase in ("established", "failed"):
-        return state, ()
+        return state, None
 
     if isinstance(event, Start):
         if state.phase != "idle":
             logger.debug("sender: Start ignored in phase %s", state.phase)
-            return state, ()
+            return state, None
         return _sender_new_round(state, cfg, state.net, state.iterations)
 
     sent = state.sent
     if sent is None:
         logger.debug("sender: %s ignored before Start", type(event).__name__)
-        return state, ()
+        return state, None
 
     if isinstance(event, TimerFired):
         if state.attempts >= cfg.max_attempts:
-            return _evolve(state, phase="failed", fail_reason="attempts exceeded"), ()
+            return _evolve(state, phase="failed", fail_reason="attempts exceeded"), None
         # rounds counts every SYN sent, re-sends included
         rounds = state.rounds + isinstance(sent, Syn)
         state = _evolve(state, attempts=state.attempts + 1, rounds=rounds)
-        return state, (sent, SetTimer(cfg.timeout_ticks))
+        return state, sent
 
     if event.frame_id != sent.frame_id:
         logger.debug("sender: stale frame id %d ignored", event.frame_id)
-        return state, ()
+        return state, None
 
     if state.phase == "synchronizing":
         if isinstance(event, AckSyn):
@@ -280,18 +272,18 @@ def sender_advance(state: SenderState, event: Event,
             auth = Auth(frame_id, auth_code(cfg.ssc, SENDER_AUTH, session, frame_id))
             state = _evolve(state, phase="certifying", attempts=1, session=session,
                             sent=auth, inputs=None, sigmas=None)
-            return state, (auth, SetTimer(cfg.timeout_ticks))
+            return state, auth
         logger.debug("sender: %s ignored while synchronizing", type(event).__name__)
-        return state, ()
+        return state, None
 
     if isinstance(event, Auth):
         assert state.session is not None
         expected = auth_code(cfg.rsc, RECEIVER_AUTH, state.session, event.frame_id)
         if hmac.compare_digest(event.ek_code, expected):
-            return _evolve(state, phase="established", attempts=0), ()
-        return _evolve(state, phase="failed", fail_reason="peer certification failed"), ()
+            return _evolve(state, phase="established", attempts=0), None
+        return _evolve(state, phase="failed", fail_reason="peer certification failed"), None
     logger.debug("sender: %s ignored while certifying", type(event).__name__)
-    return state, ()
+    return state, None
 
 
 # --- receiver ------------------------------------------------------------
@@ -311,23 +303,23 @@ def _receiver_learning_reply(
 
 
 def receiver_advance(state: ReceiverState, event: Event,
-                     cfg: ProtocolConfig) -> tuple[ReceiverState, tuple[Action, ...]]:
+                     cfg: ProtocolConfig) -> tuple[ReceiverState, Optional[Frame]]:
     """Advance the receiver; it is purely reactive (no timers of its own)."""
     if state.phase == "failed" or not isinstance(event, Frame):
-        return state, ()
+        return state, None
 
     if event.frame_id == state.last_seen_id:
         # a re-sent frame whose reply was lost: answer it again, change nothing
         assert state.reply is not None
-        return state, (state.reply,)
+        return state, state.reply
     if not integrity_check(event, state.last_seen_id):
         logger.debug("receiver: stale frame id %d ignored", event.frame_id)
-        return state, ()
+        return state, None
 
     if isinstance(event, Syn):
         if state.session is not None:
             logger.debug("receiver: SYN ignored after a key offer")
-            return state, ()
+            return state, None
         net, rng, iterations, session, phase = state.net, state.rng, state.iterations, None, "synchronizing"
         if sync_probe(net, event.seed, event.frame_id) == event.ek_st:
             word, rng = next_word(rng)
@@ -338,21 +330,21 @@ def receiver_advance(state: ReceiverState, event: Event,
             net, iterations, reply = _receiver_learning_reply(state, event, cfg)
         state = _evolve(state, net=net, rng=rng, iterations=iterations, phase=phase,
                         session=session, last_seen_id=event.frame_id, reply=reply)
-        return state, (reply,)
+        return state, reply
 
     if isinstance(event, Auth):
         if state.phase != "certifying":
             logger.debug("receiver: AUTH ignored in phase %s", state.phase)
-            return state, ()
+            return state, None
         assert state.session is not None
         expected = auth_code(cfg.ssc, SENDER_AUTH, state.session, event.frame_id)
         if not hmac.compare_digest(event.ek_code, expected):
             state = _evolve(state, phase="failed", fail_reason="peer certification failed",
                             session=None, cert_failures=1, last_seen_id=event.frame_id)
-            return state, ()
+            return state, None
         reply = Auth(event.frame_id, auth_code(cfg.rsc, RECEIVER_AUTH, state.session, event.frame_id))
         state = _evolve(state, phase="established", last_seen_id=event.frame_id, reply=reply)
-        return state, (reply,)
+        return state, reply
 
     logger.debug("receiver: %s ignored", type(event).__name__)
-    return state, ()
+    return state, None

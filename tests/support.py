@@ -41,28 +41,28 @@ class RecordingEndpoint(Endpoint):
     def feed(self, event, now):
         if self.on_delivery is not None and isinstance(event, Frame):
             self.on_delivery(self, event)
-        actions = super().feed(event, now)
-        self.wire.extend((self.name, a) for a in actions if isinstance(a, Frame))
-        return actions
+        frame = super().feed(event, now)
+        if frame is not None:
+            self.wire.append((self.name, frame))
+        return frame
 
 
 def replay_is_inert(endpoint, frame):
     """Deliver ``frame`` to ``endpoint``'s state, then deliver it again.
 
-    When the first delivery was accepted (it acted or changed the state),
+    When the first delivery was accepted (it sent a frame or changed the state),
     assert that the repeat changes neither the state nor its generator and
-    that it only makes the receiver send its replies again, and return True;
+    that it only makes the receiver send its reply again, and return True;
     return False when the first delivery did nothing.  Neither delivery
     touches the endpoint.
     """
     state, advance, cfg = endpoint.state, endpoint.advance, endpoint.cfg
-    new_state, actions = advance(state, frame, cfg)
-    if not actions and state_digest(new_state) == state_digest(state):
+    new_state, sent = advance(state, frame, cfg)
+    if sent is None and state_digest(new_state) == state_digest(state):
         return False
-    replayed, actions2 = advance(new_state, frame, cfg)
-    replies = tuple(a for a in actions if isinstance(a, Frame))
+    replayed, resent = advance(new_state, frame, cfg)
     assert state_digest(replayed) == state_digest(new_state)
-    assert actions2 == (() if advance is sender_advance else replies)
+    assert resent == (None if advance is sender_advance else sent)
     assert replayed.rng == new_state.rng
     return True
 

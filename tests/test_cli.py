@@ -125,6 +125,17 @@ def test_udp_mode_rejects_nonpositive_tick_ms(monkeypatch, capsys, mode, tick_ms
     assert "error: --tick-ms must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--corrupt-ssc", "--corrupt-rsc"])
+def test_listener_rejects_the_corrupt_code_flags(monkeypatch, capsys, flag):
+    # the listener is the receiver, which never applied the sender's corrupted codes, so it established
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    assert main(["exchange", "--listen", "127.0.0.1:39999", "--seed", SEED, flag]) == 2
+    assert "use them with --connect" in capsys.readouterr().err
+
+
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):
     args = ["sweep", "--vary", "l", "--from", "1", "--to", "2", "--trials", "5",
             "--n", "16", "--seed", SEED]

@@ -14,7 +14,7 @@ from paritykex.exchange import (
 )
 from paritykex.frames import FinSyn, Frame, encode_frame
 from paritykex.network import TpmParams
-from paritykex.protocol import ProtocolConfig, SetTimer, Start
+from paritykex.protocol import ProtocolConfig, Start
 
 
 def config(l=2, n=32, **kw):
@@ -115,20 +115,18 @@ def test_a_settled_endpoint_keeps_no_deadline():
 
 
 def test_endpoint_sends_frames_encoded_and_sets_its_deadline():
-    # one endpoint against a recording send: every Frame action leaves as its
-    # encoding, SetTimer counts from the step's tick, and a datagram that does
-    # not decode is dropped without touching the machine
+    # one endpoint against a recording send: the frame a step returns leaves as
+    # its encoding, each frame the sender sends arms its deadline from the step's
+    # tick, and a datagram that does not decode is dropped without touching the machine
     cfg = config()
     sent = []
     host = Endpoint("sender", cfg, b"host-test-seed-0",
                     lambda datagram, now: sent.append((datagram, now)))
 
-    actions = host.feed(Start(), 3)
-    assert len(sent) == 1
-    assert sent == [(encode_frame(a), 3) for a in actions if isinstance(a, Frame)]
-    assert [a.ticks for a in actions if isinstance(a, SetTimer)] == [cfg.timeout_ticks]
+    syn = host.feed(Start(), 3)
+    assert isinstance(syn, Frame) and syn is host.state.sent
+    assert sent == [(encode_frame(syn), 3)]
     assert host.deadline == 3 + cfg.timeout_ticks
-    syn = host.state.sent
 
     wire = encode_frame(syn)
     undecodable = (b"", wire[:-1], bytes([wire[0] ^ 1]) + wire[1:], wire[:-1] + bytes([wire[-1] ^ 1]))
@@ -140,8 +138,25 @@ def test_endpoint_sends_frames_encoded_and_sets_its_deadline():
     # a FIN_SYN answering the SYN: the AUTH leaves encoded and the timer restarts from tick 9
     assert host.receive(encode_frame(FinSyn(syn.frame_id, iv=2)), 9) is True
     assert host.state.phase == "certifying"
-    assert sent[1:] == [(encode_frame(host.state.sent), 9)]
+    auth = host.state.sent
+    assert sent[1:] == [(encode_frame(auth), 9)]
     assert host.deadline == 9 + cfg.timeout_ticks
+
+    # the deadline passing re-sends the AUTH and re-arms the timer from that tick
+    host.expire(8 + cfg.timeout_ticks)
+    assert len(sent) == 2
+    host.expire(9 + cfg.timeout_ticks)
+    assert sent[2:] == [(encode_frame(auth), 9 + cfg.timeout_ticks)]
+    assert host.deadline == 9 + 2 * cfg.timeout_ticks
+
+    # a receiver answering the SYN sends its reply encoded and never has a deadline
+    replies = []
+    peer = Endpoint("receiver", cfg, b"host-test-seed-1",
+                    lambda datagram, now: replies.append((datagram, now)))
+    assert peer.receive(encode_frame(syn), 4) is True
+    assert peer.state.reply.frame_id == syn.frame_id
+    assert replies == [(encode_frame(peer.state.reply), 4)]
+    assert peer.deadline is None
 
 
 def test_liveness_under_plain_loss():
@@ -220,6 +235,15 @@ class UnusedTransport:
 
     def __getattr__(self, name):
         raise AssertionError(f"transport.{name} used")
+
+
+@pytest.mark.parametrize("role", ["recever", "Sender", None])
+def test_endpoint_and_udp_runner_reject_an_unknown_role(role):
+    # any role but "sender" built a receiver, so run_udp("recever", ...) listened for 120 s
+    with pytest.raises(ValueError, match="role must be"):
+        Endpoint(role, config(), b"role-check-seed0")
+    with pytest.raises(ValueError, match="role must be"):
+        run_udp(role, config(), b"role-check-seed0", UnusedTransport())
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])

@@ -161,6 +161,8 @@ def test_payload_field_validation():
     # a bare Frame names no command, so it has no wire form
     with pytest.raises(ValueError, match="unknown frame type"):
         encode_frame(Frame(3))
+    with pytest.raises(ValueError, match="unknown frame type: Frame"):
+        Frame(3).command
 
 
 def _wire(command_byte: int, payload: bytes) -> bytes:

@@ -223,9 +223,7 @@ def test_wire_observer_learns_no_key_or_code():
 
 
 def build_sender(cfg, seed=b"sender-unit-test"):
-    state, actions = sender_advance(fresh("sender", cfg, seed), Start(), cfg)
-    frame = next(a for a in actions if isinstance(a, Frame))
-    return state, frame
+    return sender_advance(fresh("sender", cfg, seed), Start(), cfg)
 
 
 def test_sender_start_emits_syn_and_timer():
@@ -242,9 +240,9 @@ def test_sender_ack_applies_learning_and_opens_next_round():
     state, syn = build_sender(cfg)
     before = state.net.weights.copy()
     ack = AckSyn(syn.frame_id, tau=syn.tau)
-    state2, actions = sender_advance(state, ack, cfg)
+    state2, frame = sender_advance(state, ack, cfg)
     assert state2.iterations == 1
-    assert any(isinstance(a, Frame) for a in actions)
+    assert isinstance(frame, Frame)
     # the agreed round must move at least one unit (some sigma equals tau)
     moved = not np.array_equal(state2.net.weights, before)
     assert moved == (syn.tau in state.sigmas)
@@ -254,7 +252,7 @@ def test_sender_nak_keeps_weights():
     cfg = config()
     state, syn = build_sender(cfg)
     nak = NakSyn(syn.frame_id, tau=-syn.tau)
-    state2, actions = sender_advance(state, nak, cfg)
+    state2, frame = sender_advance(state, nak, cfg)
     assert np.array_equal(state2.net.weights, state.net.weights)
     assert state2.rounds == state.rounds + 1
 
@@ -264,9 +262,9 @@ def test_sender_ignores_stale_ids():
     state, syn = build_sender(cfg)
     stale = AckSyn(syn.frame_id + 1, tau=1)
     digest = state_digest(state)
-    state2, actions = sender_advance(state, stale, cfg)
+    state2, frame = sender_advance(state, stale, cfg)
     assert state_digest(state2) == digest
-    assert actions == ()
+    assert frame is None
     assert state2.rng == state.rng
 
 
@@ -291,11 +289,10 @@ def test_sender_fin_extracts_key_and_sends_auth():
     cfg = config()
     state, syn = build_sender(cfg)
     fin = FinSyn(syn.frame_id, iv=4)
-    state2, actions = sender_advance(state, fin, cfg)
+    state2, auth = sender_advance(state, fin, cfg)
     assert state2.phase == "certifying"
     expected = extract_key(serialize_weights(state.net), 4)
     assert state2.session == expected
-    auth = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(auth, Auth)
     assert auth.ek_code == auth_code(cfg.ssc, SENDER_AUTH, expected, auth.frame_id)
 
@@ -306,7 +303,7 @@ def test_sender_accepts_any_iv_byte():
     state, syn = build_sender(cfg)
     for iv in (6, 255):
         fin = FinSyn(syn.frame_id, iv=iv)
-        state2, actions = sender_advance(state, fin, cfg)
+        state2, frame = sender_advance(state, fin, cfg)
         assert state2.phase == "certifying"
         assert state2.session == extract_key(serialize_weights(state.net), iv)
 
@@ -315,14 +312,14 @@ def test_sender_timeout_retries_then_fails():
     cfg = config(max_attempts=3)
     state, _ = build_sender(cfg)
     for expected_attempts in (2, 3):
-        state, actions = sender_advance(state, TimerFired(), cfg)
+        state, frame = sender_advance(state, TimerFired(), cfg)
         assert state.attempts == expected_attempts
         assert state.fail_reason is None
-        assert any(isinstance(a, Frame) for a in actions)
-    state, actions = sender_advance(state, TimerFired(), cfg)
+        assert isinstance(frame, Frame)
+    state, frame = sender_advance(state, TimerFired(), cfg)
     assert state.phase == "failed"
     assert state.fail_reason == "attempts exceeded"
-    assert actions == ()
+    assert frame is None
 
 
 def test_sender_timeout_resends_the_same_frame():
@@ -330,27 +327,26 @@ def test_sender_timeout_resends_the_same_frame():
     # frame's id is one above the last, and an ACK learns with the SYN's masks, signs and tau.
     cfg = config()
     state, syn = build_sender(cfg)
-    state, (nak_round, _) = sender_advance(state, NakSyn(syn.frame_id, -syn.tau), cfg)
+    state, nak_round = sender_advance(state, NakSyn(syn.frame_id, -syn.tau), cfg)
     assert nak_round.frame_id == syn.frame_id + 1 and isinstance(nak_round, Syn)
     seed = int.from_bytes(nak_round.seed, "big")
     masks = input_masks(seed >> 64, seed & MASK64, cfg.params.k, cfg.params.n)[0]
     sigmas, tau = forward_planes(state.net, masks)
     assert tau == nak_round.tau
     learned = learn_planes(state.net, masks, sigmas, tau, cfg.rule)
-    state, (syn, _) = sender_advance(state, AckSyn(nak_round.frame_id, tau), cfg)
+    state, syn = sender_advance(state, AckSyn(nak_round.frame_id, tau), cfg)
     assert syn.frame_id == nak_round.frame_id + 1 and isinstance(syn, Syn)
     assert np.array_equal(state.net.weights, learned.weights) and state.net.planes == learned.planes
 
-    resent, actions = sender_advance(state, TimerFired(), cfg)
-    assert encode_frame(actions[0]) == encode_frame(syn)
+    resent, frame = sender_advance(state, TimerFired(), cfg)
+    assert encode_frame(frame) == encode_frame(syn)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds + 1, 2, state.rng)
 
     fin = FinSyn(syn.frame_id, iv=2)
-    state, actions = sender_advance(resent, fin, cfg)
-    auth = actions[0]
-    resent, actions = sender_advance(state, TimerFired(), cfg)
+    state, auth = sender_advance(resent, fin, cfg)
+    resent, frame = sender_advance(state, TimerFired(), cfg)
     assert isinstance(auth, Auth) and auth.frame_id == syn.frame_id + 1
-    assert encode_frame(actions[0]) == encode_frame(auth)
+    assert encode_frame(frame) == encode_frame(auth)
     assert (resent.rounds, resent.attempts, resent.rng) == (state.rounds, 2, state.rng)
 
 
@@ -358,14 +354,13 @@ def test_sender_auth_reply_verification():
     cfg = config()
     state, syn = build_sender(cfg)
     fin = FinSyn(syn.frame_id, iv=0)
-    state, actions = sender_advance(state, fin, cfg)
-    auth = next(a for a in actions if isinstance(a, Frame))
+    state, auth = sender_advance(state, fin, cfg)
     session = state.session
 
     good = Auth(auth.frame_id, auth_code(cfg.rsc, RECEIVER_AUTH, session, auth.frame_id))
-    done, actions = sender_advance(state, good, cfg)
+    done, frame = sender_advance(state, good, cfg)
     assert done.phase == "established"
-    assert (done.session, done.fail_reason, actions) == (session, None, ())
+    assert (done.session, done.fail_reason, frame) == (session, None, None)
 
     # a wrong code, the sender's own AUTH reflected back, or a reply bound
     # to another frame id all fail
@@ -373,17 +368,16 @@ def test_sender_auth_reply_verification():
                                   (cfg.ssc, SENDER_AUTH, auth.frame_id),
                                   (cfg.rsc, RECEIVER_AUTH, auth.frame_id + 1)):
         bad = Auth(auth.frame_id, auth_code(code, label, session, frame_id))
-        failed, actions = sender_advance(state, bad, cfg)
+        failed, frame = sender_advance(state, bad, cfg)
         assert failed.phase == "failed"
         assert failed.fail_reason == "peer certification failed"
-        assert actions == ()
+        assert frame is None
 
 
 def receiver_with_syn(cfg, seed=b"receiver-unittes"):
     """A receiver plus a SYN crafted from a fresh sender round."""
     rstate = fresh("receiver", cfg, seed)
-    sstate, actions = sender_advance(fresh("sender", cfg, b"peer-sender-seed"), Start(), cfg)
-    syn = next(a for a in actions if isinstance(a, Frame))
+    sstate, syn = sender_advance(fresh("sender", cfg, b"peer-sender-seed"), Start(), cfg)
     return rstate, sstate, syn
 
 
@@ -393,8 +387,7 @@ def test_receiver_tau_mismatch_naks_without_update():
     inputs, _ = draw_inputs(seed_from_bytes(syn.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     flipped = Syn(syn.frame_id, syn.seed, -ev.tau, syn.ek_st)
-    state2, actions = receiver_advance(rstate, flipped, cfg)
-    reply = next(a for a in actions if isinstance(a, Frame))
+    state2, reply = receiver_advance(rstate, flipped, cfg)
     assert isinstance(reply, NakSyn)
     assert reply.frame_id == syn.frame_id
     assert np.array_equal(state2.net.weights, rstate.net.weights)
@@ -407,8 +400,7 @@ def test_receiver_tau_match_acks_and_learns():
     inputs, _ = draw_inputs(seed_from_bytes(syn.seed), 3, 32)
     ev = evaluate(rstate.net, inputs)
     agreeing = Syn(syn.frame_id, syn.seed, ev.tau, syn.ek_st)
-    state2, actions = receiver_advance(rstate, agreeing, cfg)
-    reply = next(a for a in actions if isinstance(a, Frame))
+    state2, reply = receiver_advance(rstate, agreeing, cfg)
     assert isinstance(reply, AckSyn)
     assert reply.frame_id == syn.frame_id
     assert state2.iterations == 1
@@ -419,11 +411,11 @@ def test_receiver_replay_rejected():
     # a repeat changes nothing and gets only the reply already sent
     cfg = config()
     rstate, sstate, syn = receiver_with_syn(cfg)
-    state2, actions = receiver_advance(rstate, syn, cfg)
+    state2, reply = receiver_advance(rstate, syn, cfg)
     digest = state_digest(state2)
-    state3, actions3 = receiver_advance(state2, syn, cfg)
+    state3, reply3 = receiver_advance(state2, syn, cfg)
     assert state_digest(state3) == digest
-    assert actions3 == actions and isinstance(actions3[0], Frame)
+    assert reply3 == reply and isinstance(reply3, Frame)
     assert state3.rng == state2.rng
 
 
@@ -436,10 +428,9 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     cfg = config()
     rstate, _, _ = receiver_with_syn(cfg)
     syn = synced_syn(rstate.net, 3)
-    state2, actions = receiver_advance(rstate, syn, cfg)
+    state2, fin = receiver_advance(rstate, syn, cfg)
     assert state2.phase == "certifying"
     assert state2.session is not None
-    fin = next(a for a in actions if isinstance(a, Frame))
     assert isinstance(fin, FinSyn)
     assert fin.iv == state2.session.iv
     assert 0 <= fin.iv < 6
@@ -449,9 +440,9 @@ def test_receiver_synced_syn_triggers_fin_and_key():
     # a repeat of SYN 3 (say FIN was lost) gets the identical FIN_SYN and no
     # new draw; a synced SYN with a new id, after the offer, is ignored
     digest = state_digest(state2)
-    for repeat, expected in ((syn, (fin,)), (synced_syn(rstate.net, 4), ())):
-        state3, actions3 = receiver_advance(state2, repeat, cfg)
-        assert actions3 == expected
+    for repeat, expected in ((syn, fin), (synced_syn(rstate.net, 4), None)):
+        state3, frame3 = receiver_advance(state2, repeat, cfg)
+        assert frame3 == expected
         assert state_digest(state3) == digest
         assert state3.rng == state2.rng
 
@@ -459,14 +450,13 @@ def test_receiver_synced_syn_triggers_fin_and_key():
 def test_receiver_auth_verification_and_rejection():
     cfg = config()
     rstate, _, _ = receiver_with_syn(cfg)
-    state, actions = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg)
+    state, frame = receiver_advance(rstate, synced_syn(rstate.net, 3), cfg)
     session = state.session
 
     good = Auth(5, auth_code(cfg.ssc, SENDER_AUTH, session, 5))
-    est, actions = receiver_advance(state, good, cfg)
+    est, reply = receiver_advance(state, good, cfg)
     assert est.phase == "established"
     assert (est.session, est.fail_reason) == (session, None)
-    (reply,) = actions
     assert reply.frame_id == 5
     assert reply.ek_code == auth_code(cfg.rsc, RECEIVER_AUTH, session, 5)
 
@@ -474,12 +464,12 @@ def test_receiver_auth_verification_and_rejection():
     # code, or the right code bound to another frame id
     for bad in (auth_code(b"wrong-secret-00!", SENDER_AUTH, session, 5),
                 auth_code(cfg.ssc, SENDER_AUTH, session, 4)):
-        rej, actions = receiver_advance(state, Auth(5, bad), cfg)
+        rej, frame = receiver_advance(state, Auth(5, bad), cfg)
         assert rej.phase == "failed"
         assert rej.fail_reason == "peer certification failed"
         assert rej.session is None
         assert rej.cert_failures == 1
-        assert actions == ()
+        assert frame is None
 
 
 def test_receiver_ignores_auth_without_offer():
@@ -487,9 +477,9 @@ def test_receiver_ignores_auth_without_offer():
     rstate, _, _ = receiver_with_syn(cfg)
     auth = Auth(9, bytes(16))
     digest = state_digest(rstate)
-    state2, actions = receiver_advance(rstate, auth, cfg)
+    state2, frame = receiver_advance(rstate, auth, cfg)
     assert state_digest(state2) == digest
-    assert actions == ()
+    assert frame is None
     assert state2.rng == rstate.rng
 
 
@@ -497,14 +487,13 @@ def test_sender_ignores_nak_during_certification():
     cfg = config()
     state, syn = build_sender(cfg)
     fin = FinSyn(syn.frame_id, iv=1)
-    state, actions = sender_advance(state, fin, cfg)
-    auth = next(a for a in actions if isinstance(a, Frame))
+    state, auth = sender_advance(state, fin, cfg)
     assert state.phase == "certifying"
     digest = state_digest(state)
     nak = NakSyn(auth.frame_id, tau=1)
-    state2, actions = sender_advance(state, nak, cfg)
+    state2, frame = sender_advance(state, nak, cfg)
     assert state_digest(state2) == digest
-    assert actions == ()
+    assert frame is None
 
 
 def test_established_sender_ignores_everything():
@@ -514,9 +503,9 @@ def test_established_sender_ignores_everything():
     state = outcome.sender
     digest = state_digest(state)
     for event in (TimerFired(), AckSyn(999999, tau=1)):
-        state2, actions = sender_advance(state, event, cfg)
+        state2, frame = sender_advance(state, event, cfg)
         assert state_digest(state2) == digest
-        assert actions == ()
+        assert frame is None
 
 
 def test_replay_every_delivered_frame_changes_nothing():
