@@ -47,7 +47,7 @@ for n in (16, 32, 64, 128):
     width_results.append(r)
     print(f"  n={n:>3}: mean {r.mean_iter:8.1f}")
 
-print("\nprotocol mode (two endpoints over a simulated link) also counts bytes:")
+print("\nprotocol mode (an exchange's rounds over a lossless link) also counts bytes:")
 r = run_sync_trials(3, 32, 2, "random_walk", 10, "protocol", 20_000, b"demo-sweep-seed!")
 print(f"  l=2: mean {r.mean_iter:.1f} rounds, mean {r.mean_bytes:.0f} bytes on the wire")
 

@@ -10,14 +10,15 @@ law without the factor overstates the drift; the Monte-Carlo checks in the
 test suite pin the normalization down.)
 
 The trial runners own everything stochastic: each trial derives its own
-seed from the master seed, so sweeps are bit-reproducible.  The bare
-(direct-mode) trials of one call, and the listener trials, run in lockstep:
-the banks of all T trials are held as one (banks, T, k, n) array with one
-lane per trial and a lane-wise generator, every bank of every lane takes
-its step in one kernel call, and a trial leaves the batch when it ends.
-Each lane draws exactly what a scalar trial from the same seed draws, so
-the counts are those of ``run_single_trial`` and of the scalar
-``evaluate``/``apply_learning`` loop, trial for trial.
+seed from the master seed, so sweeps are bit-reproducible.  The trials of
+one call, in either mode, and the listener trials run in lockstep: the
+banks of all T trials are held as one (banks, T, k, n) array with one lane
+per trial and a lane-wise generator, every bank of every lane takes its
+step in one kernel call, and a trial leaves the batch when it ends.  Each
+lane draws exactly what a scalar trial from the same seed draws, so the
+counts are those of ``run_single_trial`` and of the scalar
+``evaluate``/``apply_learning`` loop, trial for trial; in protocol mode,
+those of an exchange over a lossless link.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .exchange import derive_seed, run_exchange
+from .exchange import derive_seed
+from .frames import CMD_ACK_SYN, CMD_AUTH, CMD_SYN, FRAME_LEN
 from .network import (
     LEARNING_RULES,
     LearningRule,
@@ -45,7 +47,7 @@ from .network import (
     plain_int,
 )
 from .protocol import ProtocolConfig
-from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, seed_from_bytes, seed_lanes
+from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, next_words_lanes, seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
 
@@ -203,6 +205,7 @@ def _lockstep_trials(
     seeds: Sequence[bytes],
     iteration_cap: int,
     listener: bool = False,
+    protocol: bool = False,
 ) -> list[list[Optional[int]]]:
     """Run one bare mutual-learning trial per seed, all in lockstep.
 
@@ -223,12 +226,21 @@ def _lockstep_trials(
     listener a trial ends when A matches B, checked before every step, so
     banks that start equal take 0 steps.  With one it ends when both
     matches have happened, checked after every step.
+
+    With ``protocol``, lane t runs the banks of an exchange from ``seeds[t]``:
+    A and B are drawn from its "sender" and "receiver" sub-seeds, and each
+    step's inputs from the generator seeded with the two words A's generator
+    draws next, the round's SYN seed, as the two endpoints draw them.
     """
     p = params
-    state = seed_lanes(seeds)
     w = np.empty((3 if listener else 2, len(seeds), p.k, p.n), dtype=np.int32)  # A, B, E
-    for bank in w:
-        bank[...], state = init_network_lanes(p, state)
+    if protocol:  # A's generator goes on to draw the SYN seeds
+        w[1], _ = init_network_lanes(p, seed_lanes([derive_seed(s, "receiver") for s in seeds]))
+        w[0], state = init_network_lanes(p, seed_lanes([derive_seed(s, "sender") for s in seeds]))
+    else:
+        state = seed_lanes(seeds)
+        for bank in w:
+            bank[...], state = init_network_lanes(p, state)
     times = np.full((len(w) - 1, len(seeds)), -1)  # rows: (A, B) and (E, A)
     waiting = times < 0  # times[:, lanes] < 0, kept in step with the lanes
     lanes = np.arange(len(seeds))  # trial index of each lane still in the batch
@@ -245,7 +257,12 @@ def _lockstep_trials(
                 state = keep_lanes(state, keep)
         if iterations >= iteration_cap or not lanes.size:
             break
-        x, state = draw_inputs_lanes(state, p.k, p.n)
+        if protocol:  # the inputs the round's SYN seed draws
+            syn_seeds, state = next_words_lanes(state, 2)
+            raw = syn_seeds.astype(">u8").tobytes()
+            x, _ = draw_inputs_lanes(seed_lanes([raw[i:i + 16] for i in range(0, len(raw), 16)]), p.k, p.n)
+        else:
+            x, state = draw_inputs_lanes(state, p.k, p.n)
         _, sigmas, tau = forward(w, x)
         w = learn(w, x, sigmas, tau[0], tau[0] == tau[1], rule, p.l)
         iterations += 1
@@ -267,8 +284,8 @@ def check_point(k: int, n: int, l: int, rule: LearningRule, trials: int, iterati
     if mode not in ("direct", "protocol"):
         raise ValueError(f"unknown mode: {mode!r}")
     params = TpmParams(k=k, n=n, l=l)
-    if mode == "protocol":
-        _protocol_config(params, rule, bytes(16))
+    if mode == "protocol":  # raises for a shape an exchange cannot run
+        ProtocolConfig(params, bytes(16), bytes(16), rule)
     return params, trials, iteration_cap
 
 
@@ -305,17 +322,6 @@ def _aggregate(
     )
 
 
-def _protocol_config(params: TpmParams, rule: LearningRule, master_seed: bytes) -> ProtocolConfig:
-    return ProtocolConfig(
-        params=params,
-        ssc=derive_seed(master_seed, "ssc"),
-        rsc=derive_seed(master_seed, "rsc"),
-        rule=rule,
-        timeout_ticks=16,
-        max_attempts=12,
-    )
-
-
 def run_sync_trials(
     k: int,
     n: int,
@@ -328,31 +334,25 @@ def run_sync_trials(
 ) -> SweepResult:
     """Monte-Carlo synchronization times at one parameter point.
 
-    Direct mode runs the bare learning loop; protocol mode drives two full
-    endpoints over a lossless simulated link and also reports the bytes on
-    the wire.
+    Direct mode runs the bare learning loop.  Protocol mode gives the rounds,
+    outcome and bytes on the wire of full exchanges from the same trial seeds
+    over a lossless link, but runs their banks on the lockstep engine; the
+    bytes come from the frame sizes.
     """
     params, trials, iteration_cap = check_point(k, n, l, rule, trials, iteration_cap, mode)
+    seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
+    (times,) = _lockstep_trials(params, rule, seeds, iteration_cap, protocol=mode == "protocol")
     if mode == "direct":
-        seeds = [derive_seed(master_seed, f"trial-{index}") for index in range(trials)]
-        (times,) = _lockstep_trials(params, rule, seeds, iteration_cap)
         # an unsynchronized trial ran every step the cap allowed
         counts = [iteration_cap if t is None else t for t in times]
         return _aggregate(k, n, l, rule, counts, [t is not None for t in times])
-    iteration_counts: list[int] = []
-    synced_flags: list[bool] = []
-    bytes_counts: list[int] = []
-    cfg = _protocol_config(params, rule, master_seed)
-    for index in range(trials):
-        outcome = run_exchange(
-            cfg,
-            master_seed=derive_seed(master_seed, f"trial-{index}"),
-            iteration_cap=iteration_cap,
-        )
-        iteration_counts.append(outcome.rounds)
-        synced_flags.append(outcome.established)
-        bytes_counts.append(outcome.channel.bytes_sent)
-    return _aggregate(k, n, l, rule, iteration_counts, synced_flags, bytes_counts)
+    # round t + 1 finds the banks equal after t steps; the run stops once the sender opens round cap + 1
+    rounds = [iteration_cap + 1 if t is None else t + 1 for t in times]
+    # every round is a SYN and a one-byte reply, and an established exchange adds two AUTHs
+    syn_reply, auths = FRAME_LEN[CMD_SYN] + FRAME_LEN[CMD_ACK_SYN], 2 * FRAME_LEN[CMD_AUTH]
+    established = [r <= iteration_cap for r in rounds]
+    sent = [r * syn_reply + auths * e for r, e in zip(rounds, established)]
+    return _aggregate(k, n, l, rule, rounds, established, sent)
 
 
 def run_attack_trials(

@@ -5,8 +5,8 @@ through a ``send`` callable and arms the sender's retransmission deadline.
 The key and the failure reason stay in the machine's state.
 ``run_over_link`` moves two endpoints across a SimulatedLink in a
 deterministic tick loop; ``run_exchange`` builds them from a master seed and
-is the engine behind the protocol-mode trial runner, the acceptance tests and
-the CLI's simulated mode.  ``run_udp`` drives one endpoint over real
+drives the acceptance tests and the CLI's simulated mode; the tests also hold
+the protocol-mode trial runner to it.  ``run_udp`` drives one endpoint over real
 datagrams, one process (or thread) per side, with ticks of ``tick_ms``.
 """
 

@@ -125,7 +125,7 @@ _BODY_LEN = {
     CMD_AUTH: CODE_LEN,
 }
 # whole frame byte width per command
-_FRAME_LEN = {command: _HEADER_LEN + width + _CRC_LEN for command, width in _BODY_LEN.items()}
+FRAME_LEN = {command: _HEADER_LEN + width + _CRC_LEN for command, width in _BODY_LEN.items()}
 
 
 def crc32(data: bytes) -> int:
@@ -190,7 +190,7 @@ def decode_frame(data: bytes) -> Frame:
     if head & 0x0F:
         raise FrameTruncatedError("low nibble of the command byte must be zero")
     command = head >> 4
-    expected = _FRAME_LEN.get(command)
+    expected = FRAME_LEN.get(command)
     if expected is None:
         raise FrameProtocolError(f"reserved command code {command:04b}")
     if size != expected:

@@ -31,7 +31,7 @@ from paritykex.network import (
     is_synchronized,
 )
 from paritykex.protocol import ProtocolConfig
-from paritykex.rng import draw_inputs, seed_from_bytes
+from paritykex.rng import PER_LANE_MAX, draw_inputs, seed_from_bytes
 
 
 # --- agreement probability --------------------------------------------------
@@ -195,8 +195,7 @@ def no_trial_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the arguments were checked")
 
-    monkeypatch.setattr(analysis, "seed_lanes", no_work)
-    monkeypatch.setattr(analysis, "run_exchange", no_work)
+    monkeypatch.setattr(analysis, "seed_lanes", no_work)  # both modes' lanes start here
 
 
 def test_sync_trials_reject_bad_arguments_before_any_work(no_trial_work):
@@ -343,21 +342,27 @@ def test_protocol_mode_reports_bytes():
 
 
 def test_protocol_trial_accounting_matches_channel():
-    # one protocol trial equals a directly driven exchange, byte for byte
-    master = b"accounting-seed!"
-    result = run_sync_trials(3, 32, 1, "random_walk", 1, "protocol", 8000, master)
-    cfg = ProtocolConfig(
-        params=TpmParams(3, 32, 1),
-        ssc=derive_seed(master, "ssc"),
-        rsc=derive_seed(master, "rsc"),
-        rule="random_walk",
-        timeout_ticks=16,
-        max_attempts=12,
-    )
-    outcome = run_exchange(cfg, master_seed=derive_seed(master, "trial-0"), iteration_cap=8000)
-    assert outcome.established
-    assert result.mean_bytes == outcome.channel.bytes_sent
-    assert result.mean_iter == outcome.rounds
+    # the lockstep protocol trials against the exchanges run_exchange drives from the same trial
+    # seeds over a lossless link: rounds, establishment and bytes on the wire, trial for trial
+    master, trials = b"accounting-seed!", PER_LANE_MAX + 4
+    for rule in ("hebbian", "anti_hebbian", "random_walk"):
+        cfg = ProtocolConfig(TpmParams(3, 16, 1), derive_seed(master, "ssc"), derive_seed(master, "rsc"),
+                             rule, timeout_ticks=16, max_attempts=12)
+        established = {}
+        for cap in (0, 1, 30, 20_000):
+            outcomes = [run_exchange(cfg, derive_seed(master, f"trial-{i}"), iteration_cap=cap)
+                        for i in range(trials)]
+            assert all(o.decode_failures == 0 and o.fail_reason is None for o in outcomes)
+            established[cap] = sum(o.established for o in outcomes)
+            for count in (5, trials):  # lanes as (s0, s1) pairs, then packed
+                expected = analysis._aggregate(
+                    3, 16, 1, rule, [o.rounds for o in outcomes[:count]],
+                    [o.established for o in outcomes[:count]],
+                    [o.channel.bytes_sent for o in outcomes[:count]])
+                assert run_sync_trials(3, 16, 1, rule, count, "protocol", cap, master) == expected
+        # the caps leave every trial, some trials and no trial unestablished
+        assert established[0] == established[1] == 0
+        assert 0 < established[30] < trials == established[20_000]
 
 
 def test_attacker_runner_reports_rates():
