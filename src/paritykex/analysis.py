@@ -47,7 +47,8 @@ from .network import (
     plain_int,
 )
 from .protocol import ProtocolConfig
-from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, next_words_lanes, seed_from_bytes, seed_lanes
+from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, lanes_from_words, next_words_lanes
+from .rng import seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
 
@@ -259,8 +260,7 @@ def _lockstep_trials(
             break
         if protocol:  # the inputs the round's SYN seed draws
             syn_seeds, state = next_words_lanes(state, 2)
-            raw = syn_seeds.astype(">u8").tobytes()
-            x, _ = draw_inputs_lanes(seed_lanes([raw[i:i + 16] for i in range(0, len(raw), 16)]), p.k, p.n)
+            x, _ = draw_inputs_lanes(lanes_from_words(syn_seeds), p.k, p.n)
         else:
             x, state = draw_inputs_lanes(state, p.k, p.n)
         _, sigmas, tau = forward(w, x)

@@ -144,18 +144,10 @@ def _run_exchange(args: argparse.Namespace) -> int:
         return cfg
 
     if args.listen or args.connect:
-        try:
-            if args.listen:
-                with UdpTransport(args.listen) as transport:
-                    state, key, fail = run_udp(
-                        "receiver", cfg, derive_seed(seed, "receiver"), transport, args.tick_ms
-                    )
-            else:
-                with UdpTransport(("0.0.0.0", 0), remote=args.connect) as transport:
-                    state, key, fail = run_udp(
-                        "sender", corrupted(cfg), derive_seed(seed, "sender"), transport,
-                        args.tick_ms,
-                    )
+        role = "receiver" if args.listen else "sender"
+        try:  # the listener rejected the corrupt-code flags, so corrupted(cfg) is its cfg
+            with UdpTransport(args.listen or ("0.0.0.0", 0), remote=args.connect) as transport:
+                state, key, fail = run_udp(role, corrupted(cfg), derive_seed(seed, role), transport, args.tick_ms)
         except OSError as exc:
             print(f"error: transport: {exc}", file=sys.stderr)
             return 1

@@ -40,11 +40,11 @@ import logging
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
-from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn
+from .frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
 from .keycodec import KEY_BYTES, SessionKey, extract_key, serialize_weights
 from .network import LEARNING_RULES, LearningRule, TpmNetwork, TpmParams, plain_int
 from .network import forward_planes, learn_planes
-from .rng import MASK64, RngState, input_masks, mask_signs, next_word, next_words
+from .rng import MASK64, RngState, input_masks, next_word, next_words
 
 logger = logging.getLogger(__name__)
 
@@ -174,33 +174,22 @@ def auth_code(code: bytes, label: bytes, session: SessionKey, frame_id: int) -> 
 
 
 def state_digest(state: Union[SenderState, ReceiverState]) -> str:
-    """Canonical hash of an endpoint state without its generator or failure reason, for replay checks."""
-    h = hashlib.sha256()
-    h.update(type(state).__name__.encode())
-    h.update(state.phase.encode())
-    # int32 values hash as little-endian bytes, whatever the host's byte order
-    h.update(state.net.weights.astype("<i4", copy=False).tobytes())
-    # the fixed zero word and the -1 where a timer was once hashed keep earlier digests' bytes
-    for number in (state.iterations, 0, -1):
-        h.update(int(number).to_bytes(8, "big", signed=True))
-    if state.session is not None:
-        h.update(state.session.key + bytes([state.session.iv]))
+    """Canonical hash of an endpoint state, for replay checks.  It hashes the type, the phase,
+    the generator words, the counters (``iterations``; the sender's ``attempts`` and ``rounds``;
+    the receiver's ``last_seen_id`` and ``cert_failures``), the failure reason, the weights as
+    little-endian int32 whatever the host's byte order, the session key and iv, and the frame
+    the state last sent (the sender's ``sent``, the receiver's ``reply``) as its wire bytes.
+    The sender's ``inputs`` and ``sigmas`` are left out: its SYN and its bank determine them."""
     if isinstance(state, SenderState):
-        # the sent frame's id enters as the next id, an AUTH id and, in a round, a SYN id: digests keep their bytes
-        sent = state.sent
-        auth_id = sent.frame_id if isinstance(sent, Auth) else -1
-        h.update((0 if sent is None else sent.frame_id + 1).to_bytes(8, "big"))
-        h.update(int(state.attempts).to_bytes(8, "big"))
-        h.update(int(state.rounds).to_bytes(8, "big"))
-        h.update(int(auth_id).to_bytes(8, "big", signed=True))
-        if state.inputs is not None:
-            h.update(int(sent.frame_id).to_bytes(8, "big"))
-            h.update(mask_signs(state.inputs, state.net.params.n).astype("<i4", copy=False).tobytes())
+        counters, last = (state.attempts, state.rounds), state.sent
     else:
-        # the cached reply is left out: it changes only when last_seen_id does
-        h.update(int(state.last_seen_id).to_bytes(8, "big", signed=True))
-        h.update(int(state.cert_failures).to_bytes(8, "big"))
-    return h.hexdigest()
+        counters, last = (state.last_seen_id, state.cert_failures), state.reply
+    session = None if state.session is None else (state.session.key, state.session.iv)
+    fields = (type(state).__name__, state.phase, state.rng.s0, state.rng.s1, state.iterations, *counters,
+              state.fail_reason, session, None if last is None else encode_frame(last))
+    # the repr of ints, strs, bytes and None reads the same on every host and ends before the weights
+    weights = state.net.weights.astype("<i4", copy=False).tobytes()
+    return hashlib.sha256(repr(fields).encode() + weights).hexdigest()
 
 
 # --- sender --------------------------------------------------------------

@@ -167,11 +167,19 @@ def _pack(rows: np.ndarray) -> PackedLanes:
     return PackedLanes(s0, s1, rows.shape[1])
 
 
+def lanes_from_words(words: np.ndarray) -> LaneStates:
+    """The lanes whose states are the rows of a (lanes, 2) uint64 array of (s0, s1) words:
+    (s0, s1) pairs up to ``PER_LANE_MAX`` lanes, ``PackedLanes`` beyond.  A zero row, the words
+    of the all-zero seed, stands for ``ZERO_SEED_STATE``, as in ``seed_from_bytes``."""
+    words = np.where((words == 0).all(axis=1, keepdims=True), np.array(ZERO_SEED_STATE, np.uint64), words)
+    return list(map(tuple, words.tolist())) if len(words) <= PER_LANE_MAX else _pack(words.T)
+
+
 def seed_lanes(seeds: Sequence[bytes]) -> LaneStates:
-    """Lane-wise ``seed_from_bytes``, one lane per seed: (s0, s1) pairs up to ``PER_LANE_MAX``
-    lanes, ``PackedLanes`` beyond."""
-    pairs = [(st.s0, st.s1) for st in map(seed_from_bytes, seeds)]
-    return pairs if len(pairs) <= PER_LANE_MAX else _pack(np.array(pairs, np.uint64).T)
+    """Lane-wise ``seed_from_bytes``, one lane per seed, through ``lanes_from_words``."""
+    if any(len(seed) != 16 for seed in seeds):
+        raise ValueError("seeds must be 16 bytes each")
+    return lanes_from_words(np.frombuffer(b"".join(seeds), ">u8").reshape(-1, 2))
 
 
 def keep_lanes(state: LaneStates, keep: np.ndarray) -> LaneStates:

@@ -219,27 +219,38 @@ def test_output_dir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "generator_vectors.txt").exists()
 
 
-@pytest.mark.slow
-def test_udp_processes_exchange_keys(tmp_path):
+def run_udp_pair(*connect_flags):
+    """Run a --listen process and a --connect one, given ``connect_flags``, on a free local
+    port; return the listener's and then the connector's (return code, stdout, stderr)."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-    listen = subprocess.Popen(
-        [sys.executable, "-m", "paritykex.cli", "exchange", "--l", "1", "--n", "16",
-         "--seed", SEED, "--listen", f"127.0.0.1:{port}"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
+    command = [sys.executable, "-m", "paritykex.cli", "exchange", "--l", "1", "--n", "16", "--seed", SEED]
+    listen = subprocess.Popen(command + ["--listen", f"127.0.0.1:{port}"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
-        connect = subprocess.run(
-            [sys.executable, "-m", "paritykex.cli", "exchange", "--l", "1", "--n", "16",
-             "--seed", SEED, "--connect", f"127.0.0.1:{port}"],
-            capture_output=True, text=True, timeout=90,
-        )
-        listen_out, _ = listen.communicate(timeout=90)
+        connect = subprocess.run(command + ["--connect", f"127.0.0.1:{port}", *connect_flags],
+                                 capture_output=True, text=True, timeout=90)
+        listen_out, listen_err = listen.communicate(timeout=90)
     finally:
         listen.kill()
-    assert connect.returncode == 0, connect.stderr
-    assert listen.returncode == 0
-    key_lines = [l for l in (connect.stdout + listen_out).splitlines() if l.startswith("key:")]
+    return (listen.returncode, listen_out, listen_err), (connect.returncode, connect.stdout, connect.stderr)
+
+
+@pytest.mark.slow
+def test_udp_processes_exchange_keys():
+    (listen_code, listen_out, _), (connect_code, connect_out, connect_err) = run_udp_pair()
+    assert connect_code == 0, connect_err
+    assert listen_code == 0
+    key_lines = [l for l in (connect_out + listen_out).splitlines() if l.startswith("key:")]
     assert len(key_lines) == 2
     assert key_lines[0] == key_lines[1]
+
+
+@pytest.mark.slow
+def test_udp_corrupt_sender_code_fails_both_processes():
+    # the listener rejects the connector's AUTH; the connector, unanswered, gives up
+    (listen_code, listen_out, listen_err), (connect_code, connect_out, _) = run_udp_pair("--corrupt-ssc")
+    assert (listen_code, connect_code) == (1, 1), listen_err
+    assert listen_out.strip() == "failed: peer certification failed"
+    assert connect_out.startswith("failed:") and "key:" not in connect_out

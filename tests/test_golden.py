@@ -61,10 +61,10 @@ def test_clean_exchange_golden():
     outcome = run_exchange(config(3), b"golden-clean-l3!")
     assert summary(outcome) == ("1a22bd04a762b9dc422f26bb4731c968", 5, 198, 141, 199, 10346, 0)
     assert state_digest(outcome.sender) == (
-        "d91291be4d9823771ebce699729cb210b94e92c0146168b478f1e04b1605f76d"
+        "f2e170d1ae8014b5a51f76f1d88297226ba1b08da585344c2a262d07708670af"
     )
     assert state_digest(outcome.receiver) == (
-        "67a1f09be8b5027c4b80b78e5222295ea92c4e744beec960a4875816ae02d5b8"
+        "1f25f252dc21075110b877a838953e7e1d4fb5b575d3b62c47e646f6db13e061"
     )
     banks = serialize_weights(outcome.sender.net) + serialize_weights(outcome.receiver.net)
     assert hashlib.sha256(banks).hexdigest() == (
@@ -79,10 +79,10 @@ def test_impaired_exchange_golden():
     assert (ch.frames_sent, ch.frames_delivered, ch.dropped, ch.duplicated, ch.corrupted,
             ch.reordered) == (128, 119, 15, 6, 4, 7)
     assert state_digest(outcome.sender) == (
-        "08151f3bf22ed3ac335f523d210798a7c6ff7419fe5db8b56c72f2ae3b5ebe1c"
+        "32d0edc867b8935fd579afc35fa8d4b4b958e918fb775a18a5fd7af6c902f40b"
     )
     assert state_digest(outcome.receiver) == (
-        "0cc95a4571c335ea01e741daff8b40bde5b4960d39186da63a6d020536defae4"
+        "d9f95b3f345077b1860a8034e0218ae1f4a7cafe9ddbc0b907fbdaa2564d3de0"
     )
 
 
@@ -92,14 +92,14 @@ OTHER_RULES = {
     "hebbian": (
         b"golden-hebbian-3",
         ("af018f3ab0442edb06d490b57b566337", 5, 358, 216, 359, 18666, 0),
-        "dec23873b3e2048acd19291d4a46507147a481d77d7e4c19098f586d82e27dcf",
-        "6ae6b153640151c52b185f8f19539831dc83f69fea9d21097462082e5329dbb6",
+        "2912e967ca46fe1870250f05ea9c39e42875ab888e21a6b4ecf320959a907822",
+        "3f165da903fc5c15ba3fa6b9e5cd3af39b62336fbbd47bfb4700924516efaed1",
     ),
     "anti_hebbian": (
         b"golden-anti-heb3",
         ("84c8d132c90c72ad38b430bf62b2e984", 4, 326, 218, 327, 17002, 0),
-        "ca283aff0bcdba30ba2f0ae222f05833169340f85f5d37caec16aa7bdb678fd0",
-        "f58ac40ddb8ad4734ad0488af1b38961f635923b966ad8bef27893bcb536e012",
+        "1bd47d7f73ea6b7b2051de4ad75c92e0470ed43bcb7a6591ac416e2767ccec07",
+        "4a912385bfb708da7ce5bd48646102b01908d67a08e9302ba0c5623e71e2a653",
     ),
 }
 
@@ -191,32 +191,32 @@ def exchange_digest(outcome):
 
 
 BATCH_DIGESTS = {
-    "random_walk-k3n32l1": "41a1823a4a2066aa70038585d6bcc27ff2bdfe8b260ca904bf20cb75c43e6f5d",
-    "random_walk-k3n32l2": "beaa7c56c98ecd893c770a0e3025bce5bfe09a8d55a24a3ad435515d05df0926",
-    "random_walk-k3n32l3": "751d1605246bd753ab34d9f1c3aaa61e4d20f448763b1e3b1fe59457f3c5be95",
-    "random_walk-k3n32l5": "c02f86dbd6d3641a93053318d042f9a99c0fbdfd1983afa2d9a5ef1b61e69156",
-    "random_walk-k3n32l7": "e4306c31eddbb07006e800f739a3c060cb6e510f51820646a479fa08b12e6326",
-    "random_walk-k2n13l1": "decfd3e24441c9afdd06040529b3ffafcffc2a6463cc1d25e962829c11c8bc2b",
-    "random_walk-k2n13l3": "9488b1fc286a7aafe48975b8ae9b578e713f9c502a8f2ae9d9a53b2096572d19",
-    "hebbian-k3n32l1": "4c9b89a2da2d3c37e82ba916f74ac2bc47692b1697221b5538429b6a9ad0eb70",
-    "hebbian-k3n32l2": "26404dcc37d58a8ad90ce448d383b5c80dcefe5fe74965eeebb2380d134e7dfb",
-    "hebbian-k3n32l3": "12d1db6b251f9be0f9bf7b88993b32d52cf729eab3cb4e4a104141c0ef604079",
-    "hebbian-k3n32l5": "1ba5e760f54e1211d62ea8f7a4b4e2dce712d9a2d8922b6a0f5cdae0f0b4aac4",
-    "hebbian-k3n32l7": "693382d588da938cfb020b3eac697eba440ef8681bdc40f5eae45eb1c0fda6c8",
-    "hebbian-k2n13l1": "f50a5f504c8f1343495162de5fd24938e1bff4064cd583e2d9a7dcf18a321320",
-    "hebbian-k2n13l3": "b0396b08e29c45acc277dc0d3b267b1d4153515a88d485db34eaa138c926d398",
-    "anti_hebbian-k3n32l1": "7ea99c95fa363817eabc30de9354526187ce30c964aaa3fd7ea0a4ee8e043399",
-    "anti_hebbian-k3n32l2": "0b9c79c9f77e4a54fca441fb6992f1c299a10e91291b22b08f1a2af37dcf6bbc",
-    "anti_hebbian-k3n32l3": "0c564480143190c574f6ca1bbcda9af202813f9708bc2ed0efe64d859738e18c",
-    "anti_hebbian-k3n32l5": "fc393fcfe1817fda15eb315e1a4aee74f7528518c0ed75a5e0ec8c2ce49225bc",
-    "anti_hebbian-k3n32l7": "a410f3283f8e8eef2a605f147dc874949243e9bc2469d59add5a86f2945d0370",
-    "anti_hebbian-k2n13l1": "b6014f8739fc50c23c1766f59ee449fb504afc7ba444cdee024699c79d56bdb4",
-    "anti_hebbian-k2n13l3": "08e212aa3f60efac047ca04a449f97e44569c21cf4a165cfdf1931c0ef3bf8b3",
-    "impaired-random_walk-l1-1": "339b50fcb27ac162edbb90a7571a36fd2c9a408a33a99dbe11e89c89423c13fa",
-    "impaired-random_walk-l1-2": "769155e64b450fea37bedc215e05d5d007b80fb8da5dbcad54e2edfd06812d07",
-    "impaired-hebbian-l1-3": "ef02c340420a2bce890b85b53d873a776eb7e7f1b6b0d440ffe4c2e9f34b7e4f",
-    "impaired-random_walk-l3-4": "7d3d3ea9c4a6aa0f3c126d998cc5a2d93d081889bf6f422d9dcff039b20d621f",
-    "impaired-anti_hebbian-l1-5": "e158db8dd5bd3ca0d6cd4a727d9a187ba56a1e70f06335c462426388f1ab6d34",
+    "random_walk-k3n32l1": "26ad2ac235001fb3f62d9059161d0e681b2ad9d11ac09fce3ebcd01e32ff1870",
+    "random_walk-k3n32l2": "952ede0402e9260777e5caf74ad8b20b478c48dd8306f95e739c36d8a19afd1c",
+    "random_walk-k3n32l3": "3bed542275b69431cad98be8300db3b07dfd5e2dc37f24c46ec90f2dcf89fee9",
+    "random_walk-k3n32l5": "4cebd9e33450f59fb1bd69b247ae65bd30e3cbd94897c9c28b612d2d5e80077f",
+    "random_walk-k3n32l7": "2e10bd0a511cd685f5361dc6fc5fd68e7edf5e571cd8add2877c7778999e0e92",
+    "random_walk-k2n13l1": "6e396e8d0cccb661896abc22045eef9c6e43e9ff283fad2900b800b0f0db0b56",
+    "random_walk-k2n13l3": "2d0848290e669f83caff0853c2f2bf4d4b68d6cfbb82428a54926bda04c8b900",
+    "hebbian-k3n32l1": "49f867403d0e737110e8aee7c91785f17501b8039467f918398d306b070e9ab3",
+    "hebbian-k3n32l2": "51b55a5d9883b45601c65edd58b78a472d00c47b75be5267ff738edf7f3431ce",
+    "hebbian-k3n32l3": "ef10237d2885e975551547f02ebae0983084c72c2c35683bfd4656a8af783e53",
+    "hebbian-k3n32l5": "6c28b115e69b77e9b8649858551b1cc8add86304a9f18894469d1e4cb05749e3",
+    "hebbian-k3n32l7": "5200e633c25249f17e9bbaa236c19bdad079c46786ba4bd9e11bf9f251439cc8",
+    "hebbian-k2n13l1": "2cb9aff9eab06aeba701a809077cee953c6305ed7a27b52be2c83916dea7e5a8",
+    "hebbian-k2n13l3": "dab98b21ca4826420319f2364e32c91a788d28a23fada65c34f27d4ce267a412",
+    "anti_hebbian-k3n32l1": "2b312c79a6de9b6fe5fd72523fcceedc71f32c3ebf89c713c7048f0b2c175eb8",
+    "anti_hebbian-k3n32l2": "3766ad6d385be9ff25c22de65f738c8507ab6ddff9dd0df7ac1675a71e84acf3",
+    "anti_hebbian-k3n32l3": "95b7f2bb198f451f5b55bc1e2b73178eacce12dedd68cefed602e15952fe62bd",
+    "anti_hebbian-k3n32l5": "7479e240e543661eee47fd0958251608645a7f4c20b5912f3dfa7ea41e8ae534",
+    "anti_hebbian-k3n32l7": "32a0c066834c9b9809cf1643dd812f61b2821917b504d7f3a55a7282faaa29e3",
+    "anti_hebbian-k2n13l1": "5fabb6ee299e9554ac6e24b2d83691f21239215e507eb1264d146bbaa57420f0",
+    "anti_hebbian-k2n13l3": "526c700ccc77907aeaa4d5e35c2e763ae7332b7377ffe2fb285183d774095d22",
+    "impaired-random_walk-l1-1": "cfb46045bb6c5a3473d90e5f11bff66e3970323c895ce5561273c9499e486178",
+    "impaired-random_walk-l1-2": "3d2f0d7a14cd0ba8c83b515d57493ec9007028afd9c9f8fd173d37528e163604",
+    "impaired-hebbian-l1-3": "3be7cca19607d3ba8a1c48d2663075d2fdfb6ac8a3b3abee789549d286e0ef45",
+    "impaired-random_walk-l3-4": "11c27c89937a95e199a6225b963c106d154af3dbc04b93de9b9e92ff94491242",
+    "impaired-anti_hebbian-l1-5": "8ac3b7aaf013900c351e77f1e018a18780d4073d195fcd668620d602e3931c16",
 }
 
 

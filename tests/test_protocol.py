@@ -8,7 +8,6 @@ import pytest
 
 from support import config, drive, fresh, replay_is_inert
 
-from paritykex import protocol
 from paritykex.channel import ChannelConfig
 from paritykex.exchange import derive_seed, run_exchange
 from paritykex.frames import AckSyn, Auth, FinSyn, Frame, NakSyn, Syn, encode_frame
@@ -28,7 +27,7 @@ from paritykex.protocol import (
     state_digest,
     sync_probe,
 )
-from paritykex.rng import MASK64, draw_inputs, input_masks, seed_from_bytes
+from paritykex.rng import MASK64, RngState, draw_inputs, input_masks, seed_from_bytes
 
 
 # --- integrity and sync test -------------------------------------------------
@@ -268,21 +267,32 @@ def test_sender_ignores_stale_ids():
     assert state2.rng == state.rng
 
 
-def test_state_digest_hashes_little_endian_int32(monkeypatch):
+def test_state_digest_hashes_little_endian_int32():
     # a big-endian host holds int32 arrays as '>i4'; the digest must hash the same bytes there
     state, _ = build_sender(config())
-    assert state.inputs is not None  # the round's masks' signs are hashed too
     digest = state_digest(state)
     swapped = TpmNetwork(state.net.params, state.net.weights)
     swapped.__dict__["weights"] = state.net.weights.astype(">i4")
-    signs = protocol.mask_signs
-    monkeypatch.setattr(protocol, "mask_signs", lambda masks, n: signs(masks, n).astype(">i4"))
     replaced = dataclasses.replace(state, net=swapped)
-    # the digest reads the big-endian arrays, whose native bytes differ from the little-endian ones
+    # the digest reads the big-endian weights, whose native bytes differ from the little-endian ones
     assert replaced.net.weights.dtype.byteorder == ">" and np.array_equal(replaced.net.weights, state.net.weights)
     assert replaced.net.weights.tobytes() != state.net.weights.tobytes()
-    assert protocol.mask_signs(replaced.inputs, replaced.net.params.n).dtype.byteorder == ">"
     assert state_digest(replaced) == digest
+
+
+@pytest.mark.parametrize("field", ["rng", "reply", "fail_reason"])
+def test_state_digest_covers_generator_reply_and_fail_reason(field):
+    # the generator and the reply steer later steps, and the failure reason is the outcome:
+    # two states that differ only there are two states
+    cfg = config()
+    rstate, _, syn = receiver_with_syn(cfg)
+    state, reply = receiver_advance(rstate, syn, cfg)
+    other = {
+        "rng": RngState(state.rng.s0 ^ 1, state.rng.s1),
+        "reply": FinSyn(reply.frame_id, iv=0),
+        "fail_reason": "peer certification failed",
+    }[field]
+    assert state_digest(dataclasses.replace(state, **{field: other})) != state_digest(state)
 
 
 def test_sender_fin_extracts_key_and_sends_auth():

@@ -15,6 +15,7 @@ from paritykex.rng import (
     draw_inputs_lanes,
     input_masks,
     keep_lanes,
+    lanes_from_words,
     mask_signs,
     next_bytes,
     next_word,
@@ -219,6 +220,13 @@ def test_seed_lanes_layout_and_zero_remap():
     kept_seeds = [seed for seed, kept in zip(LANE_SEEDS, keep) if kept]
     for form, expected in zip(both_forms(LANE_SEEDS), both_forms(kept_seeds)):
         assert keep_lanes(form, keep) == expected
+    for count in (PER_LANE_MAX, len(LANE_SEEDS)):  # (s0, s1) pairs, then packed
+        seeds = LANE_SEEDS[1:count] + [bytes(16)]  # a zero word row last, as SYN-seed words can be
+        words = np.array([divmod(int.from_bytes(seed, "big"), 1 << 64) for seed in seeds], np.uint64)
+        assert lanes_from_words(words) == both_forms(seeds)[count > PER_LANE_MAX]
+        assert lane_pairs(lanes_from_words(words))[-1] == ZERO_SEED_STATE
+    with pytest.raises(ValueError):
+        seed_lanes([bytes(8), bytes(24)])  # 32 bytes, but not two seeds
 
 
 def test_word_lanes_match_next_word():
