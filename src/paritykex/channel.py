@@ -9,11 +9,10 @@ binding: one frame per datagram, no retransmission below the protocol.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import random
 import socket
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .network import plain_int
@@ -66,7 +65,7 @@ class SimulatedLink:
         self.stats = ChannelStats()
         self._rng = random.Random(config.rng_seed)
         self._seq = 0
-        # per destination: (deliver_tick, seq, datagram) in (tick, seq) order, so the due ones lead
+        # per destination: a heap of (deliver_tick, seq, datagram), popped in (tick, seq) order
         self._queues: dict[str, list[tuple[int, int, bytes]]] = {"a": [], "b": []}
 
     @staticmethod
@@ -85,28 +84,28 @@ class SimulatedLink:
         """Queue a datagram from ``endpoint`` toward its peer."""
         if not data:
             raise ValueError("cannot send an empty datagram")
-        dest = self._peer(endpoint)
-        cfg = self.config
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += len(data)
+        queue = self._queues[self._peer(endpoint)]
+        cfg, stats, draw = self.config, self.stats, self._rng.random
+        stats.frames_sent += 1
+        stats.bytes_sent += len(data)
 
-        if self._rng.random() < cfg.drop_prob:
-            self.stats.dropped += 1
+        if draw() < cfg.drop_prob:
+            stats.dropped += 1
             return
         copies = 1
-        if self._rng.random() < cfg.dup_prob:
+        if draw() < cfg.dup_prob:
             copies = 2
-            self.stats.duplicated += 1
+            stats.duplicated += 1
         for copy in range(copies):
             datagram = data
-            if self._rng.random() < cfg.corrupt_prob:
+            if draw() < cfg.corrupt_prob:
                 datagram = self._flip_one_bit(datagram)
-                self.stats.corrupted += 1
+                stats.corrupted += 1
             tick = now_ticks + cfg.latency_ticks + copy
-            if self._rng.random() < cfg.reorder_prob:
+            if draw() < cfg.reorder_prob:
                 tick += self._rng.randint(1, 3)
-                self.stats.reordered += 1
-            bisect.insort(self._queues[dest], (tick, self._seq, datagram))
+                stats.reordered += 1
+            heapq.heappush(queue, (tick, self._seq, datagram))
             self._seq += 1
 
     def poll(self, endpoint: str, now_ticks: int) -> list[bytes]:
@@ -114,12 +113,10 @@ class SimulatedLink:
         if endpoint not in ENDPOINTS:
             raise ValueError(f"endpoint must be one of {ENDPOINTS}")
         queue = self._queues[endpoint]
-        if not queue or queue[0][0] > now_ticks:
-            return []
-        due = bisect.bisect_right(queue, now_ticks, key=itemgetter(0))
-        self.stats.frames_delivered += due
-        delivered = [datagram for _, _, datagram in queue[:due]]
-        del queue[:due]
+        delivered = []
+        while queue and queue[0][0] <= now_ticks:
+            delivered.append(heapq.heappop(queue)[2])
+        self.stats.frames_delivered += len(delivered)
         return delivered
 
 

@@ -35,6 +35,7 @@ from .protocol import (
 from .rng import seed_from_bytes
 
 Role = Literal["sender", "receiver"]
+SETTLED = ("established", "failed")
 
 
 def derive_seed(master_seed: bytes, label: str) -> bytes:
@@ -62,13 +63,14 @@ class Endpoint:
         else:
             self.state = ReceiverState(net, rng)
             self.advance = receiver_advance
+        self.arms_timer = role == "sender"
         self.cfg = cfg
         self.send = send
         self.deadline: Optional[float] = None
 
     @property
     def settled(self) -> bool:
-        return self.state.phase in ("established", "failed")
+        return self.state.phase in SETTLED
 
     @property
     def key(self) -> Optional[SessionKey]:
@@ -82,9 +84,9 @@ class Endpoint:
         self.state, frame = self.advance(self.state, event, self.cfg)
         if frame is not None:
             self.send(encode_frame(frame), now)
-            if isinstance(self.state, SenderState):
+            if self.arms_timer:
                 self.deadline = now + self.cfg.timeout_ticks
-        if self.settled:
+        if self.state.phase in SETTLED:
             self.deadline = None
         return frame
 
@@ -152,9 +154,10 @@ def run_over_link(
                 if not host.receive(datagram, now):
                     decode_failures += 1
         for _, host in hosts:
-            host.expire(now)
-        phases = (sender.state.phase, receiver.state.phase)
-        if "failed" in phases or phases == ("established", "established"):
+            if host.deadline is not None:
+                host.expire(now)
+        a, b = sender.state.phase, receiver.state.phase
+        if a == "failed" or b == "failed" or a == b == "established":
             break
         if sender.state.rounds > iteration_cap:
             break

@@ -51,8 +51,9 @@ def replay_is_inert(endpoint, frame):
     """Deliver ``frame`` to ``endpoint``'s state, then deliver it again.
 
     When the first delivery was accepted (it sent a frame or changed the state),
-    assert that the repeat changes neither the state nor its generator and
-    that it only makes the receiver send its reply again, and return True;
+    assert that the repeat changes neither the state nor its generator (the
+    digest hashes the generator's words) and that it only makes the receiver
+    send its reply again, and return True;
     return False when the first delivery did nothing.  Neither delivery
     touches the endpoint.
     """
@@ -63,7 +64,6 @@ def replay_is_inert(endpoint, frame):
     replayed, resent = advance(new_state, frame, cfg)
     assert state_digest(replayed) == state_digest(new_state)
     assert resent == (None if advance is sender_advance else sent)
-    assert replayed.rng == new_state.rng
     return True
 
 

@@ -1,12 +1,13 @@
 """Simulated link impairments, accounting, and the UDP binding."""
 
+import random
 import socket
 import threading
 
 import numpy as np
 import pytest
 
-from paritykex.channel import ChannelConfig, SimulatedLink, UdpTransport
+from paritykex.channel import ChannelConfig, ChannelStats, SimulatedLink, UdpTransport
 from paritykex.frames import AckSyn, FrameError, decode_frame, encode_frame
 
 
@@ -205,3 +206,76 @@ def test_poll_returns_the_due_datagrams_in_tick_then_send_order_and_keeps_the_re
     link.send("a", b"early", 3)  # sent after the later ones, due before them
     assert link.poll("b", 10) == [b"early", b"later", b"late"]
     assert link.stats.frames_delivered == 6
+
+
+class SortedListLink:
+    """The link's contract as a plain model: the same draws in the same order, and
+    per destination one list kept sorted by (deliver tick, send order)."""
+
+    def __init__(self, config):
+        self.config, self.stats = config, ChannelStats()
+        self.rng = random.Random(config.rng_seed)
+        self.queues = {"a": [], "b": []}
+        self.sent = 0
+
+    def send(self, endpoint, data, now):
+        cfg, stats, rng = self.config, self.stats, self.rng
+        stats.frames_sent += 1
+        stats.bytes_sent += len(data)
+        if rng.random() < cfg.drop_prob:
+            stats.dropped += 1
+            return
+        copies = 2 if rng.random() < cfg.dup_prob else 1
+        stats.duplicated += copies - 1
+        for copy in range(copies):
+            datagram = data
+            if rng.random() < cfg.corrupt_prob:
+                bit = rng.randrange(len(data) * 8)
+                datagram = bytearray(data)
+                datagram[bit // 8] ^= 1 << bit % 8
+                datagram = bytes(datagram)
+                stats.corrupted += 1
+            tick = now + cfg.latency_ticks + copy
+            if rng.random() < cfg.reorder_prob:
+                tick += rng.randint(1, 3)
+                stats.reordered += 1
+            queue = self.queues["b" if endpoint == "a" else "a"]
+            queue.append((tick, self.sent, datagram))
+            queue.sort()
+            self.sent += 1
+
+    def poll(self, endpoint, now):
+        queue = self.queues[endpoint]
+        due = [datagram for tick, _, datagram in queue if tick <= now]
+        queue[:] = [entry for entry in queue if entry[0] > now]
+        self.stats.frames_delivered += len(due)
+        return due
+
+
+def test_link_matches_a_sorted_list_model_under_every_impairment():
+    # many sends share a tick, and latency, duplication and reordering make
+    # datagrams of different send ticks fall due together: ties go by send order
+    config = ChannelConfig(drop_prob=0.1, dup_prob=0.3, corrupt_prob=0.2,
+                           reorder_prob=0.4, latency_ticks=2, rng_seed=28)
+    link, model = SimulatedLink(config), SortedListLink(config)
+    schedule = random.Random(2028)
+    now = sends = batches = 0
+    while sends < 2000:
+        if schedule.random() < 0.6:
+            endpoint = schedule.choice("ab")
+            data = bytes(schedule.randrange(256) for _ in range(schedule.randint(1, 12)))
+            link.send(endpoint, data, now)
+            model.send(endpoint, data, now)
+            sends += 1
+        else:
+            endpoint = schedule.choice("ab")
+            delivered = link.poll(endpoint, now)
+            assert delivered == model.poll(endpoint, now)
+            batches += len(delivered) > 1
+        if schedule.random() < 0.3:
+            now += 1
+    for endpoint in "ab":
+        assert link.poll(endpoint, now + 10) == model.poll(endpoint, now + 10)
+    assert link.stats == model.stats
+    assert model.queues == {"a": [], "b": []}
+    assert batches > 100 and all(vars(link.stats).values())

@@ -13,7 +13,7 @@ ROWS = {
     "network.init", "network.forward_planes", "network.learn_planes", "protocol.sync_probe",
     "frames.encode_frame.syn", "frames.encode_frame.ack", "frames.decode_frame.syn", "frames.decode_frame.ack",
     "protocol.sender_advance", "protocol.receiver_advance",
-    "channel.send_and_poll", "channel.poll_empty", "keycodec.key_material",
+    "channel.send_and_poll", "channel.poll_empty", "keycodec.key_material", "exchange.round",
     "rng.draw_inputs_lanes.4", "rng.draw_inputs_lanes.16", "rng.draw_inputs_lanes.500",
     "analysis.lockstep_step",
 }

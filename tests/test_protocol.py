@@ -264,7 +264,6 @@ def test_sender_ignores_stale_ids():
     state2, frame = sender_advance(state, stale, cfg)
     assert state_digest(state2) == digest
     assert frame is None
-    assert state2.rng == state.rng
 
 
 def test_state_digest_hashes_little_endian_int32():
@@ -426,7 +425,6 @@ def test_receiver_replay_rejected():
     state3, reply3 = receiver_advance(state2, syn, cfg)
     assert state_digest(state3) == digest
     assert reply3 == reply and isinstance(reply3, Frame)
-    assert state3.rng == state2.rng
 
 
 def synced_syn(net, frame_id):
@@ -454,7 +452,6 @@ def test_receiver_synced_syn_triggers_fin_and_key():
         state3, frame3 = receiver_advance(state2, repeat, cfg)
         assert frame3 == expected
         assert state_digest(state3) == digest
-        assert state3.rng == state2.rng
 
 
 def test_receiver_auth_verification_and_rejection():
@@ -490,7 +487,6 @@ def test_receiver_ignores_auth_without_offer():
     state2, frame = receiver_advance(rstate, auth, cfg)
     assert state_digest(state2) == digest
     assert frame is None
-    assert state2.rng == rstate.rng
 
 
 def test_sender_ignores_nak_during_certification():

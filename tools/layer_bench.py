@@ -10,7 +10,11 @@ new bank's first ``planes`` and ``unit_data`` read; ``forward_planes``,
 object that carries its id; one ``sender_advance`` step (an ACK in,
 the next SYN out) and one ``receiver_advance`` step (a SYN in, an ACK out);
 one ``SimulatedLink`` send with the poll that delivers it, and a poll of an
-empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes.
+empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes;
+one lossless round through two ``Endpoint``s over a ``SimulatedLink``, the
+host's share beside the two machine steps: the SYN out, the ACK back, each
+polled, decoded and fed, and the sender's next SYN polled off the link (so the
+row holds one send and one poll more than a round of ``run_over_link``).
 The lockstep trial engine's rows: ``draw_inputs_lanes`` at 4 and at 16 lanes
 (the listener's and the sweep's trials a call in perfbench, both drawn per
 lane) and at 500 (criterion 7's trials a call, drawn packed), and one whole
@@ -41,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+from functools import partial
 
 import numpy as np
 
@@ -74,6 +79,24 @@ def layer_calls() -> dict:
     receiver = protocol.ReceiverState(peer, state)
     syn_wire, ack_wire = frames.encode_frame(syn), frames.encode_frame(ack)
     link = channel.SimulatedLink()
+
+    # a receiver bank whose output on the SYN's inputs agrees with the sender's, so it learns and ACKs
+    ack_bank, draws = peer, state
+    while network.forward_planes(ack_bank, sender.inputs)[1] != syn.tau:
+        ack_bank, draws = network.init_network(params, draws)
+    agreeing = protocol.ReceiverState(ack_bank, state)
+    round_link = channel.SimulatedLink()
+    host_a = exchange.Endpoint("sender", cfg, bytes(16), partial(round_link.send, "a"))
+    host_b = exchange.Endpoint("receiver", cfg, bytes(16), partial(round_link.send, "b"))
+
+    def exchange_round():
+        host_a.state, host_b.state = sender, agreeing
+        host_a.send(syn_wire, 0)
+        for datagram in round_link.poll("b", 0):
+            host_b.receive(datagram, 0)
+        for datagram in round_link.poll("a", 0):
+            host_a.receive(datagram, 0)
+        return round_link.poll("b", 0)  # the next SYN, so that every call starts from an empty link
 
     def init_bank():
         bank, _ = network.init_network(params, state)
@@ -119,6 +142,7 @@ def layer_calls() -> dict:
         "channel.send_and_poll": send_and_poll,
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
+        "exchange.round": exchange_round,
         "rng.draw_inputs_lanes.4": lambda: rng.draw_inputs_lanes(lane_states[4], K, N),
         "rng.draw_inputs_lanes.16": lambda: rng.draw_inputs_lanes(lane_states[16], K, N),
         "rng.draw_inputs_lanes.500": lambda: rng.draw_inputs_lanes(lane_states[500], K, N),
