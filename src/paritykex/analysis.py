@@ -117,15 +117,11 @@ def stationary_distribution(l: int, n: int, q: float) -> np.ndarray:
         raise ValueError("l must be non-negative")
     if n * q <= l * l:
         raise ValueError("requires n*q > l^2")
-
-    def up(m: int) -> float:
-        return math.erf(m / math.sqrt(2.0 * (n * q - m * m)))
-
     values = np.empty(2 * l + 1, dtype=float)
     for w in range(-l, l + 1):
         prod = 1.0
         for m in range(1, abs(w) + 1):
-            prod *= (1.0 + up(m - 1)) / (1.0 - up(m))
+            prod *= sigma_agreement_prob(m - 1, n, q) / (1.0 - sigma_agreement_prob(m, n, q))
         values[w + l] = prod
     return values / values.sum()
 

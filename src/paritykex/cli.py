@@ -127,8 +127,13 @@ def _run_exchange(args: argparse.Namespace) -> int:
             latency_ticks=args.latency,
             rng_seed=int.from_bytes(derive_seed(seed, "channel")[:8], "big"),
         )
-        if (args.listen or args.connect) and not args.tick_ms > 0:
-            raise ValueError(f"--tick-ms must be positive, got {args.tick_ms}")
+        if args.listen or args.connect:
+            # an infinite tick would hold the clock at 0, so no retransmission timer could fire
+            if not 0 < args.tick_ms < float("inf"):
+                raise ValueError(f"--tick-ms must be positive and finite, got {args.tick_ms}")
+            impaired = [f"--{f}" for f in ("drop", "dup", "corrupt", "reorder", "latency") if getattr(args, f)]
+            if impaired:
+                raise ValueError(f"{', '.join(impaired)}: link impairments act on the simulated link only, not in UDP mode")
         if args.listen and (args.corrupt_ssc or args.corrupt_rsc):
             raise ValueError("--corrupt-ssc and --corrupt-rsc break the sender's codes: use them with --connect")
     except ValueError as exc:

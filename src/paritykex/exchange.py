@@ -211,8 +211,9 @@ def run_udp(
 
     Returns the final state, the established key and the failure reason.
     """
-    if not tick_ms > 0:
-        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
+    # an infinite tick would hold now() at 0, so the retransmission timer could never fire
+    if not 0 < tick_ms < float("inf"):
+        raise ValueError(f"tick_ms must be positive and finite, got {tick_ms}")
     # elapsed > nan is never true, so a nan timeout would leave a lone listener waiting forever
     if not overall_timeout > 0:
         raise ValueError(f"overall_timeout must be positive, got {overall_timeout}")

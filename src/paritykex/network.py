@@ -62,7 +62,8 @@ class TpmNetwork:
     """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
     form is built from the other on first read, ``weights`` from the plane bytes in
     ``unit_data``.  The protocol round runs on the planes and on ``unit_data``, which
-    ``learn_planes`` hands from each bank to the next."""
+    ``learn_planes`` hands from each bank to the next.  The bound [-l, +l] is enforced once,
+    where outside weights enter (``__init__``); ``learn_planes`` keeps a bank inside it."""
 
     def __init__(self, params: TpmParams, weights: np.ndarray):
         p, w = params, weights
@@ -79,17 +80,8 @@ class TpmNetwork:
         self.__dict__.update(params=params, weights=w)
 
     @classmethod
-    def _of_planes(cls, params: TpmParams, planes, unit_data, checked) -> "TpmNetwork":
-        """``planes`` plus any ``unit_data``; ValueError where a unit in ``checked`` exceeds +l."""
-        # w + l > 2l where adding 2^depth - 1 - 2l to it carries out of the top plane
-        add = (1 << (2 * params.l).bit_length()) - 1 - 2 * params.l
-        for unit in checked:
-            carry, bits = 0, add
-            for plane in unit:
-                carry = plane | carry if bits & 1 else plane & carry
-                bits >>= 1
-            if carry:
-                raise ValueError("weights exceed the synaptic depth bound")
+    def _of_planes(cls, params: TpmParams, planes, unit_data) -> "TpmNetwork":
+        """``planes`` plus any ``unit_data``, taken on trust: every caller passes a bank in the bound."""
         net = object.__new__(cls)
         net.params, net.planes = params, planes
         if unit_data is not None:
@@ -242,13 +234,13 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
     """``learn`` for one bank on its bit planes, on a step where both sides announced ``tau``:
     a ripple carry or borrow through the planes, dropped where w is already +l or -l (the clamp).
 
-    The same loop builds each moved unit's ``unit_data``; unmoved units keep theirs.  A
-    ValueError where a moved weight exceeds +l.
+    The same loop builds each moved unit's ``unit_data``; unmoved units keep theirs.  A bank
+    in [-l, +l] stays in it, so the result needs no bound check.
     """
     p = net.params
     top, full, width = 2 * p.l, (1 << p.n) - 1, -(-p.n // 8)
     step = tau if rule == "hebbian" else -tau if rule == "anti_hebbian" else 1
-    units, data, moved_units = [], [], []
+    units, data = [], []
     for unit, kept, mask, sigma in zip(net.planes, net.unit_data, masks, sigmas):
         if sigma == tau:
             up = mask if step > 0 else full ^ mask
@@ -270,10 +262,9 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
                 packed |= new << 8 * width * b
             unit = tuple(moved)
             kept = (total, packed.to_bytes(width * len(unit), "little"))
-            moved_units.append(unit)
         units.append(unit)
         data.append(kept)
-    return TpmNetwork._of_planes(p, tuple(units), tuple(data), moved_units)
+    return TpmNetwork._of_planes(p, tuple(units), tuple(data))
 
 
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:

@@ -113,10 +113,11 @@ def test_udp_mode_requires_explicit_seed(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("tick_ms", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tick_ms", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("mode", ["--listen", "--connect"])
 def test_udp_mode_rejects_nonpositive_tick_ms(monkeypatch, capsys, mode, tick_ms):
-    # --tick-ms 0 died with a ZeroDivisionError (exit 1); a negative tick ran the clock backwards
+    # --tick-ms 0 died with a ZeroDivisionError (exit 1); a negative tick ran the clock backwards;
+    # an infinite one stopped it, so no retransmission timer fired
     def no_socket(*args, **kwargs):
         raise AssertionError("a socket was opened")
 
@@ -134,6 +135,19 @@ def test_listener_rejects_the_corrupt_code_flags(monkeypatch, capsys, flag):
     monkeypatch.setattr(socket, "socket", no_socket)
     assert main(["exchange", "--listen", "127.0.0.1:39999", "--seed", SEED, flag]) == 2
     assert "use them with --connect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--drop=0.1", "--dup=0.1", "--corrupt=0.1", "--reorder=0.1", "--latency=2"])
+@pytest.mark.parametrize("mode", ["--listen", "--connect"])
+def test_udp_mode_rejects_the_link_impairment_flags(monkeypatch, capsys, mode, flag):
+    # UDP mode runs over the real network, so these flags were silently ignored
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    assert main(["exchange", mode, "127.0.0.1:39999", "--seed", SEED, flag]) == 2
+    err = capsys.readouterr().err
+    assert flag.split("=")[0] in err and "simulated link only" in err
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, capsys):

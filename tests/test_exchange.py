@@ -247,9 +247,10 @@ def test_endpoint_and_udp_runner_reject_an_unknown_role(role):
 
 
 @pytest.mark.parametrize("role", ["sender", "receiver"])
-@pytest.mark.parametrize("tick_ms", [0, -1.0, float("nan")])
+@pytest.mark.parametrize("tick_ms", [0, -1.0, float("nan"), float("inf")])
 def test_udp_runner_rejects_nonpositive_tick(role, tick_ms):
-    # a zero tick divided by zero in the clock and a negative one ran it backwards
+    # a zero tick divided by zero in the clock and a negative one ran it backwards; an
+    # infinite one held it at 0, so the retransmission timer never fired
     with pytest.raises(ValueError, match="tick_ms"):
         run_udp(role, config(), b"udp-tick-check-0", UnusedTransport(), tick_ms)
 

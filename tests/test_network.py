@@ -1,5 +1,6 @@
 """Network evaluation, learning rules, clamping, and overlap metrics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -502,8 +503,8 @@ PLANE_SHAPES = [(k, n, l) for k in (1, 3, 4) for n in (1, 7, 8, 13, 32, 33, 64)
 
 
 def _of_planes(params, planes):
-    """A bank held as ``planes`` only, every unit checked against the bound."""
-    return TpmNetwork._of_planes(params, planes, None, planes)
+    """A bank held as ``planes`` only."""
+    return TpmNetwork._of_planes(params, planes, None)
 
 
 def masks_of(x):
@@ -600,34 +601,53 @@ def bank_holding(l, value):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
 def test_plane_bank_above_the_bound_is_rejected(l):
+    # planes decode to the extremes +-l; a bank above +l is stopped where weights enter
     params = TpmParams(2, 5, l)
-    depth = (2 * l).bit_length()
     assert _of_planes(params, bank_holding(l, 2 * l)).weights[1, 3] == l
     assert _of_planes(params, bank_holding(l, 0)).weights[1, 3] == -l
-    for value in (2 * l + 1, (1 << depth) - 1):
-        with pytest.raises(ValueError, match="bound"):
-            _of_planes(params, bank_holding(l, value))
+    w = np.zeros((2, 5), dtype=np.int32)
+    w[1, 3] = l + 1
+    with pytest.raises(ValueError, match="bound"):
+        TpmNetwork(params, w)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5, 64, 127])
 def test_learning_rejects_a_moved_unit_above_the_bound(l):
-    # learn_planes has its result's constructor check every unit it moves
+    # a unit at +l or -l moves and stays clamped, so learn_planes never leaves the bound
     params = TpmParams(2, 5, l)
-    depth = (2 * l).bit_length()
     full = 0b11111
-    for value in {2 * l + 1, (1 << depth) - 1}:
-        # a bank with no unit checked, as no public constructor builds one
-        net = TpmNetwork._of_planes(params, bank_holding(l, value), None, ())
-        with pytest.raises(ValueError, match="bound"):
-            learn_planes(net, [full, full], [1, 1], 1, "random_walk")  # every weight up
-        if value - 1 > 2 * l:
-            with pytest.raises(ValueError, match="bound"):
-                learn_planes(net, [0, 0], [1, 1], 1, "random_walk")  # every weight down
-        else:
-            assert learn_planes(net, [0, 0], [1, 1], 1, "random_walk").weights[1, 3] == l
-    # at +l itself the unit moves and stays clamped
     net = _of_planes(params, bank_holding(l, 2 * l))
     assert learn_planes(net, [full, full], [1, 1], 1, "random_walk").weights[1, 3] == l
+    net = _of_planes(params, bank_holding(l, 0))
+    assert learn_planes(net, [0, 0], [1, 1], 1, "random_walk").weights[1, 3] == -l
+
+
+# n = 2 at l = 1..7 (every layout of 2 to 4 planes), n = 1 at the two deepest layouts the byte codec allows
+EXHAUSTIVE_PLANE_SHAPES = [(2, l) for l in range(1, 8)] + [(1, 64), (1, 127)]
+
+
+def test_plane_kernel_matches_the_array_kernel_on_every_small_bank():
+    # learn_planes' results are not bound-checked, so this shows by exhaustion that they stay in
+    # [-l, +l]: every bank, input, tau and rule of each shape
+    cases = 0
+    for n, l in EXHAUSTIVE_PLANE_SHAPES:
+        params, rows = TpmParams(1, n, l), list(itertools.product(range(-l, l + 1), repeat=n))
+        # bit j of plane b is bit b of w[j] + l
+        planes_of = {row: (tuple(sum((v + l >> b & 1) << j for j, v in enumerate(row))
+                                 for b in range((2 * l).bit_length())),) for row in rows}
+        for row in rows:
+            w, net = np.array([row], dtype=np.int32), _of_planes(params, planes_of[row])
+            for mask in range(1 << n):
+                x = np.array([[1 if mask >> j & 1 else -1 for j in range(n)]])
+                for tau in (1, -1):
+                    for rule in LEARNING_RULES:
+                        expected = learn(w, x, np.array([tau]), tau, True, rule, l)
+                        learned = learn_planes(net, [mask], [tau], tau, rule)
+                        case = (n, l, row, mask, tau, rule)
+                        assert np.array_equal(learned.weights, expected), case
+                        assert learned.planes == planes_of[tuple(expected[0].tolist())], case
+                        cases += 1
+    assert cases == 20904
 
 
 @pytest.mark.parametrize("rule", LEARNING_RULES)

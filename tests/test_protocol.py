@@ -53,7 +53,7 @@ def test_sync_test_roundtrip():
     probe = probe_of(net)
     assert len(probe) == 16
     assert probe == probe_of(TpmNetwork(params, net.weights.copy()))
-    assert probe == probe_of(TpmNetwork._of_planes(params, net.planes, None, net.planes))
+    assert probe == probe_of(TpmNetwork._of_planes(params, net.planes, None))
     # the probe is a digest, not the weights under a public constant
     assert bytes(a ^ b for a, b in zip(probe, b"SYNC-TEST-VECTOR")) != serialize_weights(net)[:16]
 

@@ -104,7 +104,7 @@ def layer_calls() -> dict:
 
     def key_material():
         # a bank as learn_planes leaves it: planes and unit_data, no weights read yet
-        bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data, ())
+        bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data)
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
     master = SEED.to_bytes(16, "big")
