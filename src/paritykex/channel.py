@@ -67,12 +67,8 @@ class SimulatedLink:
         self._seq = 0
         # per destination: a heap of (deliver_tick, seq, datagram), popped in (tick, seq) order
         self._queues: dict[str, list[tuple[int, int, bytes]]] = {"a": [], "b": []}
-
-    @staticmethod
-    def _peer(endpoint: str) -> str:
-        if endpoint not in ENDPOINTS:
-            raise ValueError(f"endpoint must be one of {ENDPOINTS}")
-        return "b" if endpoint == "a" else "a"
+        # per sender: the queue of its peer
+        self._peer_queues = {"a": self._queues["b"], "b": self._queues["a"]}
 
     def _flip_one_bit(self, data: bytes) -> bytes:
         pos = self._rng.randrange(len(data) * 8)
@@ -84,7 +80,10 @@ class SimulatedLink:
         """Queue a datagram from ``endpoint`` toward its peer."""
         if not data:
             raise ValueError("cannot send an empty datagram")
-        queue = self._queues[self._peer(endpoint)]
+        try:
+            queue = self._peer_queues[endpoint]
+        except (KeyError, TypeError):
+            raise ValueError(f"endpoint must be one of {ENDPOINTS}") from None
         cfg, stats, draw = self.config, self.stats, self._rng.random
         stats.frames_sent += 1
         stats.bytes_sent += len(data)

@@ -154,7 +154,7 @@ def run_over_link(
                 if not host.receive(datagram, now):
                     decode_failures += 1
         for _, host in hosts:
-            if host.deadline is not None:
+            if host.deadline is not None and now >= host.deadline:
                 host.expire(now)
         a, b = sender.state.phase, receiver.state.phase
         if a == "failed" or b == "failed" or a == b == "established":

@@ -133,20 +133,29 @@ def crc32(data: bytes) -> int:
     return zlib.crc32(data)
 
 
+_TAU_BYTE = {1: b"\x01", -1: b"\x00"}
+_TAU_OF_BYTE = {0x01: 1, 0x00: -1}
+
+
 def _encode_tau(tau: int) -> bytes:
-    if tau == 1:
-        return b"\x01"
-    if tau == -1:
-        return b"\x00"
-    raise ValueError("tau must be +1 or -1")
+    try:
+        return _TAU_BYTE[tau]
+    except (KeyError, TypeError):
+        raise ValueError("tau must be +1 or -1") from None
 
 
 def _decode_tau(b: int) -> int:
-    if b == 0x01:
-        return 1
-    if b == 0x00:
-        return -1
-    raise FrameTruncatedError(f"malformed tau byte 0x{b:02x}")
+    tau = _TAU_OF_BYTE.get(b)
+    if tau is None:
+        raise FrameTruncatedError(f"malformed tau byte 0x{b:02x}")
+    return tau
+
+
+def _decoded(cls: type, **fields) -> Frame:
+    """A ``cls`` message of decoded fields, built without ``__post_init__``: a 4-byte id fits 32 bits."""
+    frame = object.__new__(cls)
+    frame.__dict__.update(fields)
+    return frame
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -170,7 +179,7 @@ def encode_frame(frame: Frame) -> bytes:
 
     # the command nibble sits 36 bits up: at the top of byte 0, above the 32-bit id
     head = (_COMMAND_OF_TYPE[type(frame)] << 36 | frame.frame_id).to_bytes(_HEADER_LEN, "big") + body
-    return head + crc32(head).to_bytes(_CRC_LEN, "big")
+    return head + zlib.crc32(head).to_bytes(_CRC_LEN, "big")
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -183,7 +192,7 @@ def decode_frame(data: bytes) -> Frame:
     size = len(data)
     if size < _HEADER_LEN + _CRC_LEN:
         raise FrameTruncatedError(f"frame of {size} bytes is too short")
-    if crc32(data[:-_CRC_LEN]) != int.from_bytes(data[-_CRC_LEN:], "big"):
+    if zlib.crc32(data[:-_CRC_LEN]) != int.from_bytes(data[-_CRC_LEN:], "big"):
         raise FrameIntegrityError("checksum mismatch")
 
     head = data[0]
@@ -200,11 +209,12 @@ def decode_frame(data: bytes) -> Frame:
 
     frame_id = int.from_bytes(data[1:_HEADER_LEN], "big")
     if command == CMD_SYN:
-        return Syn(frame_id, data[_HEADER_LEN:_SYN_TAU], _decode_tau(data[_SYN_TAU]), data[_SYN_TAU + 1:-_CRC_LEN])
+        return _decoded(Syn, frame_id=frame_id, seed=data[_HEADER_LEN:_SYN_TAU],
+                        tau=_decode_tau(data[_SYN_TAU]), ek_st=data[_SYN_TAU + 1:-_CRC_LEN])
     if command == CMD_ACK_SYN:
-        return AckSyn(frame_id, _decode_tau(data[_HEADER_LEN]))
+        return _decoded(AckSyn, frame_id=frame_id, tau=_decode_tau(data[_HEADER_LEN]))
     if command == CMD_NAK_SYN:
-        return NakSyn(frame_id, _decode_tau(data[_HEADER_LEN]))
+        return _decoded(NakSyn, frame_id=frame_id, tau=_decode_tau(data[_HEADER_LEN]))
     if command == CMD_FIN_SYN:
-        return FinSyn(frame_id, data[_HEADER_LEN])
-    return Auth(frame_id, data[_HEADER_LEN:-_CRC_LEN])
+        return _decoded(FinSyn, frame_id=frame_id, iv=data[_HEADER_LEN])
+    return _decoded(Auth, frame_id=frame_id, ek_code=data[_HEADER_LEN:-_CRC_LEN])

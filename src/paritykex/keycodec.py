@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import TpmNetwork
+from .network import TpmNetwork, plain_int
 
 KEY_BITS = 128
 KEY_BYTES = KEY_BITS // 8
@@ -32,8 +32,10 @@ class SessionKey:
     iv: int
 
     def __post_init__(self) -> None:
-        if len(self.key) != KEY_BYTES:
+        # a str key of 16 characters would crash the first AUTH, and a float or bool iv is no byte
+        if not isinstance(self.key, bytes) or len(self.key) != KEY_BYTES:
             raise ValueError("session key must be 16 bytes")
+        object.__setattr__(self, "iv", plain_int(self.iv, "iv"))
         if not 0 <= self.iv <= 0xFF:
             raise ValueError(f"group index {self.iv} outside [0, 255]: FIN_SYN carries it in one byte")
 

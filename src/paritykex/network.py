@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Optional
 
 import numpy as np
@@ -62,8 +62,9 @@ class TpmNetwork:
     """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
     form is built from the other on first read, ``weights`` from the plane bytes in
     ``unit_data``.  The protocol round runs on the planes and on ``unit_data``, which
-    ``learn_planes`` hands from each bank to the next.  The bound [-l, +l] is enforced once,
-    where outside weights enter (``__init__``); ``learn_planes`` keeps a bank inside it."""
+    ``init_network`` draws and ``learn_planes`` hands from each bank to the next.  The bound
+    [-l, +l] is enforced once, where outside weights enter (``__init__``); a drawn bank is in it
+    by construction, and ``learn_planes`` keeps a bank inside it."""
 
     def __init__(self, params: TpmParams, weights: np.ndarray):
         p, w = params, weights
@@ -91,20 +92,25 @@ class TpmNetwork:
     @cached_property
     def planes(self) -> tuple[tuple[int, ...], ...]:
         """Per unit, ``(2l).bit_length()`` n-bit ints: bit j of plane b is bit b of w[j] + l."""
-        u = (self.weights + self.params.l).astype(np.uint8)
-        depth = (2 * self.params.l).bit_length()
-        return tuple(tuple(int.from_bytes(np.packbits(row >> b & 1, bitorder="little"), "little")
-                           for b in range(depth)) for row in u)
+        return self._fill_plane_form()[0]
 
     @cached_property
     def unit_data(self) -> tuple[tuple[int, bytes], ...]:
         """Per unit, ``forward_planes``' constant l*n - sum_b 2^b |P_b| and the unit's
-        ``sync_probe`` bytes: each plane as ``ceil(n/8)`` little-endian bytes."""
+        ``sync_probe`` bytes: each plane as ``ceil(n/8)`` little-endian bytes.  A bank given as
+        weights builds it with its planes; one given as planes alone derives it from them."""
+        if "planes" not in self.__dict__:
+            return self._fill_plane_form()[1]
         l, n = self.params.l, self.params.n
         width = -(-n // 8)
-        return tuple((l * n - sum(plane.bit_count() << b for b, plane in enumerate(unit)),
-                      b"".join([plane.to_bytes(width, "little") for plane in unit]))
+        return tuple((_unit_constant(l, n, unit), b"".join([plane.to_bytes(width, "little") for plane in unit]))
                      for unit in self.planes)
+
+    def _fill_plane_form(self):
+        """A bank given as weights: its ``planes`` and ``unit_data``, built and cached together."""
+        form = _plane_form(self.params, (self.weights + self.params.l).astype(np.uint8))
+        self.__dict__.update(planes=form[0], unit_data=form[1])
+        return form
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -145,6 +151,29 @@ class OrderParams:
     rho: Optional[float]
 
 
+def _unit_constant(l: int, n: int, unit) -> int:
+    """``forward_planes``' constant of one unit's planes: l*n - sum_b 2^b |P_b|, which is -sum(w)."""
+    return l * n - sum([plane.bit_count() << b for b, plane in enumerate(unit)])
+
+
+_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]  # one row per plane of the deepest bank, 2 * MAX_DEPTH < 2^8
+
+
+def _plane_form(params: TpmParams, offsets: np.ndarray) -> tuple[tuple, tuple]:
+    """``planes`` and ``unit_data`` of the bank whose offsets w + l are the (k, n) uint8 ``offsets``:
+    every unit's planes packed in one ``np.packbits`` pass over a (k, depth, n) bit array."""
+    l, n = params.l, params.n
+    depth, width = (2 * l).bit_length(), -(-n // 8)
+    raw = np.packbits(offsets[:, None, :] >> _SHIFTS[:depth] & 1, axis=2, bitorder="little").tobytes()
+    size, planes, data = depth * width, [], []
+    for i in range(params.k):
+        probe = raw[i * size:(i + 1) * size]
+        unit = tuple([int.from_bytes(probe[b:b + width], "little") for b in range(0, size, width)])
+        planes.append(unit)
+        data.append((_unit_constant(l, n, unit), probe))
+    return tuple(planes), tuple(data)
+
+
 def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState]:
     """Draw every weight uniformly from the 2l+1 integers in [-l, +l].
 
@@ -152,10 +181,10 @@ def init_network(params: TpmParams, rng: RngState) -> tuple[TpmNetwork, RngState
     identical (params, rng) always yield identical networks.
     """
     p = params
-    span = 2 * p.l + 1
     words, rng = next_words(rng, p.k * p.n)
-    flat = np.array([word % span - p.l for word in words], dtype=np.int32)
-    return TpmNetwork(params, flat.reshape(p.k, p.n)), rng
+    # each offset w + l lies in [0, 2l], so the bank is in its bound as drawn and takes its planes unchecked
+    offsets = (np.array(words, np.uint64) % np.uint64(2 * p.l + 1)).astype(np.uint8).reshape(p.k, p.n)
+    return TpmNetwork._of_planes(p, *_plane_form(p, offsets)), rng
 
 
 def init_network_lanes(params: TpmParams, state: LaneStates) -> tuple[np.ndarray, LaneStates]:
@@ -230,6 +259,12 @@ def forward_planes(net: TpmNetwork, masks) -> tuple[list[int], int]:
     return sigmas, math.prod(sigmas)
 
 
+@lru_cache(maxsize=None)
+def _top_planes(l: int) -> tuple[int, ...]:
+    """The planes b where bit b of 2l is set: a weight is at +l where its bit is set in each."""
+    return tuple(b for b in range((2 * l).bit_length()) if 2 * l >> b & 1)
+
+
 def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -> TpmNetwork:
     """``learn`` for one bank on its bit planes, on a step where both sides announced ``tau``:
     a ripple carry or borrow through the planes, dropped where w is already +l or -l (the clamp).
@@ -238,32 +273,32 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
     in [-l, +l] stays in it, so the result needs no bound check.
     """
     p = net.params
-    top, full, width = 2 * p.l, (1 << p.n) - 1, -(-p.n // 8)
+    full, width, tops = (1 << p.n) - 1, -(-p.n // 8), _top_planes(p.l)
     step = tau if rule == "hebbian" else -tau if rule == "anti_hebbian" else 1
-    units, data = [], []
-    for unit, kept, mask, sigma in zip(net.planes, net.unit_data, masks, sigmas):
-        if sigma == tau:
-            up = mask if step > 0 else full ^ mask
-            # no w + l exceeds 2l, so one holding every bit of 2l equals it
-            at_top, nonzero = full, 0
-            for b, plane in enumerate(unit):
-                nonzero |= plane
-                if top >> b & 1:
-                    at_top &= plane
-            carry, borrow = up & ~at_top, (full ^ up) & nonzero
-            # the carried weights rise by one and the borrowing ones fall by one
-            total = kept[0] - carry.bit_count() + borrow.bit_count()
-            moved, packed = [], 0
-            for b, plane in enumerate(unit):
-                new = plane ^ (carry | borrow)
-                carry &= plane
-                borrow &= ~plane
-                moved.append(new)
-                packed |= new << 8 * width * b
-            unit = tuple(moved)
-            kept = (total, packed.to_bytes(width * len(unit), "little"))
-        units.append(unit)
-        data.append(kept)
+    units, data = list(net.planes), list(net.unit_data)
+    for i, sigma in enumerate(sigmas):
+        if sigma != tau:
+            continue
+        unit, mask = units[i], masks[i]
+        up = mask if step > 0 else full ^ mask
+        # no w + l exceeds 2l, so one holding every bit of 2l equals it
+        at_top, nonzero = full, 0
+        for b in tops:
+            at_top &= unit[b]
+        for plane in unit:
+            nonzero |= plane
+        carry, borrow = up & ~at_top, (full ^ up) & nonzero
+        # the carried weights rise by one and the borrowing ones fall by one
+        total = data[i][0] - carry.bit_count() + borrow.bit_count()
+        moved, packed = [], 0
+        for b, plane in enumerate(unit):
+            new = plane ^ (carry | borrow)
+            carry &= plane
+            borrow &= ~plane
+            moved.append(new)
+            packed |= new << 8 * width * b
+        units[i] = tuple(moved)
+        data[i] = (total, packed.to_bytes(width * len(moved), "little"))
     return TpmNetwork._of_planes(p, tuple(units), tuple(data))
 
 

@@ -37,7 +37,8 @@ ZERO_SEED_STATE = (0x9E3779B97F4A7C15, 0xD1B54A32D192ED03)
 
 @dataclass(frozen=True)
 class RngState:
-    """Generator state: two 64-bit words, never both zero."""
+    """Generator state: two 64-bit words, never both zero.  The constructor checks both;
+    ``next_word`` and ``next_words`` build the states they step to without the check."""
 
     s0: int
     s1: int
@@ -77,16 +78,24 @@ def _steps(s0: int, s1: int, count: int) -> tuple[list[int], int, int]:
     return words, s0, s1
 
 
+def _stepped(s0: int, s1: int) -> RngState:
+    """The state ``_steps`` reached, unchecked: the recurrence keeps both words in 64 bits, and
+    as a bijection that fixes (0, 0) it never steps a valid state onto it."""
+    state = object.__new__(RngState)
+    state.__dict__.update(s0=s0, s1=s1)
+    return state
+
+
 def next_word(state: RngState) -> tuple[int, RngState]:
     """Advance one xorshift128+ step, returning (64-bit output, new state)."""
     (word,), s0, s1 = _steps(state.s0, state.s1, 1)
-    return word, RngState(s0, s1)
+    return word, _stepped(s0, s1)
 
 
 def next_words(state: RngState, count: int) -> tuple[list[int], RngState]:
     """Draw ``count`` consecutive words."""
     words, s0, s1 = _steps(state.s0, state.s1, count)
-    return words, RngState(s0, s1)
+    return words, _stepped(s0, s1)
 
 
 def next_bytes(state: RngState, count: int) -> tuple[bytes, RngState]:

@@ -149,6 +149,24 @@ def test_frame_id_bounds():
         Frame(1 << 32)
 
 
+@pytest.mark.parametrize("frame_id", [0, 1, 1 << 31, MAX_FRAME_ID])
+def test_decoded_frames_equal_the_checked_constructors_frames(frame_id):
+    # decode_frame builds its messages without __post_init__: each must still equal, type included,
+    # the frame the checked constructor builds, and a changed copy goes through the check again
+    for sample in SAMPLES:
+        built = dataclasses.replace(sample, frame_id=frame_id)
+        decoded = decode_frame(encode_frame(built))
+        assert type(decoded) is type(built) and decoded == built and hash(decoded) == hash(built)
+        assert dataclasses.astuple(decoded) == dataclasses.astuple(built)
+        assert decoded.command == built.command
+        with pytest.raises(ValueError, match="32 bits"):
+            dataclasses.replace(decoded, frame_id=1 << 32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.frame_id = 0
+    for tau in (1, -1):
+        assert decode_frame(encode_frame(AckSyn(frame_id, tau))).tau == tau
+
+
 def test_payload_field_validation():
     with pytest.raises(ValueError):
         encode_frame(Syn(0, seed=bytes(8), tau=1, ek_st=bytes(16)))

@@ -136,6 +136,25 @@ def test_session_key_validation():
     assert SessionKey(key=bytes(16), iv=255).iv == 255
 
 
+@pytest.mark.parametrize("key", ["a" * 16, bytearray(16), list(bytes(16)), None])
+def test_session_key_rejects_a_key_that_is_not_bytes(key):
+    # a str key of 16 characters passed the length check and crashed the first AUTH (label + key)
+    with pytest.raises(ValueError, match="16 bytes"):
+        SessionKey(key=key, iv=0)
+
+
+@pytest.mark.parametrize("iv", [1.5, 3.0, True, False, "3", None, float("nan")])
+def test_session_key_rejects_an_iv_that_is_not_a_plain_int(iv):
+    with pytest.raises(ValueError, match="iv must be an integer"):
+        SessionKey(key=bytes(16), iv=iv)
+
+
+def test_session_key_takes_a_numpy_integer_iv_as_a_plain_int():
+    session = SessionKey(key=bytes(16), iv=np.uint8(7))
+    assert session.iv == 7 and type(session.iv) is int
+    assert session == SessionKey(key=bytes(16), iv=7)
+
+
 def test_hidden_output_equal_for_synchronized_nets():
     params = TpmParams(k=3, n=16, l=2)
     rng = seed_from_bytes(b"hidden-output-eq")

@@ -25,7 +25,7 @@ from paritykex.network import (
 )
 from paritykex.exchange import run_exchange
 from paritykex.protocol import ProtocolConfig, SenderState, state_digest
-from paritykex.rng import MASK64, PER_LANE_MAX, draw_inputs, input_masks, seed_from_bytes, seed_lanes
+from paritykex.rng import MASK64, PER_LANE_MAX, draw_inputs, input_masks, next_words, seed_from_bytes, seed_lanes
 
 
 def make_net(weights, l):
@@ -136,6 +136,43 @@ def test_init_lanes_match_init_network(k, n, l):
         if count > PER_LANE_MAX:
             state = [(state.s0 >> 64 * t & MASK64, state.s1 >> 64 * t & MASK64) for t in range(state.lanes)]
         assert state == [(st.s0, st.s1) for st in scalars]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 32, 100])
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 7, 64, 127])
+def test_init_builds_the_bank_the_checked_constructor_builds_from_its_words(n, l):
+    # init_network builds its planes and unit_data from the drawn offsets, unchecked: they must equal
+    # those of the bound-checked TpmNetwork of the same words, and so must weights and the next state
+    for k, seed in ((1, b"init-as-checked0"), (3, b"init-as-checked1"), (4, bytes(16))):
+        params, state = TpmParams(k, n, l), seed_from_bytes(seed)
+        net, after = init_network(params, state)
+        words, expected_after = next_words(state, k * n)
+        checked = TpmNetwork(params, np.array([word % (2 * l + 1) for word in words]).reshape(k, n) - l)
+        assert net.planes == checked.planes and net.unit_data == checked.unit_data
+        assert np.array_equal(net.weights, checked.weights)
+        # and both equal the planes and unit_data built bit by bit from the checked weights
+        width, rows = -(-n // 8), (checked.weights + l).tolist()
+        planes = tuple(tuple(sum((u >> b & 1) << j for j, u in enumerate(row)) for b in range((2 * l).bit_length()))
+                       for row in rows)
+        assert net.planes == planes
+        assert net.unit_data == tuple((-int(w.sum()), b"".join(plane.to_bytes(width, "little") for plane in unit))
+                                      for w, unit in zip(checked.weights, planes))
+        assert net.weights.dtype == np.int32 and not net.weights.flags.writeable
+        assert len(net.planes) == k and {len(unit) for unit in net.planes} == {(2 * l).bit_length()}
+        assert after == expected_after and (after.s0, after.s1) == (expected_after.s0, expected_after.s1)
+
+
+def test_a_bank_given_as_weights_builds_planes_and_unit_data_together():
+    # whichever plane form an outside bank reads first, both come from one build
+    params = TpmParams(3, 9, 2)
+    w = np.random.default_rng(5).integers(-2, 3, size=(3, 9), dtype=np.int32)
+    by_planes, by_data = TpmNetwork(params, w), TpmNetwork(params, w)
+    by_planes.planes
+    assert "unit_data" in vars(by_planes)
+    by_data.unit_data
+    assert "planes" in vars(by_data)
+    assert (by_planes.planes, by_planes.unit_data) == (by_data.planes, by_data.unit_data)
+    assert by_planes.unit_data == _of_planes(params, by_planes.planes).unit_data
 
 
 def test_init_weights_within_bound():

@@ -1,5 +1,6 @@
 """Generator conformance: frozen vectors, layout, bit order, distribution."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -84,6 +85,32 @@ def test_state_invariant():
         RngState(0, 0)
     with pytest.raises(ValueError):
         RngState(1 << 64, 1)
+
+
+def test_stepped_states_equal_the_checked_constructors_states():
+    # next_word and next_words build the states they step to without the check; each must be the
+    # RngState the constructor accepts for the same words
+    gen = np.random.default_rng(20261022)
+    starts = [ZERO_SEED_STATE, (0, 1), (1, 0), (0, MASK64), (MASK64, 0), (MASK64, MASK64)]
+    starts += [tuple(int(v) for v in gen.integers(0, 1 << 64, size=2, dtype=np.uint64)) for _ in range(200)]
+    for s0, s1 in starts:
+        state, ref = RngState(s0, s1), (s0, s1)
+        for count in (1, 2, 3, 96):
+            words, after = next_words(state, count)
+            while count:
+                _, ref = reference_step(*ref)
+                count -= 1
+            assert type(after) is RngState and after == RngState(*ref)
+            assert all(0 <= word <= MASK64 for word in words)
+            state = after
+        word, after = next_word(state)
+        checked = RngState(*reference_step(*ref)[1])
+        assert type(after) is RngState and after == checked and hash(after) == hash(checked)
+        assert word == next_words(state, 1)[0][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            after.s0 = 0
+        with pytest.raises(ValueError):
+            dataclasses.replace(after, s0=0, s1=0)
 
 
 def test_golden_vectors():

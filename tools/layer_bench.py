@@ -14,15 +14,17 @@ empty queue; ``serialize_weights`` and ``extract_key`` on a bank held as planes;
 one lossless round through two ``Endpoint``s over a ``SimulatedLink``, the
 host's share beside the two machine steps: the SYN out, the ACK back, each
 polled, decoded and fed, and the sender's next SYN polled off the link (so the
-row holds one send and one poll more than a round of ``run_over_link``).
+row holds one send and one poll more than a round of ``run_over_link``); and an
+exchange's fixed cost, the two ``Endpoint``s and the ``SimulatedLink`` that
+``run_exchange`` builds, with both banks' first ``planes`` and ``unit_data`` read.
 The lockstep trial engine's rows: ``draw_inputs_lanes`` at 4 and at 16 lanes
 (the listener's and the sweep's trials a call in perfbench, both drawn per
 lane) and at 500 (criterion 7's trials a call, drawn packed), and one whole
 step of the (3, 4, 3, 32) listener stack (banks, lanes, k, n) as
 ``_lockstep_trials`` runs it: the lane draw, ``forward``, ``learn`` and the
 match comparison.
-Every input is built from ``SEED``; each call repeats the same work (the two
-rows that read a bank's first-read caches build a new bank each call), and a
+Every input is built from ``SEED``; each call repeats the same work (the three
+rows that read a bank's first-read caches build new banks each call), and a
 row is the median over ``--repeat`` timings of ``--number`` calls.
 The package is imported from this checkout's ``src``.
 
@@ -98,6 +100,15 @@ def layer_calls() -> dict:
             host_a.receive(datagram, 0)
         return round_link.poll("b", 0)  # the next SYN, so that every call starts from an empty link
 
+    master = SEED.to_bytes(16, "big")
+
+    def exchange_setup():
+        # run_exchange's set-up: both endpoints with their banks and the link, then each bank's first reads
+        sender = exchange.Endpoint("sender", cfg, exchange.derive_seed(master, "sender"))
+        receiver = exchange.Endpoint("receiver", cfg, exchange.derive_seed(master, "receiver"))
+        banks = [(host.state.net.planes, host.state.net.unit_data) for host in (sender, receiver)]
+        return banks, channel.SimulatedLink(channel.ChannelConfig())
+
     def init_bank():
         bank, _ = network.init_network(params, state)
         return bank.planes, bank.unit_data
@@ -107,7 +118,6 @@ def layer_calls() -> dict:
         bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data)
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
-    master = SEED.to_bytes(16, "big")
     lane_seeds = [exchange.derive_seed(master, f"lane-{t}") for t in range(500)]
     lane_states = {count: rng.seed_lanes(lane_seeds[:count]) for count in (4, 16, 500)}
     stack, generators = [], lane_states[4]
@@ -143,6 +153,7 @@ def layer_calls() -> dict:
         "channel.poll_empty": lambda: link.poll("b", 0),
         "keycodec.key_material": key_material,
         "exchange.round": exchange_round,
+        "exchange.setup": exchange_setup,
         "rng.draw_inputs_lanes.4": lambda: rng.draw_inputs_lanes(lane_states[4], K, N),
         "rng.draw_inputs_lanes.16": lambda: rng.draw_inputs_lanes(lane_states[16], K, N),
         "rng.draw_inputs_lanes.500": lambda: rng.draw_inputs_lanes(lane_states[500], K, N),
