@@ -17,8 +17,8 @@ per trial and a lane-wise generator, every bank of every lane takes its
 step in one kernel call, and a trial leaves the batch when it ends.  Each
 lane draws exactly what a scalar trial from the same seed draws, so the
 counts are those of ``run_single_trial`` and of the scalar
-``evaluate``/``apply_learning`` loop, trial for trial; in protocol mode,
-those of an exchange over a lossless link.
+``evaluate``/``apply_learning`` loop, which run each bank on its bit planes,
+trial for trial; in protocol mode, those of an exchange over a lossless link.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ from .network import (
     LEARNING_RULES,
     LearningRule,
     TpmParams,
-    apply_learning,
-    evaluate,
     forward,
+    forward_planes,
     init_network,
     init_network_lanes,
     is_synchronized,
     learn,
+    learn_planes,
     plain_int,
 )
 from .protocol import ProtocolConfig
-from .rng import draw_inputs, draw_inputs_lanes, keep_lanes, lanes_from_words, next_words_lanes
+from .rng import draw_inputs_lanes, input_masks, keep_lanes, lanes_from_words, next_words_lanes
 from .rng import seed_from_bytes, seed_lanes
 
 TrialMode = Literal["direct", "protocol"]
@@ -178,19 +178,22 @@ def run_single_trial(
     seed: bytes,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
 ) -> SyncTrialStats:
-    """One bare mutual-learning run: the scalar oracle of the lockstep engine."""
+    """One bare mutual-learning run on the plane kernel of the protocol round: the scalar
+    oracle of the lockstep engine."""
+    params, _, iteration_cap = check_point(params.k, params.n, params.l, rule, 1, iteration_cap)
     rng = seed_from_bytes(seed)
     net_a, rng = init_network(params, rng)
     net_b, rng = init_network(params, rng)
+    s0, s1 = rng.s0, rng.s1
     iterations = 0
     synced = is_synchronized(net_a, net_b)
     while not synced and iterations < iteration_cap:
-        inputs, rng = draw_inputs(rng, params.k, params.n)
-        ev_a = evaluate(net_a, inputs)
-        ev_b = evaluate(net_b, inputs)
-        if ev_a.tau == ev_b.tau:
-            net_a = apply_learning(net_a, inputs, ev_a, ev_b.tau, rule)
-            net_b = apply_learning(net_b, inputs, ev_b, ev_a.tau, rule)
+        masks, s0, s1 = input_masks(s0, s1, params.k, params.n)
+        sigmas_a, tau_a = forward_planes(net_a, masks)
+        sigmas_b, tau_b = forward_planes(net_b, masks)
+        if tau_a == tau_b:
+            net_a = learn_planes(net_a, masks, sigmas_a, tau_a, rule)
+            net_b = learn_planes(net_b, masks, sigmas_b, tau_b, rule)
         iterations += 1
         synced = is_synchronized(net_a, net_b)
     return SyncTrialStats(iterations=iterations, synced=synced)
@@ -212,10 +215,10 @@ def _lockstep_trials(
     ``PER_LANE_MAX`` lanes and packed beyond, ``init_network_lanes`` and
     ``draw_inputs_lanes`` draw for every lane in one call each, and lanes
     leave with ``keep_lanes``.  The banks are one (banks, lanes, k, n)
-    stack, and a step is one ``forward`` and one ``learn`` call, the kernel
-    of the scalar ``evaluate``/``apply_learning``, on all of it: when A and
-    B announce the same output, every bank learns toward A's output, so the
-    passive listener E adopts it as its own.
+    stack, and a step is one call each of the array kernel ``forward`` and
+    ``learn`` on all of it: when A and B announce the same output, every
+    bank learns toward A's output, so the passive listener E adopts it as
+    its own.
 
     Returns, per trial, the step count at which A first matched B and, with
     a listener, a second list with the one at which E first matched A; None

@@ -59,10 +59,12 @@ class TpmParams:
 
 
 class TpmNetwork:
-    """Weight bank of shape (k, n), held as ``weights``, as bit ``planes`` or both; each
-    form is built from the other on first read, ``weights`` from the plane bytes in
-    ``unit_data``.  The protocol round runs on the planes and on ``unit_data``, which
-    ``init_network`` draws and ``learn_planes`` hands from each bank to the next.  The bound
+    """Weight bank of shape (k, n), held as bit ``planes`` (per unit, ``(2l).bit_length()`` n-bit
+    ints, bit j of plane b being bit b of w[j] + l) and ``unit_data`` (per unit, ``forward_planes``'
+    constant and the ``sync_probe`` bytes, each plane as ``ceil(n/8)`` little-endian bytes), which
+    both constructors set; ``weights`` is decoded from the plane bytes on first read.  Every
+    single-bank operation runs on the planes, which ``init_network`` draws and ``learn_planes``
+    hands from each bank to the next.  The bound
     [-l, +l] is enforced once, where outside weights enter (``__init__``); a drawn bank is in it
     by construction, and ``learn_planes`` keeps a bank inside it."""
 
@@ -75,42 +77,16 @@ class TpmNetwork:
         # min/max, not abs: abs wraps the most negative value of a signed dtype
         if not (w.min() >= -p.l and w.max() <= p.l):
             raise ValueError("weights exceed the synaptic depth bound")
-        # a copy, so the bank is int32 whatever the caller passed and the caller's array stays writable
-        w = w.astype(np.int32)
-        w.setflags(write=False)
-        self.__dict__.update(params=params, weights=w)
+        # w + l lies in [0, 2l] and 2l < 256, so even a narrow dtype's wrapped sum casts to the offset
+        self.params = params
+        self.planes, self.unit_data = _plane_form(p, (w + p.l).astype(np.uint8))
 
     @classmethod
     def _of_planes(cls, params: TpmParams, planes, unit_data) -> "TpmNetwork":
-        """``planes`` plus any ``unit_data``, taken on trust: every caller passes a bank in the bound."""
+        """``planes`` and their ``unit_data``, taken on trust: every caller passes a bank in the bound."""
         net = object.__new__(cls)
-        net.params, net.planes = params, planes
-        if unit_data is not None:
-            net.unit_data = unit_data
+        net.params, net.planes, net.unit_data = params, planes, unit_data
         return net
-
-    @cached_property
-    def planes(self) -> tuple[tuple[int, ...], ...]:
-        """Per unit, ``(2l).bit_length()`` n-bit ints: bit j of plane b is bit b of w[j] + l."""
-        return self._fill_plane_form()[0]
-
-    @cached_property
-    def unit_data(self) -> tuple[tuple[int, bytes], ...]:
-        """Per unit, ``forward_planes``' constant l*n - sum_b 2^b |P_b| and the unit's
-        ``sync_probe`` bytes: each plane as ``ceil(n/8)`` little-endian bytes.  A bank given as
-        weights builds it with its planes; one given as planes alone derives it from them."""
-        if "planes" not in self.__dict__:
-            return self._fill_plane_form()[1]
-        l, n = self.params.l, self.params.n
-        width = -(-n // 8)
-        return tuple((_unit_constant(l, n, unit), b"".join([plane.to_bytes(width, "little") for plane in unit]))
-                     for unit in self.planes)
-
-    def _fill_plane_form(self):
-        """A bank given as weights: its ``planes`` and ``unit_data``, built and cached together."""
-        form = _plane_form(self.params, (self.weights + self.params.l).astype(np.uint8))
-        self.__dict__.update(planes=form[0], unit_data=form[1])
-        return form
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -151,11 +127,6 @@ class OrderParams:
     rho: Optional[float]
 
 
-def _unit_constant(l: int, n: int, unit) -> int:
-    """``forward_planes``' constant of one unit's planes: l*n - sum_b 2^b |P_b|, which is -sum(w)."""
-    return l * n - sum([plane.bit_count() << b for b, plane in enumerate(unit)])
-
-
 _SHIFTS = np.arange(8, dtype=np.uint8)[:, None]  # one row per plane of the deepest bank, 2 * MAX_DEPTH < 2^8
 
 
@@ -170,7 +141,8 @@ def _plane_form(params: TpmParams, offsets: np.ndarray) -> tuple[tuple, tuple]:
         probe = raw[i * size:(i + 1) * size]
         unit = tuple([int.from_bytes(probe[b:b + width], "little") for b in range(0, size, width)])
         planes.append(unit)
-        data.append((_unit_constant(l, n, unit), probe))
+        # forward_planes' constant l*n - sum_b 2^b |P_b|, which is -sum(w)
+        data.append((l * n - sum([plane.bit_count() << b for b, plane in enumerate(unit)]), probe))
     return tuple(planes), tuple(data)
 
 
@@ -196,7 +168,8 @@ def init_network_lanes(params: TpmParams, state: LaneStates) -> tuple[np.ndarray
     return flat.reshape(-1, p.k, p.n), state
 
 
-def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
+def _input_masks(params: TpmParams, inputs: np.ndarray) -> list[int]:
+    """The n-bit masks of a (k, n) +-1 ``inputs`` matrix: bit j of mask i set where entry (i, j) is +1."""
     inputs = np.asarray(inputs)
     if inputs.shape != (params.k, params.n):
         raise ValueError(
@@ -204,7 +177,9 @@ def _check_inputs(params: TpmParams, inputs: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.abs(inputs) == 1):
         raise ValueError("inputs must be +-1 valued")
-    return inputs.astype(np.int64, copy=False)
+    width = -(-params.n // 8)
+    raw = np.packbits(inputs > 0, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def forward(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,9 +278,9 @@ def learn_planes(net: TpmNetwork, masks, sigmas, tau: int, rule: LearningRule) -
 
 
 def evaluate(net: TpmNetwork, inputs: np.ndarray) -> Evaluation:
-    """Forward pass: the unit signs and tau of ``forward``."""
-    _, sigmas, tau = forward(net.weights, _check_inputs(net.params, inputs))
-    return Evaluation(sigmas.astype(np.int32), int(tau))
+    """Forward pass: the unit signs and tau of ``forward``, run on the bank's planes."""
+    sigmas, tau = forward_planes(net, _input_masks(net.params, inputs))
+    return Evaluation(np.array(sigmas, np.int32), tau)
 
 
 def apply_learning(
@@ -317,16 +292,18 @@ def apply_learning(
 ) -> TpmNetwork:
     """One mutual-learning step against a peer's announced output.
 
-    If the announced outputs differ nothing moves; otherwise ``learn``
+    If the announced outputs differ nothing moves; otherwise ``learn_planes``
     updates the units whose sign matches the common output.
     """
     if rule not in LEARNING_RULES:
         raise ValueError(f"unknown learning rule: {rule!r}")
-    x = _check_inputs(net.params, inputs)
+    sigmas = np.asarray(eval_self.sigmas)
+    if sigmas.shape != (net.params.k,):
+        raise ValueError(f"evaluation must hold {net.params.k} unit signs, got shape {sigmas.shape}")
+    masks = _input_masks(net.params, inputs)
     if eval_self.tau != tau_other:
         return net
-    updated = learn(net.weights, x, eval_self.sigmas, eval_self.tau, True, rule, net.params.l)
-    return TpmNetwork(net.params, updated)
+    return learn_planes(net, masks, sigmas.tolist(), eval_self.tau, rule)
 
 
 def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams:
@@ -353,7 +330,7 @@ def order_params(net_a: TpmNetwork, net_b: TpmNetwork, unit: int) -> OrderParams
 
 
 def is_synchronized(net_a: TpmNetwork, net_b: TpmNetwork) -> bool:
-    """True iff the weight banks are element-wise equal."""
+    """True iff the weight banks are element-wise equal: equal offsets w + l have equal planes."""
     if net_a.params != net_b.params:
         raise ValueError("networks must share identical params")
-    return bool(np.array_equal(net_a.weights, net_b.weights))
+    return net_a.planes == net_b.planes

@@ -196,6 +196,7 @@ def no_trial_work(monkeypatch):
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(analysis, "seed_lanes", no_work)  # both modes' lanes start here
+    monkeypatch.setattr(analysis, "init_network", no_work)  # run_single_trial's banks start here
 
 
 def test_sync_trials_reject_bad_arguments_before_any_work(no_trial_work):
@@ -241,6 +242,17 @@ def test_runners_reject_a_cap_that_is_not_an_integer_before_any_work(no_trial_wo
             run_attack_trials(3, 32, 6, "random_walk", 1, cap, b"validate-attack0")
 
 
+def test_single_trial_rejects_bad_arguments_before_any_work(no_trial_work):
+    # a bad rule was caught only at the first agreement; caps of nan and -3 ran no step
+    # and a cap of 2.5 ran three
+    params, seed = TpmParams(3, 16, 2), b"validate-single0"
+    with pytest.raises(ValueError, match="rule"):
+        run_single_trial(params, "bogus", seed, 0)
+    for cap in (float("nan"), float("inf"), -3, 2.5, True):
+        with pytest.raises(ValueError, match="iteration_cap"):
+            run_single_trial(params, "random_walk", seed, cap)
+
+
 def test_numpy_integer_trials_and_cap_run_as_plain_ints():
     plain = run_sync_trials(3, 16, 1, "random_walk", 3, "direct", 40, b"validate-sync-00")
     numpy_ints = run_sync_trials(3, 16, 1, "random_walk", np.int64(3), "direct", np.int64(40),
@@ -283,14 +295,16 @@ def listener_oracle(params, rule, seed, cap):
 
 
 # (params, trials, cap): trials of very different lengths, some cut at the cap,
-# banks that start equal (l=0, every weight 0), a batch of one trial, and more
-# trials than PER_LANE_MAX, whose lanes draw from PackedLanes
+# banks that start equal (l=0, every weight 0), a batch of one trial, more
+# trials than PER_LANE_MAX, whose lanes draw from PackedLanes, and units whose
+# n = 13 inputs are not whole bytes, held in 4 planes
 ENGINE_CASES = [
     (TpmParams(3, 16, 2), 12, 150),
     (TpmParams(2, 8, 1), 10, 10**4),
     (TpmParams(3, 16, 0), 3, 50),
     (TpmParams(3, 16, 2), 1, 10**4),
     (TpmParams(3, 16, 2), 24, 150),
+    (TpmParams(2, 13, 5), 6, 3000),
 ]
 
 

@@ -10,6 +10,7 @@ from scipy import stats
 from paritykex.keycodec import encode_weight, serialize_weights
 from paritykex.network import (
     LEARNING_RULES,
+    Evaluation,
     TpmNetwork,
     TpmParams,
     apply_learning,
@@ -160,19 +161,6 @@ def test_init_builds_the_bank_the_checked_constructor_builds_from_its_words(n, l
         assert net.weights.dtype == np.int32 and not net.weights.flags.writeable
         assert len(net.planes) == k and {len(unit) for unit in net.planes} == {(2 * l).bit_length()}
         assert after == expected_after and (after.s0, after.s1) == (expected_after.s0, expected_after.s1)
-
-
-def test_a_bank_given_as_weights_builds_planes_and_unit_data_together():
-    # whichever plane form an outside bank reads first, both come from one build
-    params = TpmParams(3, 9, 2)
-    w = np.random.default_rng(5).integers(-2, 3, size=(3, 9), dtype=np.int32)
-    by_planes, by_data = TpmNetwork(params, w), TpmNetwork(params, w)
-    by_planes.planes
-    assert "unit_data" in vars(by_planes)
-    by_data.unit_data
-    assert "planes" in vars(by_data)
-    assert (by_planes.planes, by_planes.unit_data) == (by_data.planes, by_data.unit_data)
-    assert by_planes.unit_data == _of_planes(params, by_planes.planes).unit_data
 
 
 def test_init_weights_within_bound():
@@ -338,6 +326,15 @@ def test_unknown_rule_rejected():
     ev = evaluate(net, x)
     with pytest.raises(ValueError):
         apply_learning(net, x, ev, ev.tau, "perceptron")
+
+
+def test_apply_learning_rejects_an_evaluation_without_k_signs():
+    # one sign was broadcast over every unit; the plane kernel would learn only the units it is given
+    net = make_net(np.zeros((3, 4)), l=2)
+    x = np.ones((3, 4), dtype=int)
+    for sigmas in ([1], [1, 1], [1, 1, 1, 1], [[1, 1, 1]]):
+        with pytest.raises(ValueError, match="unit signs"):
+            apply_learning(net, x, Evaluation(np.array(sigmas), 1), 1, "random_walk")
 
 
 # --- step kernel ---------------------------------------------------------------
@@ -540,8 +537,12 @@ PLANE_SHAPES = [(k, n, l) for k in (1, 3, 4) for n in (1, 7, 8, 13, 32, 33, 64)
 
 
 def _of_planes(params, planes):
-    """A bank held as ``planes`` only."""
-    return TpmNetwork._of_planes(params, planes, None)
+    """The bank of ``planes``, with the ``unit_data`` computed from them here as the reference:
+    per unit, l*n - sum_b 2^b |P_b| and each plane as ceil(n/8) little-endian bytes."""
+    l, n, width = params.l, params.n, -(-params.n // 8)
+    unit_data = tuple((l * n - sum(plane.bit_count() << b for b, plane in enumerate(unit)),
+                       b"".join(plane.to_bytes(width, "little") for plane in unit)) for unit in planes)
+    return TpmNetwork._of_planes(params, planes, unit_data)
 
 
 def masks_of(x):

@@ -53,7 +53,10 @@ def test_sync_test_roundtrip():
     probe = probe_of(net)
     assert len(probe) == 16
     assert probe == probe_of(TpmNetwork(params, net.weights.copy()))
-    assert probe == probe_of(TpmNetwork._of_planes(params, net.planes, None))
+    # the probe bytes, each plane as 4 little-endian bytes, computed from the planes as the reference
+    unit_data = tuple((params.l * params.n - sum(plane.bit_count() << b for b, plane in enumerate(unit)),
+                       b"".join(plane.to_bytes(4, "little") for plane in unit)) for unit in net.planes)
+    assert probe == probe_of(TpmNetwork._of_planes(params, net.planes, unit_data))
     # the probe is a digest, not the weights under a public constant
     assert bytes(a ^ b for a, b in zip(probe, b"SYNC-TEST-VECTOR")) != serialize_weights(net)[:16]
 

@@ -3,8 +3,8 @@
     python3 tools/layer_bench.py [--repeat 9] [--number 2000] [--base DIR]
 
 The rows are the layer rows of ROADMAP aim 1 at k=3, n=32, l=3 (random_walk):
-the generator word and the SYN seed's input masks; ``init_network`` with the
-new bank's first ``planes`` and ``unit_data`` read; ``forward_planes``,
+the generator word and the SYN seed's input masks; ``init_network``, which
+builds the new bank's ``planes`` and ``unit_data``; ``forward_planes``,
 ``learn_planes`` and ``sync_probe`` on one bank; ``encode_frame`` and
 ``decode_frame`` of a ``Syn`` and an ``AckSyn``, each message one ``Frame``
 object that carries its id; one ``sender_advance`` step (an ACK in,
@@ -16,7 +16,7 @@ host's share beside the two machine steps: the SYN out, the ACK back, each
 polled, decoded and fed, and the sender's next SYN polled off the link (so the
 row holds one send and one poll more than a round of ``run_over_link``); and an
 exchange's fixed cost, the two ``Endpoint``s and the ``SimulatedLink`` that
-``run_exchange`` builds, with both banks' first ``planes`` and ``unit_data`` read.
+``run_exchange`` builds, with both banks' ``planes`` and ``unit_data``.
 The lockstep trial engine's rows: ``draw_inputs_lanes`` at 4 and at 16 lanes
 (the listener's and the sweep's trials a call in perfbench, both drawn per
 lane) and at 500 (criterion 7's trials a call, drawn packed), and one whole
@@ -24,8 +24,9 @@ step of the (3, 4, 3, 32) listener stack (banks, lanes, k, n) as
 ``_lockstep_trials`` runs it: the lane draw, ``forward``, ``learn`` and the
 match comparison.
 Every input is built from ``SEED``; each call repeats the same work (the three
-rows that read a bank's first-read caches build new banks each call), and a
-row is the median over ``--repeat`` timings of ``--number`` calls.
+rows that build a bank build a new one each call, so the ``keycodec.key_material``
+row decodes its bank's ``weights`` each time), and a row is the median over
+``--repeat`` timings of ``--number`` calls.
 The package is imported from this checkout's ``src``.
 
 A shift of the machine's speed for a whole process moves every timing in it,
@@ -103,7 +104,7 @@ def layer_calls() -> dict:
     master = SEED.to_bytes(16, "big")
 
     def exchange_setup():
-        # run_exchange's set-up: both endpoints with their banks and the link, then each bank's first reads
+        # run_exchange's set-up: both endpoints with their banks and the link
         sender = exchange.Endpoint("sender", cfg, exchange.derive_seed(master, "sender"))
         receiver = exchange.Endpoint("receiver", cfg, exchange.derive_seed(master, "receiver"))
         banks = [(host.state.net.planes, host.state.net.unit_data) for host in (sender, receiver)]
@@ -114,7 +115,7 @@ def layer_calls() -> dict:
         return bank.planes, bank.unit_data
 
     def key_material():
-        # a bank as learn_planes leaves it: planes and unit_data, no weights read yet
+        # a bank as learn_planes leaves it: planes and unit_data, no weights decoded yet
         bank = network.TpmNetwork._of_planes(params, net.planes, net.unit_data)
         return keycodec.extract_key(keycodec.serialize_weights(bank), 0)
 
